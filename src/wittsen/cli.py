@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import __version__, targets
-from .exactalg import InvalidInputError, int_valuation, is_prime
+from .exactalg import InvalidInputError, PrecisionError, int_valuation, is_prime
 from . import witt as W
 from . import fgl as FG
 from . import dpops as DP
@@ -535,7 +535,11 @@ def check_weyl(cfg: RunConfig, M=None):
 
 def check_delta(cfg: RunConfig, B=None):
     t = targets.DELTA_RING
-    rep = DP.delta_ring_check(t["p"], t["n"], B or t["B"], K=cfg.K, N=cfg.N)
+    if B is None:
+        B = t["B"]
+    elif B < 0:
+        raise InvalidInputError("B must be >= 0")
+    rep = DP.delta_ring_check(t["p"], t["n"], B, K=cfg.K, N=cfg.N)
     return check("cartier.delta", rep["all_ok"], rep,
                  None if rep["all_ok"] else rep["rows"])
 
@@ -778,7 +782,7 @@ def main(argv=None) -> int:
 
         if args.command == "report":
             return _emit(build_full_report(cfg), cfg)
-    except InvalidInputError as exc:
+    except (InvalidInputError, PrecisionError) as exc:
         parser.error(str(exc))
     return 2
 

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 from .exactalg import (
     InvalidInputError,
@@ -530,76 +530,160 @@ def _coeff_vector(poly: TruncPoly, K: int):
     return [Fraction(poly.coeff((j,))) for j in range(K)]
 
 
-class ZpLattice:
-    """Z_(p)-span of rational coefficient vectors, with membership tests.
+def _split_p(p: int, m: int):
+    """(e, m') with m = p^e * m' and m' prime to p; m nonzero."""
+    e = 0
+    while m % p == 0:
+        m //= p
+        e += 1
+    return e, m
 
-    Row-echelon basis over the local ring: reducing an incoming vector at
-    each row uses the stored pivot when its valuation is minimal, otherwise
-    swaps it in and re-processes the old pivot. Membership holds when the
-    reduction coefficients are all p-integral and the remainder vanishes.
+
+def _integer_vector(p: int, poly: TruncPoly, K: int):
+    """Coefficients of poly at u^0..u^(K-1) as (N, s): integers N over p^s."""
+    coeffs = _coeff_vector(poly, K)
+    s = 0
+    for c in coeffs:
+        e, rest = _split_p(p, c.denominator)
+        if rest != 1:
+            raise InvalidInputError(f"coefficient {c} is not over a power of {p}")
+        s = max(s, e)
+    return [c.numerator * p**s // c.denominator for c in coeffs], s
+
+
+class ZpLattice:
+    """Z_(p)-span L of the vectors N/p^s in Q^K, with exact membership tests.
+
+    `vectors` is a list of generators, each a pair (N, s): a list of K
+    integers N over p^s. Scaling by p^a, with a the largest s, puts
+    M = p^a*L inside Z_(p)^K.
+
+    Certificate: before anything is reduced, the constructor proves
+    p^c*Z_(p)^K <= M from the generators alone. The certificate is a
+    full-rank diagonal sub-determinant: for every coordinate i, a generator
+    whose only nonzero entry sits at i. With c_i the least valuation of such
+    a scaled entry at i, M contains p^(c_i)*e_i for every i, so
+    c = max_i c_i works. A coordinate without such a generator raises
+    InvalidInputError.
+
+    Modulus: since p^c*Z_(p)^K <= M <= Z_(p)^K, M is the preimage of its
+    image in (Z/p^c)^K, so echelon and membership run exactly on integers
+    mod p^c, the Hermite normal form modulo D of Cohen, GTM 138, 2.4.
+    For the delta-envelope the unit vectors u^0..u^(K-1) are generators
+    with s = 0, giving c = a.
+
+    Echelon: row r of `basis` vanishes before column r and is p^(v_r) at r;
+    it starts as p^c*e_r, a zero row mod p^c. Inserting a vector clears each entry whose
+    valuation is at least v_r with row r. An entry of smaller valuation,
+    scaled by the inverse of its unit part, becomes the new row r; the old
+    row, reduced by it to vanish at r, is inserted from column r+1. This
+    reinsertion keeps p^(c-v_r) times row r in the span of the later rows
+    (the Howell property), so reducing a query row by row decides
+    membership. The rank is K by the certificate.
     """
 
     def __init__(self, p: int, K: int, vectors):
         self.p = p
         self.K = K
-        self.basis = {}
-        queue = [list(v) for v in vectors]
-        while queue:
-            v = queue.pop()
-            r = 0
-            while r < self.K:
-                if v[r] == 0:
-                    r += 1
-                    continue
-                b = self.basis.get(r)
-                if b is None:
-                    self.basis[r] = v
-                    break
-                if fraction_valuation(self.p, v[r]) < fraction_valuation(self.p, b[r]):
-                    self.basis[r] = v
-                    queue.append(b)
-                    break
-                f = v[r] / b[r]
-                v = [a - f * c for a, c in zip(v, b)]
+        self.scale = max((s for _, s in vectors), default=0)
+        c = self._certified_exponent(vectors)
+        self.modulus = q = p**c
+        self.valuations = [c] * K
+        self.basis = [[0] * K for _ in range(K)]
+        for N, s in vectors:
+            f = p ** (self.scale - s)
+            self._insert([x * f % q for x in N])
+
+    def _certified_exponent(self, vectors) -> int:
+        best = [None] * self.K
+        for N, s in vectors:
+            if N.count(0) != self.K - 1:
+                continue
+            i = next(j for j, x in enumerate(N) if x)
+            v = self.scale - s + _split_p(self.p, N[i])[0]
+            if best[i] is None or v < best[i]:
+                best[i] = v
+        if None in best:
+            raise InvalidInputError(
+                f"no certificate p^c*Z_(p)^K <= L: no generator on coordinate "
+                f"{best.index(None)} alone")
+        return max(best)
+
+    def _insert(self, v):
+        p, q = self.p, self.modulus
+        basis, vals = self.basis, self.valuations
+        for r in range(self.K):
+            x = v[r]
+            if not x:
+                continue
+            pv = p ** vals[r]
+            if x % pv == 0:
+                f = x // pv
+                v = [(a - f * b) % q for a, b in zip(v, basis[r])]
+                continue
+            w, unit = _split_p(p, x)
+            inv = pow(unit, -1, q)
+            new = [a * inv % q for a in v]
+            f = p ** (vals[r] - w)
+            v = [(a - f * b) % q for a, b in zip(basis[r], new)]
+            basis[r], vals[r] = new, w
 
     def contains(self, vector) -> bool:
-        t = list(vector)
-        for r in range(self.K):
-            if t[r] == 0:
-                continue
-            b = self.basis.get(r)
-            if b is None:
+        p, q, a = self.p, self.modulus, self.scale
+        y = []
+        for x in vector:
+            x = Fraction(x)
+            e, unit = _split_p(p, x.denominator)
+            if e > a:
                 return False
-            f = t[r] / b[r]
-            if fraction_valuation(self.p, f) < 0:
-                return False
-            t = [a - f * c for a, c in zip(t, b)]
-        return all(x == 0 for x in t)
+            y.append(x.numerator * p ** (a - e) * pow(unit, -1, q) % q)
+        for r, row in enumerate(self.basis):
+            x = y[r]
+            if x:
+                pv = p ** self.valuations[r]
+                if x % pv:
+                    return False
+                f = x // pv
+                y = [(t - f * b) % q for t, b in zip(y, row)]
+        return True
+
+
+def _mul_trunc(a, b, K: int):
+    """Product of two integer coefficient lists, truncated at u^K."""
+    out = [0] * K
+    lead = next((j for j, y in enumerate(b) if y), K)
+    for i in range(K - lead):
+        x = a[i]
+        if x:
+            for j in range(lead, K - i):
+                out[i + j] += x * b[j]
+    return out
 
 
 def _envelope_lattice(ctx: DeltaRingContext, iters, K: int) -> ZpLattice:
     """Z_(p)-lattice spanned, to truncation, by the monomials
-    u^j * prod_i delta^i(t)^(e_i): the image of the delta-envelope."""
+    u^j * prod_i delta^i(t)^(e_i): the image of the delta-envelope.
+
+    Each iterate is converted once to integers over a power of p; monomials
+    are truncated integer products with the p-exponents added, and common
+    factors of p cancelled so that the exponents are the true ones."""
+    factors = [_integer_vector(ctx.p, f, K) for f in iters]
     vectors = []
 
-    def shifts(poly):
-        cur = poly
-        while not cur.is_zero():
-            vectors.append(_coeff_vector(cur, K))
-            cur = cur * ctx.u
-
-    def rec(i, poly):
-        if poly.is_zero():
+    def rec(i, N, s):
+        if i == len(factors):
+            lead = next(j for j, x in enumerate(N) if x)
+            vectors.extend(([0] * j + N[:K - j], s) for j in range(K - lead))
             return
-        if i == len(iters):
-            shifts(poly)
-            return
-        cur = poly
-        while not cur.is_zero():
-            rec(i + 1, cur)
-            cur = cur * iters[i]
+        F, sf = factors[i]
+        while any(N):
+            e = min(s, _split_p(ctx.p, gcd(*N))[0])
+            if e:
+                N, s = [x // ctx.p**e for x in N], s - e
+            rec(i + 1, N, s)
+            N, s = _mul_trunc(N, F, K), s + sf
 
-    rec(0, TruncPoly.const(ctx.ring, 1))
+    rec(0, [1] + [0] * (K - 1), 0)
     return ZpLattice(ctx.p, K, vectors)
 
 
@@ -625,16 +709,18 @@ def delta_ring_check(p: int, n: int, B: int, K: int = 18, N: int = 12) -> dict:
     all_ok = True
     for k in range(B + 1):
         dk = iters[k]
-        q1 = ctx.phi(dk) * ctx.d_inv
+        phi_dk = ctx.phi(dk)
+        q1 = phi_dk * ctx.d_inv
         ok1 = lattice.contains(_coeff_vector(q1, K))
         lhs = dk**p + p * iters[k + 1]
         q2 = lhs * ctx.d_inv
         ok2 = lattice.contains(_coeff_vector(q2, K))
+        frob = phi_dk == lhs
         rows.append({
             "k": k,
             "phi_delta_divisible": ok1,
             "power_identity_divisible": ok2,
-            "frobenius_identity": ctx.phi(dk) == lhs,
+            "frobenius_identity": frob,
         })
-        all_ok = all_ok and ok1 and ok2
+        all_ok = all_ok and ok1 and ok2 and frob
     return {"p": p, "n": n, "B": B, "K": K, "N": N, "rows": rows, "all_ok": all_ok}

@@ -2,8 +2,8 @@
 
 All arithmetic in the library is exact, so every comparison below is on-the-
 nose equality (group orders, polynomial coefficients, Witt components). The
-named-check functions enforce the full parameter grids; this module runs the
-whole battery once and asserts criterion by criterion.
+named-check functions enforce the full parameter grids; this module asserts
+criterion by criterion on the shared report build from conftest.py.
 """
 
 import json
@@ -11,7 +11,6 @@ import os
 
 import pytest
 
-from wittsen.cli import RunConfig, build_full_report
 
 CRITERIA = {
     1: ("gabber-identity", ["witt.gabber"]),
@@ -31,32 +30,26 @@ CRITERIA = {
 }
 
 
-@pytest.fixture(scope="module")
-def report():
-    return build_full_report(RunConfig())
-
-
 def _status(report, names):
     rows = {r["name"]: r for r in report["checks"]}
     return [rows[n] for n in names]
 
 
 @pytest.mark.parametrize("number", sorted(CRITERIA))
-def test_criterion(report, number):
+def test_criterion(full_report, number):
     label, names = CRITERIA[number]
-    rows = _status(report, names)
+    rows = _status(full_report, names)
     ok = all(r["status"] == "pass" for r in rows)
     print(f"ACCEPT-{number:02d} {label}: {'pass' if ok else 'fail'}")
     for r in rows:
         assert r["status"] == "pass", (number, label, r.get("counterexample"))
 
 
-def test_criterion_15_golden_report(report):
-    again = build_full_report(RunConfig())
-    s1 = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    s2 = json.dumps(again, indent=2, sort_keys=True) + "\n"
+def test_criterion_15_golden_report(full_report, fresh_report):
+    s1 = json.dumps(full_report, indent=2, sort_keys=True) + "\n"
+    s2 = json.dumps(fresh_report, indent=2, sort_keys=True) + "\n"
     deterministic = s1 == s2
-    green = all(r["status"] != "fail" for r in report["checks"])
+    green = all(r["status"] != "fail" for r in full_report["checks"])
     golden_path = os.path.join(os.path.dirname(__file__), "data",
                                "golden_report.json")
     with open(golden_path, "rb") as fh:

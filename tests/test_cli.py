@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import wittsen.targets as targets
-from wittsen.cli import RunConfig, build_full_report, main
+from wittsen.cli import main
 
 
 def run_main(argv, capsys):
@@ -107,24 +107,38 @@ def test_config_file_and_flag_precedence(tmp_path, capsys):
     assert doc["config"]["p"] == 2 and doc["config"]["L"] == 4
 
 
+def test_delta_B0_runs_one_row(capsys):
+    code, out = run_main(["cartier", "delta", "-B", "0", "--json"], capsys)
+    assert code == 0
+    payload = json.loads(out)["checks"][0]["payload"]
+    assert payload["B"] == 0
+    assert [row["k"] for row in payload["rows"]] == [0]
+
+
+@pytest.mark.parametrize("flags", [["-B", "-1"], ["-K", "2"]])
+def test_delta_bad_flags_are_usage_errors(flags, capsys):
+    with pytest.raises(SystemExit) as e:
+        main(["cartier", "delta", *flags])
+    assert e.value.code == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # full report
 
-def test_report_is_deterministic_and_green():
-    doc1 = build_full_report(RunConfig())
-    doc2 = build_full_report(RunConfig())
-    s1 = json.dumps(doc1, indent=2, sort_keys=True)
-    s2 = json.dumps(doc2, indent=2, sort_keys=True)
+def test_report_is_deterministic_and_green(full_report, fresh_report):
+    s1 = json.dumps(full_report, indent=2, sort_keys=True)
+    s2 = json.dumps(fresh_report, indent=2, sort_keys=True)
     assert s1 == s2
-    assert all(row["status"] != "fail" for row in doc1["checks"])
+    assert all(row["status"] != "fail" for row in full_report["checks"])
 
 
-def test_report_matches_golden_file():
+def test_report_matches_golden_file(full_report):
     golden = os.path.join(os.path.dirname(__file__), "data", "golden_report.json")
     with open(golden, "rb") as fh:
         expected = fh.read()
-    doc = build_full_report(RunConfig())
-    got = (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
+    got = (json.dumps(full_report, indent=2, sort_keys=True) + "\n").encode()
     assert got == expected
 
 

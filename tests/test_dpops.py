@@ -4,9 +4,17 @@ from math import comb
 
 import pytest
 
-from wittsen.exactalg import InvalidInputError, PrecisionError, fraction_valuation
+from wittsen.exactalg import (
+    InvalidInputError,
+    PrecisionError,
+    TruncPoly,
+    fraction_valuation,
+)
 from wittsen.dpops import (
     DeltaRingContext,
+    ZpLattice,
+    _coeff_vector,
+    _envelope_lattice,
     DPBasisMonomial,
     DPElement,
     DPModule,
@@ -306,3 +314,169 @@ def test_delta_ring_check_base_case_p2():
 def test_delta_ring_check_precision_guard():
     with pytest.raises(PrecisionError):
         delta_ring_check(3, 10, 1, K=18)
+
+
+def test_delta_ring_check_gates_frobenius_identity(monkeypatch):
+    # delta built from phi(f) + p*u^(K-1) instead of ctx.phi: every quotient
+    # stays p-integral, so only the Frobenius identity can fail the check
+    true_delta = DeltaRingContext.delta
+    monkeypatch.setattr(DeltaRingContext, "delta",
+                        lambda self, f: true_delta(self, f) + self.u ** (self.K - 1))
+    rep = delta_ring_check(3, 1, 1, K=12)
+    assert all(row["phi_delta_divisible"] and row["power_identity_divisible"]
+               for row in rep["rows"])
+    assert not any(row["frobenius_identity"] for row in rep["rows"])
+    assert not rep["all_ok"]
+
+
+# ---------------------------------------------------------------------------
+# Z_(p)-lattice membership
+
+
+class FractionLattice:
+    """Reference oracle: row echelon of Fraction vectors over Z_(p), the
+    algorithm ZpLattice used before it worked modulo p^c."""
+
+    def __init__(self, p, K, vectors):
+        self.p = p
+        self.K = K
+        self.basis = {}
+        queue = [list(v) for v in vectors]
+        while queue:
+            v = queue.pop()
+            r = 0
+            while r < self.K:
+                if v[r] == 0:
+                    r += 1
+                    continue
+                b = self.basis.get(r)
+                if b is None:
+                    self.basis[r] = v
+                    break
+                if fraction_valuation(self.p, v[r]) < fraction_valuation(self.p, b[r]):
+                    self.basis[r] = v
+                    queue.append(b)
+                    break
+                f = v[r] / b[r]
+                v = [a - f * c for a, c in zip(v, b)]
+
+    def contains(self, vector):
+        t = list(vector)
+        for r in range(self.K):
+            if t[r] == 0:
+                continue
+            b = self.basis.get(r)
+            if b is None:
+                return False
+            f = t[r] / b[r]
+            if fraction_valuation(self.p, f) < 0:
+                return False
+            t = [a - f * c for a, c in zip(t, b)]
+        return all(x == 0 for x in t)
+
+
+def fraction_envelope(ctx, iters, K):
+    """Reference oracle: the delta-envelope generators as Fraction vectors,
+    built by TruncPoly products."""
+    vectors = []
+
+    def rec(i, poly):
+        if i == len(iters):
+            while not poly.is_zero():
+                vectors.append(_coeff_vector(poly, K))
+                poly = poly * ctx.u
+            return
+        while not poly.is_zero():
+            rec(i + 1, poly)
+            poly = poly * iters[i]
+
+    rec(0, TruncPoly.const(ctx.ring, 1))
+    return vectors
+
+
+F = Fraction
+
+
+def test_zp_lattice_hand_built():
+    # L = Z_(3)^2 + Z_(3)*(1/3, 1/3)
+    lat = ZpLattice(3, 2, [([1, 0], 0), ([0, 1], 0), ([1, 1], 1)])
+    assert len(lat.basis) == 2
+    for v in [(0, 0), (1, -5), (F(1, 3), F(1, 3)), (F(2, 3), F(-1, 3))]:
+        assert lat.contains(v), v
+    for v in [(F(1, 3), 0), (F(1, 3), F(2, 3)), (0, F(-1, 3))]:
+        assert not lat.contains(v), v
+
+
+def test_zp_lattice_pivot_with_unit_part():
+    # L = Z_(3)^2 + Z_(3)*(2/3, 1/3); the pivot 2 is scaled to 1 mod 3
+    lat = ZpLattice(3, 2, [([1, 0], 0), ([0, 1], 0), ([2, 1], 1)])
+    assert lat.contains((F(2, 3), F(1, 3)))
+    assert lat.contains((F(1, 3), F(2, 3)))
+    assert not lat.contains((F(1, 3), F(1, 3)))
+
+
+def test_zp_lattice_mixed_denominator():
+    # 2 and 7 are units in Z_(3), so only the 3-part of a denominator counts
+    lat = ZpLattice(3, 2, [([1, 0], 0), ([0, 1], 0), ([1, 1], 1)])
+    assert lat.contains((F(1, 6), F(1, 6)))
+    assert lat.contains((F(1, 2), F(5, 7)))
+    assert lat.contains((F(5, 2 * 3), F(-1, 2 * 7 * 3)))
+    assert not lat.contains((F(1, 6), F(1, 3)))
+    assert not lat.contains((F(1, 2 * 3), 0))
+
+
+def test_zp_lattice_denominator_deeper_than_generators():
+    lat = ZpLattice(3, 2, [([1, 0], 0), ([0, 1], 0), ([1, 1], 1)])
+    assert lat.scale == 1
+    assert not lat.contains((F(1, 9), 0))
+    assert not lat.contains((F(1, 18), F(1, 18)))
+    assert not lat.contains((0, F(1, 3**12)))
+
+
+def test_zp_lattice_reinserts_replaced_pivot():
+    # L = span{(9,0), (0,9), (3,1)} contains 3*(3,1) - (9,0) = (0,3); finding
+    # it needs the old pivot row 9*e_0, reduced by (3,1), inserted again
+    lat = ZpLattice(3, 2, [([9, 0], 0), ([0, 9], 0), ([3, 1], 0)])
+    assert lat.valuations == [1, 1]
+    assert lat.contains((0, 3))
+    assert lat.contains((6, 2 + 9))
+    assert not lat.contains((0, 1))
+    assert not lat.contains((1, 0))
+
+
+def test_zp_lattice_requires_certificate():
+    # full rank over Z_(3), but no generator lies on coordinate 0 alone
+    with pytest.raises(InvalidInputError, match="certificate"):
+        ZpLattice(3, 2, [([1, 1], 0), ([0, 1], 0)])
+    with pytest.raises(InvalidInputError, match="certificate"):
+        ZpLattice(3, 2, [])
+
+
+@pytest.mark.parametrize("p, K, B", [(2, 10, 1), (3, 12, 2)])
+def test_zp_lattice_matches_fraction_oracle(p, K, B):
+    ctx = DeltaRingContext(p, K)
+    iters = [ctx.u ** (p - 1) * ctx.d_inv]
+    for _ in range(B + 3):
+        iters.append(ctx.delta(iters[-1]))
+    lattice = _envelope_lattice(ctx, iters, K)
+    oracle = FractionLattice(p, K, fraction_envelope(ctx, iters, K))
+    assert len(lattice.basis) == len(oracle.basis) == K
+    quotients = []
+    for k in range(B + 1):
+        dk = iters[k]
+        quotients.append(_coeff_vector(ctx.phi(dk) * ctx.d_inv, K))
+        quotients.append(_coeff_vector((dk**p + p * iters[k + 1]) * ctx.d_inv, K))
+    unit = p + 1
+    steps = [F(1, unit), F(1, p), F(1, p**2), F(1, p * unit),
+             F(1, p ** (lattice.scale + 1))]
+    queries = list(quotients)
+    for q in quotients:
+        for i in range(K):
+            for step in steps:
+                v = list(q)
+                v[i] += step
+                queries.append(v)
+    got = [lattice.contains(v) for v in queries]
+    assert got == [oracle.contains(v) for v in queries]
+    assert all(got[:len(quotients)])
+    assert not all(got)
