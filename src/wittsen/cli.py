@@ -193,7 +193,10 @@ def check_dwork(cfg: RunConfig):
 
 
 def check_q_identity(cfg: RunConfig, n_max=None):
-    n_max = n_max or targets.Q_IDENTITY_MAX
+    if n_max is None:
+        n_max = targets.Q_IDENTITY_MAX
+    elif n_max < 1:
+        raise InvalidInputError("--n-max must be >= 1")
     F = FG.fgl_construct("multiplicative", n_max + 1, lam="lam")
     bad = None
     for m in range(1, n_max + 1):
@@ -481,7 +484,7 @@ def check_dvr(cfg: RunConfig, E=None, p=None):
 
 def check_psi(cfg: RunConfig, p=None, n=None, m=None):
     if m is not None:
-        psi = DP.psi_eigenvalues(p or cfg.p, n or 3, m)
+        psi = DP.psi_eigenvalues(p or cfg.p, 3 if n is None else n, m)
         return check("cartier.psi", True, {"psi": list(psi)})
     ok = True
     bad = None
@@ -520,7 +523,8 @@ def check_weyl(cfg: RunConfig, M=None):
     bad = None
     payload = {}
     for p, n, bound in targets.WEYL_GRID:
-        bound = M or bound
+        if M is not None:
+            bound = M
         rep = DP.dp_weyl_operators(p, n, bound)
         for k, good in rep["commutators"].items():
             if not good:
@@ -708,7 +712,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _make_config(args)
-    except (InvalidInputError, ValueError) as exc:
+    except (InvalidInputError, ValueError, OSError) as exc:
         parser.error(str(exc))
 
     try:
@@ -728,7 +732,7 @@ def main(argv=None) -> int:
                 m = args.m if args.m is not None else 2
                 if args.kind == "honda":
                     F = FG.fgl_construct("honda", max(8, cfg.D // 4),
-                                         p=cfg.p, n=args.n or 1)
+                                         p=cfg.p, n=1 if args.n is None else args.n)
                 elif args.kind == "multiplicative":
                     F = FG.fgl_construct("multiplicative", min(cfg.D, abs(m) + 2),
                                          lam="lam")
@@ -762,7 +766,11 @@ def main(argv=None) -> int:
                 row = check_omega2yn(cfg)
             else:
                 if args.E:
-                    coeffs = [int(c) for c in args.E.split(",")]
+                    try:
+                        coeffs = [int(c) for c in args.E.split(",")]
+                    except ValueError:
+                        raise InvalidInputError(
+                            f"-E needs comma-separated integers, got {args.E!r}") from None
                     low_first = list(reversed(coeffs))
                     row = check_dvr(cfg, E=low_first, p=cfg.p)
                 else:

@@ -11,10 +11,12 @@ from math import comb, gcd
 
 from .exactalg import (
     InvalidInputError,
+    PLocalOps,
     PrecisionError,
     TruncPoly,
     factorial_valuation,
     fraction_valuation,
+    matrix_product,
     require_prime,
     univariate_ring,
 )
@@ -166,35 +168,6 @@ class GradedLinearMap:
         tgt = len(self.module.basis(d - self.shift))
         src = len(self.module.basis(d))
         return self.matrices.get(d, [[0] * src for _ in range(tgt)])
-
-
-def mat_mul(A, B):
-    if not A or not B:
-        return []
-    return [
-        [sum(A[i][k] * B[k][j] for k in range(len(B))) for j in range(len(B[0]))]
-        for i in range(len(A))
-    ]
-
-
-@dataclass
-class OperatorCube:
-    """Commuting degree-shifting operators on the same graded module."""
-
-    module: GradedModule
-    operators: list
-
-    def __post_init__(self):
-        degrees = sorted(self.module.bases)
-        for i, A in enumerate(self.operators):
-            for B in self.operators[i + 1:]:
-                for d in degrees:
-                    left = mat_mul(B.matrix(d - A.shift), A.matrix(d))
-                    right = mat_mul(A.matrix(d - B.shift), B.matrix(d))
-                    if left != right:
-                        raise InvalidInputError(
-                            f"operators do not commute in degree {d}"
-                        )
 
 
 # ---------------------------------------------------------------------------
@@ -424,6 +397,9 @@ def dp_weyl_operators(p: int, n: int, M: int) -> dict:
     identity [del^[p^j], x] = del^[p^j - 1], and the valuation comparison for
     the unit-multiple statement."""
     require_prime(p)
+    if M < 0:
+        raise InvalidInputError("M must be >= 0")
+    ops = PLocalOps(p)
 
     def del_k_matrix(k):
         mat = [[0] * (M + 1) for _ in range(M + 1)]
@@ -454,7 +430,8 @@ def dp_weyl_operators(p: int, n: int, M: int) -> dict:
         D, X = report["del"][k], x_mat
         bracket = [
             [a - b for a, b in zip(ra, rb)]
-            for ra, rb in zip(mat_mul(D, X), mat_mul(X, D))
+            for ra, rb in zip(matrix_product(ops, D, X, M + 1),
+                              matrix_product(ops, X, D, M + 1))
         ]
         target = del_k_matrix(k - 1) if k > 1 else [
             [1 if i == j2 else 0 for j2 in range(M + 1)] for i in range(M + 1)

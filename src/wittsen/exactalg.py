@@ -2,7 +2,8 @@
 
 Everything here is exact: arbitrary-precision integers (Python ``int``),
 rationals (``fractions.Fraction``), residues mod p^N, truncated multivariate
-polynomials, and Smith normal form over Z, Z/p^N and the p-local integers.
+polynomials, and Smith normal form over Z and over local PIDs such as the
+p-local integers.
 No floating point anywhere.
 """
 
@@ -68,62 +69,6 @@ def factorial_valuation(p: int, k: int) -> int:
         s += m % p
         m //= p
     return (k - s) // (p - 1)
-
-
-# ---------------------------------------------------------------------------
-# scalars
-
-
-@dataclass(frozen=True)
-class PAdicScalar:
-    """Residue r mod p^N, reduced; arithmetic demands matching (p, N)."""
-
-    p: int
-    N: int
-    r: int
-
-    def __post_init__(self):
-        require_prime(self.p)
-        if self.N < 1:
-            raise InvalidInputError("precision N must be >= 1")
-        object.__setattr__(self, "r", self.r % self.p**self.N)
-
-    @property
-    def modulus(self) -> int:
-        return self.p**self.N
-
-    def _match(self, other: "PAdicScalar") -> None:
-        if (self.p, self.N) != (other.p, other.N):
-            raise InvalidInputError("mixed (p, N) in PAdicScalar arithmetic")
-
-    def __add__(self, other):
-        self._match(other)
-        return PAdicScalar(self.p, self.N, self.r + other.r)
-
-    def __sub__(self, other):
-        self._match(other)
-        return PAdicScalar(self.p, self.N, self.r - other.r)
-
-    def __mul__(self, other):
-        self._match(other)
-        return PAdicScalar(self.p, self.N, self.r * other.r)
-
-    def __neg__(self):
-        return PAdicScalar(self.p, self.N, -self.r)
-
-    def __pow__(self, e: int):
-        return PAdicScalar(self.p, self.N, pow(self.r, e, self.modulus))
-
-    def valuation(self) -> int:
-        """v_p of the residue, capped at N for the zero residue."""
-        if self.r == 0:
-            return self.N
-        return int_valuation(self.p, self.r)
-
-    def unit_inverse(self) -> "PAdicScalar":
-        if self.r % self.p == 0:
-            raise InvalidInputError("not a unit mod p^N")
-        return PAdicScalar(self.p, self.N, pow(self.r, -1, self.modulus))
 
 
 # ---------------------------------------------------------------------------
@@ -418,12 +363,12 @@ def truncated_exp_log(f: TruncPoly, mode: str) -> TruncPoly:
 
 
 # ---------------------------------------------------------------------------
-# matrices and Smith normal form
+# Smith normal form over Z (divisors only)
 
 
 @dataclass
 class IntMatrix:
-    """Dense rectangular matrix; entries all int or all PAdicScalar."""
+    """Dense rectangular integer matrix."""
 
     rows: int
     cols: int
@@ -432,101 +377,28 @@ class IntMatrix:
     def __post_init__(self):
         if len(self.entries) != self.rows or any(len(r) != self.cols for r in self.entries):
             raise InvalidInputError("ragged matrix")
-        kinds = {type(e) for row in self.entries for e in row}
-        if kinds and not (kinds <= {int} or kinds <= {PAdicScalar}):
-            raise InvalidInputError("mixed entry rings")
 
     @staticmethod
     def from_rows(rows: list) -> "IntMatrix":
         return IntMatrix(len(rows), len(rows[0]) if rows else 0, [list(r) for r in rows])
 
-    @staticmethod
-    def identity(n: int) -> "IntMatrix":
-        return IntMatrix(n, n, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    def is_padic(self) -> bool:
-        return any(isinstance(e, PAdicScalar) for row in self.entries for e in row)
-
-    def copy(self) -> "IntMatrix":
-        return IntMatrix(self.rows, self.cols, [list(r) for r in self.entries])
-
-    def mul(self, other: "IntMatrix") -> "IntMatrix":
-        def dot(i, j):
-            acc = None
-            for k in range(self.cols):
-                term = self.entries[i][k] * other.entries[k][j]
-                acc = term if acc is None else acc + term
-            return 0 if acc is None else acc
-
-        out = [[dot(i, j) for j in range(other.cols)] for i in range(self.rows)]
-        return IntMatrix(self.rows, other.cols, out)
-
-    def det(self):
-        """Fraction-free determinant (square integer matrices only)."""
-        if self.rows != self.cols:
-            raise InvalidInputError("det of non-square matrix")
-        a = [[Fraction(x) for x in row] for row in self.entries]
-        n = self.rows
-        det = Fraction(1)
-        for i in range(n):
-            piv = next((r for r in range(i, n) if a[r][i]), None)
-            if piv is None:
-                return 0
-            if piv != i:
-                a[i], a[piv] = a[piv], a[i]
-                det = -det
-            det *= a[i][i]
-            inv = 1 / a[i][i]
-            for r in range(i + 1, n):
-                f = a[r][i] * inv
-                for c in range(i, n):
-                    a[r][c] -= f * a[i][c]
-        assert det.denominator == 1
-        return det.numerator
-
 
 @dataclass
 class SmithDecomposition:
-    U: IntMatrix
-    D: IntMatrix
-    V: IntMatrix
     divisors: list
 
-    def check(self, A: IntMatrix) -> bool:
-        prod = self.U.mul(A).mul(self.V)
-        return prod.entries == self.D.entries
 
+def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
+    """Elementary divisors d_1 | d_2 | ... of an integer matrix, min(rows, cols)
+    of them, nonnegative, zeros last.
 
-def _smith_over_Z(A: IntMatrix) -> SmithDecomposition:
+    Euclidean elimination: the pivot is an entry of least absolute value, and
+    a row is added to the pivot row until the pivot divides the rest of the
+    block. No transforms are kept. Entries can grow; Kannan-Bachem (SIAM J.
+    Comput. 8, 1979) bound the growth of a polynomial-time variant.
+    """
     n, m = A.rows, A.cols
     a = [list(r) for r in A.entries]
-    U = IntMatrix.identity(n).entries
-    V = IntMatrix.identity(m).entries
-
-    def row_op(i, j, f):  # row_i -= f*row_j
-        a[i] = [x - f * y for x, y in zip(a[i], a[j])]
-        U[i] = [x - f * y for x, y in zip(U[i], U[j])]
-
-    def col_op(i, j, f):  # col_i -= f*col_j
-        for r in range(n):
-            a[r][i] -= f * a[r][j]
-        for r in range(m):
-            V[r][i] -= f * V[r][j]
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        U[i], U[j] = U[j], U[i]
-
-    def swap_cols(i, j):
-        for r in range(n):
-            a[r][i], a[r][j] = a[r][j], a[r][i]
-        for r in range(m):
-            V[r][i], V[r][j] = V[r][j], V[r][i]
-
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        U[i] = [-x for x in U[i]]
-
     for s in range(min(n, m)):
         while True:
             # leftmost-topmost entry of minimal absolute value in the block
@@ -539,126 +411,49 @@ def _smith_over_Z(A: IntMatrix) -> SmithDecomposition:
             if best is None:
                 break
             _, bi, bj = best
-            if bi != s:
-                swap_rows(s, bi)
-            if bj != s:
-                swap_cols(s, bj)
+            a[s], a[bi] = a[bi], a[s]
+            for row in a:
+                row[s], row[bj] = row[bj], row[s]
             if a[s][s] < 0:
-                negate_row(s)
+                a[s] = [-x for x in a[s]]
+            piv = a[s][s]
             dirty = False
             for i in range(s + 1, n):
                 if a[i][s]:
-                    row_op(i, s, a[i][s] // a[s][s])
-                    if a[i][s]:
-                        dirty = True
+                    f = a[i][s] // piv
+                    a[i] = [x - f * y for x, y in zip(a[i], a[s])]
+                    dirty = dirty or a[i][s] != 0
             for j in range(s + 1, m):
                 if a[s][j]:
-                    col_op(j, s, a[s][j] // a[s][s])
-                    if a[s][j]:
-                        dirty = True
+                    f = a[s][j] // piv
+                    for row in a:
+                        row[j] -= f * row[s]
+                    dirty = dirty or a[s][j] != 0
             if dirty:
                 continue
             # enforce divisibility of the remaining block by the pivot
-            fix = None
-            for i in range(s + 1, n):
-                for j in range(s + 1, m):
-                    if a[i][j] % a[s][s]:
-                        fix = i
-                        break
-                if fix is not None:
-                    break
+            fix = next((i for i in range(s + 1, n)
+                        if any(a[i][j] % piv for j in range(s + 1, m))), None)
             if fix is None:
                 break
             a[s] = [x + y for x, y in zip(a[s], a[fix])]
-            U[s] = [x + y for x, y in zip(U[s], U[fix])]
-
-    divisors = [a[i][i] for i in range(min(n, m))]
-    D = IntMatrix(n, m, a)
-    return SmithDecomposition(IntMatrix(n, n, U), D, IntMatrix(m, m, V), divisors)
-
-
-def _smith_over_ZpN(A: IntMatrix) -> SmithDecomposition:
-    """p-adic variant: pivot = leftmost entry of minimal valuation."""
-    sample = A.entries[0][0]
-    p, N = sample.p, sample.N
-    mod = p**N
-    n, m = A.rows, A.cols
-    a = [[e.r for e in row] for row in A.entries]
-    U = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    V = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-
-    def val(x):
-        return N if x % mod == 0 else int_valuation(p, x % mod)
-
-    for s in range(min(n, m)):
-        best = None
-        for j in range(s, m):
-            for i in range(s, n):
-                v = val(a[i][j])
-                if v < N and (best is None or v < best[0]):
-                    best = (v, i, j)
-        if best is None:
-            break
-        v, bi, bj = best
-        if bi != s:
-            a[s], a[bi] = a[bi], a[s]
-            U[s], U[bi] = U[bi], U[s]
-        if bj != s:
-            for r in range(n):
-                a[r][s], a[r][bj] = a[r][bj], a[r][s]
-            for r in range(m):
-                V[r][s], V[r][bj] = V[r][bj], V[r][s]
-        # normalize pivot to exactly p^v
-        unit = (a[s][s] // p**v) % mod
-        inv = pow(unit, -1, mod)
-        a[s] = [(x * inv) % mod for x in a[s]]
-        U[s] = [(x * inv) % mod for x in U[s]]
-        for i in range(s + 1, n):
-            if a[i][s] % mod:
-                f = a[i][s] // p**v
-                a[i] = [(x - f * y) % mod for x, y in zip(a[i], a[s])]
-                U[i] = [(x - f * y) % mod for x, y in zip(U[i], U[s])]
-        for j in range(s + 1, m):
-            if a[s][j] % mod:
-                f = a[s][j] // p**v
-                for r in range(n):
-                    a[r][j] = (a[r][j] - f * a[r][s]) % mod
-                for r in range(m):
-                    V[r][j] = (V[r][j] - f * V[r][s]) % mod
-
-    divisors = [a[i][i] % mod for i in range(min(n, m))]
-    wrap = lambda x: PAdicScalar(p, N, x)
-    mk = lambda rows, r, c: IntMatrix(r, c, [[wrap(x) for x in row] for row in rows])
-    return SmithDecomposition(mk(U, n, n), mk(a, n, m), mk(V, m, m), [wrap(d) for d in divisors])
-
-
-def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
-    """U*A*V = D with D diagonal; over Z the divisor chain d_1 | d_2 | ...
-
-    Over Z/p^N the divisors are exact p-powers (minimal-valuation pivoting).
-    """
-    if A.rows == 0 or A.cols == 0:
-        return SmithDecomposition(
-            IntMatrix.identity(A.rows), A.copy(), IntMatrix.identity(A.cols), []
-        )
-    if A.is_padic():
-        return _smith_over_ZpN(A)
-    return _smith_over_Z(A)
+    return SmithDecomposition([a[i][i] for i in range(min(n, m))])
 
 
 # ---------------------------------------------------------------------------
-# exact SNF over the p-local integers Z_(p)  (Fraction entries,
-# minimal-valuation pivoting; divisors are exact powers of p).
-# This is the engine behind all homology computations.
+# exact SNF over a local PID: the engine behind all homology computations.
+#
+# A ring is given by an ops object with the attributes zero and one and the
+# methods is_zero, val, div, add, sub and mul; val is the valuation of a
+# nonzero element and div(a, b) is exact when val(a) >= val(b).
 
 
 class PLocalOps:
-    """Arithmetic hooks for Z_(p) viewed inside Q."""
+    """Z_(p) viewed inside Q: Fraction (or int) elements."""
 
     def __init__(self, p: int):
         require_prime(p)
         self.p = p
-        self.residue_order = p
 
     zero = Fraction(0)
     one = Fraction(1)
@@ -672,12 +467,6 @@ class PLocalOps:
     def div(self, a, b):
         return Fraction(a) / Fraction(b)
 
-    def lift(self, x):
-        return Fraction(x)
-
-    def scalar(self, n):
-        return Fraction(n)
-
     def add(self, a, b):
         return a + b
 
@@ -686,9 +475,6 @@ class PLocalOps:
 
     def mul(self, a, b):
         return a * b
-
-    def neg(self, a):
-        return -a
 
 
 def local_snf(ops, rows: list, ncols: int = None) -> tuple:
@@ -738,3 +524,17 @@ def local_snf(ops, rows: list, ncols: int = None) -> tuple:
         exps.append(v)
         rank += 1
     return exps, rank, vinv
+
+
+def matrix_product(ops, P, Q, ncols: int) -> list:
+    """P*Q over the ops ring: len(P) rows of ncols entries; zeros are skipped."""
+    out = []
+    for row in P:
+        acc = [ops.zero] * ncols
+        for x, qrow in zip(row, Q):
+            if not ops.is_zero(x):
+                for j, y in enumerate(qrow):
+                    if not ops.is_zero(y):
+                        acc[j] = ops.add(acc[j], ops.mul(x, y))
+        out.append(acc)
+    return out

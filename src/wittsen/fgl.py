@@ -97,6 +97,8 @@ def _axiom_failure_degree(F: TruncPoly, D: int, modulus: int):
 
 def honda_log(p: int, n: int, bound: int, ring: PolyRing) -> TruncPoly:
     """log(x) = sum_i v^((p^(ni)-1)/(p^n-1)) x^(p^(ni)) / p^i over Q[v]."""
+    if n < 1:
+        raise InvalidInputError("height n must be >= 1")
     out = TruncPoly.zero(ring)
     i = 0
     while p ** (n * i) <= bound:
@@ -209,7 +211,8 @@ def formal_inverse(F: FormalGroupLaw, bound: int) -> TruncPoly:
             {m: -c for m, c in err.terms.items() if m[ring.index("x")] == d},
         )
         iota = iota + corr
-    assert F.F.substitute({"X": x, "Y": iota}).is_zero()
+    if not F.F.substitute({"X": x, "Y": iota}).is_zero():
+        raise ArithmeticError("F(x, iota(x)) is not 0")
     return iota
 
 
@@ -235,7 +238,8 @@ def divided_n_series(F: FormalGroupLaw, m: int, bound: int = None) -> TruncPoly:
     ix = series.ring.index("x")
     out = {}
     for mono, c in series.terms.items():
-        assert mono[ix] >= 1
+        if mono[ix] < 1:
+            raise ArithmeticError("[m](h) has a term without h")
         new = list(mono)
         new[ix] -= 1
         out[tuple(new)] = c
@@ -302,8 +306,7 @@ def honda_pm_divided_series(p: int, n: int, m: int) -> dict:
     honda_p_series(p, n, max(bound, 2 * p**n))  # verifies the base case exactly
     exp_v, exp_x = 0, 1
     for _ in range(m):
-        # apply x -> v x^(p^n): v-exponent e -> e*p^n + ... wait, composition:
-        # v * (v^a x^b)^(p^n) = v^(a p^n + 1) x^(b p^n)
+        # apply x -> v x^(p^n): v * (v^a x^b)^(p^n) = v^(a p^n + 1) x^(b p^n)
         exp_v = exp_v * p**n + 1
         exp_x = exp_x * p**n
     ring = PolyRing(vars=("h", "v"), bounds=(bound, None), modulus=p)

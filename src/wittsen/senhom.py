@@ -17,6 +17,7 @@ from .exactalg import (
     PLocalOps as PLocal,
     fraction_valuation,
     local_snf,
+    matrix_product,
     require_prime,
     smith_normal_form,
 )
@@ -70,7 +71,6 @@ class Eisenstein:
                 raise InvalidInputError("E must be Eisenstein: p | middle terms")
         self.zero = (Fraction(0),) * self.e
         self.one = tuple([Fraction(1)] + [Fraction(0)] * (self.e - 1))
-        self.residue_order = p
 
     def scalar(self, n):
         return tuple([Fraction(n)] + [Fraction(0)] * (self.e - 1))
@@ -150,57 +150,24 @@ class Eisenstein:
 # exact SNF / homology over a local PID given by ops
 
 
-def snf_local(ops, rows, ncols):
-    """Exact SNF over the ops ring with explicit column count."""
-    return local_snf(ops, rows, ncols)
-
-
-def _dot(ops, xs, ys, lift):
-    acc = ops.zero
-    for x, y in zip(xs, ys):
-        lx, ly = lift(x), lift(y)
-        if not ops.is_zero(lx) and not ops.is_zero(ly):
-            acc = ops.add(acc, ops.mul(lx, ly))
-    return acc
-
-
 def homology_of_pair(ops, A, ncols_A, B, ncols_B):
     """ker(A)/im(B) for A*B = 0; A has ncols_A columns, B maps into them.
 
     Returns (free_rank, sorted list of positive uniformizer exponents).
     """
-    exps_A, rank_A, vinv = snf_local(ops, A, ncols_A)
+    _, rank_A, vinv = local_snf(ops, A, ncols_A)
     ker_dim = ncols_A - rank_A
     if ker_dim == 0:
         return 0, []
-    if ncols_B == 0 or not B or all(
-        ops.is_zero(x) for row in B for x in row
-    ):
+    if ncols_B == 0 or all(ops.is_zero(x) for row in B for x in row):
         return ker_dim, []
-    # coordinates of B's columns in the V basis: rows >= rank_A
-    coords = []
-    for r in range(rank_A, ncols_A):
-        row = []
-        for j in range(ncols_B):
-            acc = ops.zero
-            for k in range(ncols_A):
-                if not ops.is_zero(vinv[r][k]) and not ops.is_zero(B[k][j]):
-                    acc = ops.add(acc, ops.mul(vinv[r][k], B[k][j]))
-            row.append(acc)
-        coords.append(row)
-    # sanity: rows < rank_A must be zero coordinates (A*B = 0 over a domain)
-    for r in range(rank_A):
-        for j in range(ncols_B):
-            acc = ops.zero
-            for k in range(ncols_A):
-                if not ops.is_zero(vinv[r][k]) and not ops.is_zero(B[k][j]):
-                    acc = ops.add(acc, ops.mul(vinv[r][k], B[k][j]))
-            if not ops.is_zero(acc):
-                raise InvalidInputError("maps do not compose to zero")
-    exps_B, rank_B, _ = snf_local(ops, coords, ncols_B)
-    free = ker_dim - rank_B
-    torsion = sorted(e for e in exps_B if e > 0)
-    return free, torsion
+    # B's columns in the V basis: the rows below rank_A are coordinates in
+    # ker(A); the rows above vanish because A*B = 0 over a domain
+    vB = matrix_product(ops, vinv, B, ncols_B)
+    if any(not ops.is_zero(x) for row in vB[:rank_A] for x in row):
+        raise InvalidInputError("maps do not compose to zero")
+    exps_B, rank_B, _ = local_snf(ops, vB[rank_A:], ncols_B)
+    return ker_dim - rank_B, sorted(e for e in exps_B if e > 0)
 
 
 # ---------------------------------------------------------------------------
@@ -236,43 +203,12 @@ class HomologyReport:
         }
 
 
-def _orders(p, exponents, residue_order=None):
-    base = residue_order or p
-    return [base**e for e in exponents]
+def _orders(p, exponents):
+    return [p**e for e in exponents]
 
 
 # ---------------------------------------------------------------------------
 # generic two-term fiber and cube total fiber
-
-
-@dataclass
-class TwoTermComplex:
-    """A degree-shifting map D: M -> M[s] viewed as a two-term complex.
-
-    base is "Z", ("Zp", p) or an Eisenstein ring instance.
-    """
-
-    D: GradedLinearMap
-    base: object = "Z"
-
-    def engine_args(self):
-        if self.base == "Z":
-            return {"ops": None, "p": None}
-        if isinstance(self.base, tuple) and self.base[0] == "Zp":
-            return {"ops": PLocal(self.base[1]), "p": self.base[1]}
-        return {"ops": self.base, "p": None}
-
-
-@dataclass
-class OperatorSquare:
-    """Two commuting degree-shifting operators on one module."""
-
-    nabla: GradedLinearMap
-    theta: GradedLinearMap
-
-    @property
-    def operators(self):
-        return [self.nabla, self.theta]
 
 
 def _int_matrix_ranks(rows, ncols):
@@ -292,52 +228,37 @@ def two_term_homology(D: GradedLinearMap, bound: int, ops=None, p: int = None,
 
     With neither ops nor p supplied the base ring is Z and torsion carries
     full integer divisors; otherwise divisors are powers of the uniformizer.
+    Each degree's matrix is eliminated once.
     """
-    if isinstance(D, TwoTermComplex):
-        base_args = D.engine_args()
-        ops = ops if ops is not None else base_args["ops"]
-        p = p if p is not None else base_args["p"]
-        D = D.D
     over_Z = ops is None and p is None
     if not over_Z:
         ops = ops or PLocal(p)
-    rep = HomologyReport(builder, params or {})
     module = D.module
-    for d in range(0, bound + 1):
+
+    def eliminate(d):
+        """(rank, torsion) of D at source degree d: integer divisors > 1 over
+        Z, positive uniformizer exponents otherwise."""
         src = len(module.basis(d))
-        free = 0
-        torsion = []
-        orders = []
-        if src:
-            if over_Z:
-                rank, _ = _int_matrix_ranks(D.matrix(d), src)
-            else:
-                A = [[ops.lift(x) if hasattr(ops, "lift") else x for x in row]
-                     for row in D.matrix(d)]
-                _, rank, _ = snf_local(ops, A, src)
-            free += src - rank
-        up = len(module.basis(d + 1))
-        tgt = len(module.basis(d + 1 - D.shift))
-        if tgt:
-            if up:
-                if over_Z:
-                    rank, divisors = _int_matrix_ranks(D.matrix(d + 1), up)
-                    orders.extend(divisors)
-                else:
-                    B = [[ops.lift(x) if hasattr(ops, "lift") else x for x in row]
-                         for row in D.matrix(d + 1)]
-                    exps, rank, _ = snf_local(ops, B, up)
-                    torsion.extend(e for e in exps if e > 0)
-                free += tgt - rank
-            else:
-                free += tgt
+        if not src or not module.basis(d - D.shift):
+            return 0, []
         if over_Z:
-            if free or orders:
-                rep.add(d, free, sorted(orders))
-        elif free or torsion:
-            rep.add(d, free, _orders(ops.p, sorted(torsion),
-                                     getattr(ops, "residue_order", None)),
-                    exponents=sorted(torsion))
+            return _int_matrix_ranks(D.matrix(d), src)
+        exps, rank, _ = local_snf(ops, D.matrix(d), src)
+        return rank, [e for e in exps if e > 0]
+
+    rep = HomologyReport(builder, params or {})
+    rank_d, _ = eliminate(0)
+    for d in range(0, bound + 1):
+        rank_up, torsion = eliminate(d + 1)
+        free = len(module.basis(d)) - rank_d
+        free += len(module.basis(d + 1 - D.shift)) - rank_up
+        torsion = sorted(torsion)
+        if free or torsion:
+            if over_Z:
+                rep.add(d, free, torsion)
+            else:
+                rep.add(d, free, _orders(ops.p, torsion), exponents=torsion)
+        rank_d = rank_up
     return rep
 
 
@@ -375,54 +296,30 @@ def graded_map_chain_homology(D: GradedLinearMap, bound: int, ops,
     hom = chain_homology(dims, mats, bound, ops)
     for d in sorted(hom):
         free, torsion = hom[d]
-        rep.add(d, free, _orders(ops.p, torsion,
-                                 getattr(ops, "residue_order", None)),
-                exponents=torsion)
+        rep.add(d, free, _orders(ops.p, torsion), exponents=torsion)
     return rep
 
 
 def cube_total_fiber(operators, bound: int, ops=None, p: int = None,
-                     builder: str = "cube", params: dict = None,
-                     check_commutation: bool = True) -> HomologyReport:
-    """Total fiber of a strictly commuting cube of degree-shifting operators:
-    the Koszul-style total complex, then exact chain homology.
-
-    Accepts a list of GradedLinearMaps, an OperatorSquare, or an OperatorCube
-    (the latter arrives with its commutation invariant already verified).
+                     builder: str = "cube", params: dict = None) -> HomologyReport:
+    """Total fiber of a strictly commuting cube of degree-shifting operators
+    (a list of GradedLinearMaps on one module): the Koszul-style total
+    complex, then exact chain homology. Operators that do not commute raise
+    InvalidInputError.
     """
-    from .dpops import OperatorCube
-    if isinstance(operators, OperatorSquare):
-        operators = operators.operators
-    elif isinstance(operators, OperatorCube):
-        operators, check_commutation = operators.operators, False
     ops = ops or PLocal(p)
     n = len(operators)
     module = operators[0].module
 
-    def lift_entry(x):
-        return ops.lift(x) if hasattr(ops, "lift") else x
-
-    def compose(P, Q, pc):
-        if not P or not Q:
-            return []
-        return [
-            [_dot(ops, [P[i][k] for k in range(pc)], [Q[k][j] for k in range(pc)],
-                  lift_entry)
-             for j in range(len(Q[0]) if Q else 0)]
-            for i in range(len(P))
-        ]
-
-    if check_commutation:
-        for i in range(n):
-            for j in range(i + 1, n):
-                A, B = operators[i], operators[j]
-                for d in module.bases:
-                    mid_a = len(module.basis(d - A.shift))
-                    mid_b = len(module.basis(d - B.shift))
-                    left = compose(B.matrix(d - A.shift), A.matrix(d), mid_a)
-                    right = compose(A.matrix(d - B.shift), B.matrix(d), mid_b)
-                    if left != right:
-                        raise InvalidInputError("cube operators do not commute")
+    for i in range(n):
+        for j in range(i + 1, n):
+            A, B = operators[i], operators[j]
+            for d in module.bases:
+                cols = len(module.basis(d))
+                left = matrix_product(ops, B.matrix(d - A.shift), A.matrix(d), cols)
+                right = matrix_product(ops, A.matrix(d - B.shift), B.matrix(d), cols)
+                if left != right:
+                    raise InvalidInputError(f"cube operators do not commute in degree {d}")
 
     shifts = [op.shift for op in operators]
     subsets = list(range(1 << n))
@@ -434,9 +331,6 @@ def cube_total_fiber(operators, bound: int, ops=None, p: int = None,
 
     def basis_size(d, S):
         return len(module.basis(piece_degree(d, S)))
-
-    def total_dims(d):
-        return sum(basis_size(d, S) for S in subsets)
 
     def offsets(d):
         out = {}
@@ -466,30 +360,30 @@ def cube_total_fiber(operators, bound: int, ops=None, p: int = None,
                     continue
                 for r in range(rows):
                     for c in range(cols):
-                        x = ops.lift(mat[r][c]) if hasattr(ops, "lift") else mat[r][c]
+                        x = mat[r][c]
                         if not ops.is_zero(x):
-                            val = ops.mul(ops.scalar(sign), x)
+                            if sign < 0:
+                                x = ops.sub(ops.zero, x)
                             M[off_tgt[T] + r][off_src[S] + c] = ops.add(
-                                M[off_tgt[T] + r][off_src[S] + c], val
+                                M[off_tgt[T] + r][off_src[S] + c], x
                             )
-        return M, n_src, n_tgt
+        return M, n_src
 
     rep = HomologyReport(builder, params or {})
-    if module.bases:
-        lo = min(module.bases) - n
-    else:
-        lo = 0
+    lo = min(module.bases) - n if module.bases else 0
+    above = None  # (degree, matrix, columns) of the last total matrix built
     for d in range(lo, bound + 1):
-        nd = total_dims(d)
-        if nd == 0:
+        if above and above[0] == d:
+            A, n_src = above[1:]
+        else:
+            A, n_src = total_matrix(d)
+        if n_src == 0:
             continue
-        A, n_src, _ = total_matrix(d)
-        B, n_up, _ = total_matrix(d + 1)
+        B, n_up = total_matrix(d + 1)
+        above = (d + 1, B, n_up)
         free, torsion = homology_of_pair(ops, A, n_src, B, n_up)
         if free or torsion:
-            rep.add(d, free, _orders(ops.p, torsion,
-                                     getattr(ops, "residue_order", None)),
-                    exponents=torsion)
+            rep.add(d, free, _orders(ops.p, torsion), exponents=torsion)
     return rep
 
 
@@ -543,8 +437,6 @@ def build_serre_cmn(p: int, n: int, bound: int) -> HomologyReport:
             bases.setdefault(m * dy, []).append(("y", m))
         if m * dy + dx <= top:
             bases.setdefault(m * dy + dx, []).append(("yx", m))
-    module = GradedModule(bases)
-    dims = {d: len(b) for d, b in bases.items()}
     mats = {}
     for m in range(1, top // dy + 2):
         d = m * dy
@@ -554,13 +446,9 @@ def build_serre_cmn(p: int, n: int, bound: int) -> HomologyReport:
             mat = [[Fraction(0)] * len(src) for _ in range(len(tgt))]
             mat[tgt.index(("yx", m - 1))][src.index(("y", m))] = Fraction(m * p)
             mats[d] = mat
-    ops = PLocal(p)
-    rep = HomologyReport("serre_cmn", {"p": p, "n": n, "bound": bound})
-    hom = chain_homology(dims, mats, bound, ops)
-    for d in sorted(hom):
-        free, torsion = hom[d]
-        rep.add(d, free, _orders(p, torsion), exponents=torsion)
-    return rep
+    D = GradedLinearMap(GradedModule(bases), 1, mats)
+    return graded_map_chain_homology(D, bound, PLocal(p), "serre_cmn",
+                                     {"p": p, "n": n, "bound": bound})
 
 
 def build_perfectoid_serre(p: int, bound: int) -> dict:
@@ -581,7 +469,7 @@ def build_perfectoid_serre(p: int, bound: int) -> dict:
         src = len(module.basis(d))
         tgt = len(module.basis(d - 1))
         A = D.matrix(d)
-        exps, rank, _ = snf_local(ops, A, src)
+        exps, rank, _ = local_snf(ops, A, src)
         kernel_ranks[d] = src - rank
         surjective[d] = rank == tgt and all(e == 0 for e in exps)
         n_idx += 1
@@ -628,7 +516,7 @@ def omega2yn_cohomology(p: int, n: int, bound: int) -> HomologyReport:
             mat[j + 1][j] += Fraction(j + 1)
             # -p^(n-1) c * gamma_j c^(k-1-j)
             mat[j][j] -= Fraction(p ** (n - 1))
-        exps, rank, _ = snf_local(ops, mat, src)
+        exps, rank, _ = local_snf(ops, mat, src)
         free = tgt - rank
         torsion = sorted(e for e in exps if e > 0)
         rep.add(2 * k, free, _orders(p, torsion), exponents=torsion)
@@ -700,8 +588,7 @@ def build_dvr_square(desc: DVRDescriptor, bound: int) -> dict:
     report_nabla = two_term_homology(nabla, bound, ops=ops, builder="dvr_nabla",
                                      params={"p": desc.p, "E": desc.E,
                                              "bound": bound})
-    square = OperatorSquare(nabla, theta)
-    engine_total = cube_total_fiber(square, bound, ops=ops,
+    engine_total = cube_total_fiber([nabla, theta], bound, ops=ops,
                                     builder="dvr_total_engine",
                                     params={"p": desc.p, "E": desc.E,
                                             "bound": bound})

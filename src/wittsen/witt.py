@@ -252,7 +252,8 @@ def delta(x: WittVector) -> WittVector:
     for j in range(x.ctx.length - 1):
         num = g[j + 1] - g[j] ** p
         q, r = divmod(num, p)
-        assert r == 0, "F(x) = x^p mod p must hold"
+        if r:
+            raise ArithmeticError("F(x) = x^p mod p fails")
         dg.append(q)
     comps = _ghost_inverse_components(p, dg)
     return make_witt(x.ctx.resized(x.ctx.length - 1), comps)
@@ -402,8 +403,8 @@ def solve_frobenius(y: WittVector, guard: int = 4) -> SolveFrobeniusResult:
         "ghost_all_one_mod_p": all(g % p == 1 for g in ghost_x),
     }
     # verify F(x) = y at the working precision
-    for n in range(1, L + 1):
-        assert (ghost_x[n] - gy[n - 1]) % p ** (N - n) == 0
+    if any((ghost_x[n] - gy[n - 1]) % p ** (N - n) for n in range(1, L + 1)):
+        raise ArithmeticError("F(x) = y fails at the working precision")
     return SolveFrobeniusResult(
         success=True, p=p, x_digits=x, precision=N, side_conditions=side
     )

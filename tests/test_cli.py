@@ -124,6 +124,38 @@ def test_delta_bad_flags_are_usage_errors(flags, capsys):
     assert "error:" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["sen", "dvr", "-E", "1,x,-3"],
+    ["report", "--config", "/nonexistent/run.cfg"],
+    ["cartier", "psi", "-n", "0", "-m", "5"],
+    ["fgl", "q-identity", "--n-max", "0"],
+    ["fgl", "nseries", "--kind", "honda", "-n", "0"],
+    ["cartier", "weyl", "-M", "-1"],
+])
+def test_bad_input_is_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as e:
+        main(argv)
+    assert e.value.code == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
+
+
+def test_weyl_M0_is_honoured(capsys, monkeypatch):
+    import wittsen.dpops as dpops
+
+    bounds = []
+    real = dpops.dp_weyl_operators
+
+    def recording(p, n, M):
+        bounds.append(M)
+        return real(p, n, M)
+
+    monkeypatch.setattr(dpops, "dp_weyl_operators", recording)
+    code, _ = run_main(["cartier", "weyl", "-M", "0"], capsys)
+    assert code == 0
+    assert bounds and set(bounds) == {0}
+
+
 # ---------------------------------------------------------------------------
 # full report
 

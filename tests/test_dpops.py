@@ -6,9 +6,11 @@ import pytest
 
 from wittsen.exactalg import (
     InvalidInputError,
+    PLocalOps,
     PrecisionError,
     TruncPoly,
     fraction_valuation,
+    matrix_product,
 )
 from wittsen.dpops import (
     DeltaRingContext,
@@ -18,9 +20,6 @@ from wittsen.dpops import (
     DPBasisMonomial,
     DPElement,
     DPModule,
-    GradedLinearMap,
-    GradedModule,
-    OperatorCube,
     PDerivation,
     delta_ring_check,
     dp_multiply,
@@ -172,8 +171,7 @@ def test_theta_perfectoid_structure():
     # squares to zero into the eps-line
     for d, mat in D.matrices.items():
         nxt = D.matrix(d - 1)
-        from wittsen.dpops import mat_mul
-        prod = mat_mul(nxt, mat)
+        prod = matrix_product(PLocalOps(2), nxt, mat, len(mat[0]))
         assert all(all(x == 0 for x in row) for row in prod)
 
 
@@ -192,18 +190,6 @@ def test_theta_zpn_scaling():
 def test_theta_zpn_rejects_two():
     with pytest.raises(InvalidInputError):
         theta_zpn(2, 2, 10)
-
-
-def test_operator_cube_commutation():
-    gm = GradedModule({0: ["e"]})
-    A = GradedLinearMap(gm, 0, {0: [[2]]})
-    B = GradedLinearMap(gm, 0, {0: [[3]]})
-    OperatorCube(gm, [A, B])  # commutes: no raise
-    gm2 = GradedModule({0: ["a", "b"]})
-    M1 = GradedLinearMap(gm2, 0, {0: [[0, 1], [0, 0]]})
-    M2 = GradedLinearMap(gm2, 0, {0: [[0, 0], [1, 0]]})
-    with pytest.raises(InvalidInputError):
-        OperatorCube(gm2, [M1, M2])
 
 
 # ---------------------------------------------------------------------------

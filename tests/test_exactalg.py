@@ -8,10 +8,10 @@ import pytest
 from wittsen.exactalg import (
     IntMatrix,
     InvalidInputError,
-    PAdicScalar,
     PolyRing,
     TruncPoly,
     factorial_valuation,
+    int_valuation,
     local_snf,
     PLocalOps,
     smith_normal_form,
@@ -125,26 +125,7 @@ def test_factorial_valuation_rejects_composite():
 
 
 # ---------------------------------------------------------------------------
-# p-adic scalars
-
-def test_padic_matches_integer_arithmetic():
-    rng = random.Random(11)
-    for _ in range(200):
-        p = rng.choice([2, 3, 5])
-        N = rng.randrange(1, 8)
-        a, b = rng.randrange(-10**6, 10**6), rng.randrange(-10**6, 10**6)
-        A, B = PAdicScalar(p, N, a), PAdicScalar(p, N, b)
-        mod = p**N
-        assert (A + B).r == (a + b) % mod
-        assert (A * B).r == (a * b) % mod
-        assert (A - B).r == (a - b) % mod
-        assert (A**3).r == (a**3) % mod
-
-
-def test_padic_context_mismatch():
-    with pytest.raises(InvalidInputError):
-        PAdicScalar(3, 2, 1) + PAdicScalar(3, 3, 1)
-
+# rationals
 
 def test_rational_scalar_contract():
     # rationals are Fractions: always fully reduced, denominator positive
@@ -178,16 +159,7 @@ def test_smith_transform_identities():
         A = IntMatrix.from_rows(
             [[rng.randrange(-9, 10) for _ in range(m)] for _ in range(n)]
         )
-        dec = smith_normal_form(A)
-        assert dec.check(A)
-        assert abs(dec.U.det()) == 1
-        assert abs(dec.V.det()) == 1
-        # diagonal and divisibility chain
-        for i in range(dec.D.rows):
-            for j in range(dec.D.cols):
-                if i != j:
-                    assert dec.D.entries[i][j] == 0
-        divs = dec.divisors
+        divs = smith_normal_form(A).divisors
         for a, b in zip(divs, divs[1:]):
             if a == 0:
                 assert b == 0
@@ -212,29 +184,6 @@ def test_smith_coker_against_enumeration():
         assert size == brute_force_coker_size(A)
 
 
-def test_smith_over_ZpN():
-    p, N = 3, 5
-    wrap = lambda x: PAdicScalar(p, N, x)
-    A = IntMatrix.from_rows([[wrap(6), wrap(9)], [wrap(27), wrap(3)]])
-    dec = smith_normal_form(A)
-    assert dec.check(A)
-    exps = []
-    for i, d in enumerate(dec.divisors):
-        assert dec.D.entries[i][i] == d
-        exps.append(d.valuation())
-        assert d.r == p ** d.valuation() or d.r == 0
-    assert exps == sorted(exps)
-    # transforms invertible mod p^N: unit determinant
-    detU = _det([[e.r for e in row] for row in dec.U.entries]) % p**N
-    detV = _det([[e.r for e in row] for row in dec.V.entries]) % p**N
-    assert detU % p != 0 and detV % p != 0
-
-
-def test_smith_rejects_mixed_rings():
-    with pytest.raises(InvalidInputError):
-        IntMatrix.from_rows([[1, PAdicScalar(2, 2, 1)]])
-
-
 def test_local_snf_exponents():
     ops = PLocalOps(3)
     rows = [[Fraction(6), Fraction(9)], [Fraction(27), Fraction(3)]]
@@ -242,6 +191,35 @@ def test_local_snf_exponents():
     # v_3-divisors of [[6,9],[27,3]]: det = 18-243 = -225, v=2; min v entry = 1
     assert rank == 2
     assert exps == [1, 1]
+
+
+def test_snf_against_sympy_invariant_factors():
+    # independent oracle: sympy's invariant factors fix the Z-SNF divisors,
+    # and their p-valuations fix the local exponents and rank
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import invariant_factors
+
+    rng = random.Random(29)
+    scales = [1, 2, 3, 4, 5, 8, 9, 25, 27]
+    shapes = [(1, 1), (1, 4), (4, 1), (2, 3), (3, 2), (3, 3), (4, 4), (5, 3)]
+    cases = [[[0] * m for _ in range(n)] for n, m in shapes]
+    for n, m in shapes:
+        for _ in range(6):
+            rows = [[rng.randrange(-9, 10) * rng.choice(scales) for _ in range(m)]
+                    for _ in range(n)]
+            cases.append(rows)
+            if n >= 3:  # rank-deficient: the last row combines the first two
+                a, b = rng.randrange(-3, 4), rng.randrange(-3, 4)
+                cases.append(rows[:-1] + [[a * x + b * y for x, y in zip(rows[0], rows[1])]])
+    for rows in cases:
+        want = [abs(int(d)) for d in
+                invariant_factors(sympy.Matrix(rows), domain=sympy.ZZ)]
+        got = smith_normal_form(IntMatrix.from_rows(rows)).divisors
+        assert [abs(d) for d in got] == want, rows
+        for p in (2, 3, 5):
+            exps, rank, _ = local_snf(PLocalOps(p), rows, len(rows[0]))
+            assert rank == sum(1 for d in want if d), (p, rows)
+            assert exps == sorted(int_valuation(p, d) for d in want if d), (p, rows)
 
 
 # ---------------------------------------------------------------------------

@@ -409,24 +409,28 @@ def test_double_entry_bookkeeping():
 
 
 def test_two_term_complex_type():
-    from wittsen.senhom import TwoTermComplex
-
     gm = GradedModule({2: ["a"], 0: ["b"]})
     D = GradedLinearMap(gm, 2, {2: [[6]]})
-    rep = two_term_homology(TwoTermComplex(D, "Z"), 10)
+    rep = two_term_homology(D, 10)
     assert entry(rep, 1)["torsion"] == [6]
-    rep_p = two_term_homology(TwoTermComplex(D, ("Zp", 3)), 10)
+    rep_p = two_term_homology(D, 10, p=3)
     assert entry(rep_p, 1)["torsion"] == [3]
 
 
-def test_operator_square_and_cube_inputs():
-    from wittsen.dpops import OperatorCube
-    from wittsen.senhom import OperatorSquare
+def test_two_term_eliminates_each_degree_once(monkeypatch):
+    import wittsen.senhom as senhom
 
-    gm = rank1_module(0)
-    A = GradedLinearMap(gm, 0, {0: [[Fraction(2)]]})
-    B = GradedLinearMap(gm, 0, {0: [[Fraction(3)]]})
-    r1 = cube_total_fiber([A, B], 1, p=2)
-    r2 = cube_total_fiber(OperatorSquare(A, B), 1, p=2)
-    r3 = cube_total_fiber(OperatorCube(gm, [A, B]), 1, p=2)
-    assert r1.degrees == r2.degrees == r3.degrees
+    seen = []
+    real = senhom.local_snf
+
+    def counting(ops, rows, ncols=None):
+        seen.append(id(rows))
+        return real(ops, rows, ncols)
+
+    monkeypatch.setattr(senhom, "local_snf", counting)
+    gm = GradedModule({2 * k: ["e"] for k in range(8)})
+    D = GradedLinearMap(gm, 2, {2 * k: [[Fraction(3 * k)]] for k in range(1, 8)})
+    rep = two_term_homology(D, 14, p=3)
+    assert len(seen) == len(set(seen)) == 7       # degrees 2, 4, ..., 14
+    assert entry(rep, 5)["torsion"] == [9]        # coker of 9 at degree 6
+    assert entry(rep, 0)["free_rank"] == 1
