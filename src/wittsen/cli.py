@@ -14,7 +14,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import __version__, targets
-from .exactalg import InvalidInputError, PrecisionError, int_valuation, is_prime
+from .exactalg import (
+    IntMatrix,
+    InvalidInputError,
+    PrecisionError,
+    int_valuation,
+    is_prime,
+    smith_normal_form,
+)
 from . import witt as W
 from . import fgl as FG
 from . import dpops as DP
@@ -270,19 +277,9 @@ def check_fderham(cfg: RunConfig):
     payload["additive"] = rep["weights"][3]
     Fm = FG.fgl_construct("multiplicative", 8, lam=1)
     repm = SH.fderham_cohomology(FG.f_derham_complex(Fm, 4, 6))
-    ring = None
+    ring = Fm.series_ring("h", 6)
     for m in range(1, 5):
-        qi_F = FG.fgl_construct("multiplicative", 8, lam=1)
-        series = FG.q_integer(m, 1, FG.f_derham_complex(qi_F, 1, 6).weights[1].ring)
-        coeffs = [0] * 6
-        for mono, c in series.terms.items():
-            if mono[0] < 6:
-                coeffs[mono[0]] = c
-        mat = [[0] * 6 for _ in range(6)]
-        for j in range(6):
-            for i in range(6 - j):
-                mat[i + j][j] = int(coeffs[i])
-        from .exactalg import IntMatrix, smith_normal_form
+        mat = SH.multiplication_matrix(FG.q_integer(m, 1, ring), 6)
         expected = [abs(d) for d in smith_normal_form(IntMatrix.from_rows(mat)).divisors]
         ok = ok and repm["weights"][m]["divisors"] == expected
     payload["multiplicative_lambda_1"] = repm["weights"][2]
@@ -575,13 +572,7 @@ ALL_CHECKS = [
 
 
 def build_full_report(cfg: RunConfig) -> dict:
-    checks = [fn(cfg) for fn in ALL_CHECKS]
-    return {
-        "tool": "wittsen",
-        "version": __version__,
-        "config": cfg.echo(),
-        "checks": checks,
-    }
+    return _doc(cfg, [fn(cfg) for fn in ALL_CHECKS])
 
 
 # ---------------------------------------------------------------------------

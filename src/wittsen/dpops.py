@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, gcd
+from math import comb, factorial, gcd, prod
 
 from .exactalg import (
     InvalidInputError,
@@ -138,9 +138,6 @@ class DPModule:
             d: {m: i for i, m in enumerate(basis)} for d, basis in self.bases.items()
         }
 
-    def degree_of(self, mono: DPBasisMonomial) -> int:
-        return mono.degree(self.weights)
-
 
 @dataclass
 class GradedModule:
@@ -184,17 +181,8 @@ def base_p_digits(m: int, p: int):
 
 def gamma_factorization_unit(p: int, m: int) -> Fraction:
     """c_m = m! / prod_k (p^k!)^(m_k); a p-adic unit by Legendre."""
-    digits = base_p_digits(m, p)
-    num = 1
-    for i in range(2, m + 1):
-        num *= i
-    den = 1
-    for k, mk in enumerate(digits):
-        f = 1
-        for i in range(2, p**k + 1):
-            f *= i
-        den *= f**mk
-    return Fraction(num, den)
+    den = prod(factorial(p**k) ** mk for k, mk in enumerate(base_p_digits(m, p)))
+    return Fraction(factorial(m), den)
 
 
 class PDerivation:
@@ -226,8 +214,7 @@ class PDerivation:
                 for _ in range(e):
                     rest = rest * DPElement.monomial(p**k2)
             total = total + mk * (rest * gen_val)
-        out = total * Fraction(1, 1) * Fraction(1, gamma_factorization_unit(p, a)) \
-            if a else DPElement()
+        out = total * Fraction(1, gamma_factorization_unit(p, a)) if a else DPElement()
         self._cache[a] = out
         return out
 
@@ -278,20 +265,7 @@ def derivation_matrices(module: DPModule, der: PDerivation) -> GradedLinearMap:
     return GradedLinearMap(gm, 1, matrices)
 
 
-def pd_derivation_extend(p: int, gamma_values: dict, theta_value: DPElement,
-                         module: DPModule) -> GradedLinearMap:
-    der = PDerivation(p, gamma_values, theta_value)
-    return derivation_matrices(module, der)
-
-
-def _factorial(m: int) -> int:
-    out = 1
-    for i in range(2, m + 1):
-        out *= i
-    return out
-
-
-def perfectoid_gamma_values(p: int, bound: int, scale=1) -> dict:
+def perfectoid_gamma_values(p: int, bound: int) -> dict:
     """Generator values of the degree-lowering derivation on gamma-monomials.
 
     D(gamma_(p^k)(u)) = (p-1)! (p^k-p)!/(p^k-1)! * gamma_(p^k-p)(u) * eps.
@@ -303,8 +277,8 @@ def perfectoid_gamma_values(p: int, bound: int, scale=1) -> dict:
     values = {0: DPElement()}
     k = 1
     while p**k <= bound:
-        coeff = Fraction(_factorial(p - 1) * _factorial(p**k - p), _factorial(p**k - 1))
-        values[k] = DPElement.monomial(p**k - p, 0, 1, coeff=coeff * scale)
+        coeff = Fraction(factorial(p - 1) * factorial(p**k - p), factorial(p**k - 1))
+        values[k] = DPElement.monomial(p**k - p, 0, 1, coeff=coeff)
         k += 1
     return values
 
@@ -315,7 +289,7 @@ def theta_perfectoid(p: int, bound: int) -> GradedLinearMap:
     module = DPModule(p, bound)
     gamma_values = perfectoid_gamma_values(p, bound)
     theta_value = DPElement.monomial(0, 0, 1, coeff=p)
-    out = pd_derivation_extend(p, gamma_values, theta_value, module)
+    out = derivation_matrices(module, PDerivation(p, gamma_values, theta_value))
     out.meta["valuation_identity"] = factorial_unit_identity(p, gamma_values)
     return out
 
@@ -353,18 +327,12 @@ def theta_zpn(p: int, n: int, bound: int) -> GradedLinearMap:
     if n < 2:
         raise InvalidInputError("n >= 2 required")
     module = DPModule(p, bound)
-    gamma_values = {0: DPElement()}
-    k = 1
-    while p**k <= bound:
-        coeff = Fraction(_factorial(p - 1) * _factorial(p**k - p), _factorial(p**k - 1))
-        gamma_values[k] = DPElement.monomial(
-            p**k - p, 0, 1, coeff=coeff * p ** (n - 2 + k)
-        )
-        k += 1
+    gamma_values = {k: v * p ** (n - 2 + k)
+                    for k, v in perfectoid_gamma_values(p, bound).items()}
     theta_value = DPElement.monomial(0, 0, 1, coeff=p)
-    out = pd_derivation_extend(p, gamma_values, theta_value, module)
+    out = derivation_matrices(module, PDerivation(p, gamma_values, theta_value))
     out.meta["scale"] = p ** (n - 1)
-    out.meta["level_scales"] = {kk: p ** (n - 2 + kk) for kk in range(1, k)}
+    out.meta["level_scales"] = {k: p ** (n - 2 + k) for k in gamma_values if k}
     return out
 
 

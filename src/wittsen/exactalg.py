@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial
 
 
 class InvalidInputError(ValueError):
@@ -83,7 +84,7 @@ class PolyRing:
     ``total_bound`` caps the summed exponent of the variables flagged in
     ``counted`` (coefficient-like variables are usually left uncounted).
     ``modulus`` = 0 means characteristic zero (int/Fraction coefficients).
-    ``degrees``/``weights`` are bookkeeping used by graded callers.
+    ``degrees`` is bookkeeping used by graded callers.
     """
 
     vars: tuple[str, ...]
@@ -92,7 +93,6 @@ class PolyRing:
     counted: tuple = None
     modulus: int = 0
     degrees: tuple = None
-    weights: tuple = None
 
     def __post_init__(self):
         n = len(self.vars)
@@ -102,8 +102,6 @@ class PolyRing:
             object.__setattr__(self, "counted", (True,) * n)
         if self.degrees is None:
             object.__setattr__(self, "degrees", (0,) * n)
-        if self.weights is None:
-            object.__setattr__(self, "weights", (0,) * n)
 
     def index(self, name: str) -> int:
         return self.vars.index(name)
@@ -241,29 +239,51 @@ class TruncPoly:
         return TruncPoly(self.ring, out)
 
     def substitute(self, assignment: dict):
-        """Replace variables by polynomials/scalars; unlisted vars persist."""
-        ring = None
-        for v in assignment.values():
-            if isinstance(v, TruncPoly):
-                ring = v.ring
-                break
-        if ring is None:
-            ring = self.ring
-        out = TruncPoly.zero(ring)
+        """Replace variables by polynomials or scalars.
+
+        The result lives in the ring of the first polynomial value, else in
+        this ring. Unassigned variables keep their exponents (and must exist
+        in the result ring); assigned names missing from this ring are
+        ignored. Each assigned variable's powers are built once, one product
+        per power, stopping where truncation makes a power zero.
+        """
+        ring = next((v.ring for v in assignment.values() if isinstance(v, TruncPoly)),
+                    self.ring)
+        # per source variable: a list of powers of its value, or the index of
+        # the result-ring variable that carries its exponent
+        tables = []
+        for i, name in enumerate(self.ring.vars):
+            top = max((m[i] for m in self.terms), default=0)
+            if name not in assignment:
+                tables.append(ring.index(name) if top else None)
+                continue
+            val = assignment[name]
+            if not isinstance(val, TruncPoly):
+                val = TruncPoly.const(ring, val)
+            powers = [TruncPoly.const(ring, 1)]
+            while len(powers) <= top and powers[-1].terms:
+                powers.append(powers[-1] * val)
+            tables.append(powers)
+        out = {}
         for mono, c in self.terms.items():
-            term = TruncPoly.const(ring, c)
-            for name, e in zip(self.ring.vars, mono):
+            shift = [0] * len(ring.vars)
+            term = None
+            for e, table in zip(mono, tables):
                 if not e:
                     continue
-                if name in assignment:
-                    val = assignment[name]
-                    if not isinstance(val, TruncPoly):
-                        val = TruncPoly.const(ring, val)
-                    term = term * val**e
-                else:
-                    term = term * TruncPoly.var(ring, name, e)
-            out = out + term
-        return out
+                if isinstance(table, int):
+                    shift[table] += e
+                    continue
+                # a table cut short ends in the zero power, which stands for
+                # every higher power as well
+                power = table[min(e, len(table) - 1)]
+                term = power if term is None else term * power
+            items = term.terms.items() if term is not None else [((0,) * len(shift), 1)]
+            for m, a in items:
+                m = tuple(x + y for x, y in zip(m, shift))
+                if ring.keeps(m):
+                    out[m] = out.get(m, 0) + c * a
+        return TruncPoly(ring, out)
 
     def derivative(self, name: str):
         i = self.ring.index(name)
@@ -275,57 +295,34 @@ class TruncPoly:
                 out[tuple(m2)] = c * m[i]
         return TruncPoly(self.ring, out)
 
-    def evaluate(self, values: dict):
-        """Full evaluation to a scalar (every variable assigned)."""
-        total = 0
-        for m, c in self.terms.items():
-            t = c
-            for name, e in zip(self.ring.vars, m):
-                if e:
-                    t *= values[name] ** e
-            total += t
-        return total
-
     # -- series operations (rely on truncation nilpotence) ------------------
 
-    def _nilpotent_powers(self):
-        """Yield self^1, self^2, ... until truncation kills them."""
-        power = self
-        while not power.is_zero():
-            yield power
-            power = power * self
+    def _power_sum(self, coeff):
+        """sum_(k >= 1) coeff(k) * self^k, stopping where self^k truncates to 0."""
+        out = TruncPoly.zero(self.ring)
+        power, k = self, 1
+        while power.terms:
+            out = out + power * coeff(k)
+            power, k = power * self, k + 1
+        return out
 
     def series_exp(self):
         if self.constant_term() != 0:
             raise InvalidInputError("exp needs constant term 0")
-        out = TruncPoly.const(self.ring, 1)
-        fact = 1
-        for k, power in enumerate(self._nilpotent_powers(), start=1):
-            fact *= k
-            out = out + power.map_coeffs(lambda c: Fraction(c) / fact)
-        return out
+        return 1 + self._power_sum(lambda k: Fraction(1, factorial(k)))
 
     def series_log(self):
         if self.constant_term() != 1:
             raise InvalidInputError("log needs constant term 1")
-        g = self - 1
-        out = TruncPoly.zero(self.ring)
-        for k, power in enumerate(g._nilpotent_powers(), start=1):
-            out = out + power.map_coeffs(lambda c, k=k: Fraction((-1) ** (k + 1) * c) / k)
-        return out
+        return (self - 1)._power_sum(lambda k: Fraction((-1) ** (k + 1), k))
 
     def series_inverse(self):
         c0 = self.constant_term()
         if c0 == 0:
             raise InvalidInputError("no series inverse: constant term 0")
-        c0 = Fraction(c0)
-        g = (self - c0).map_coeffs(lambda c: Fraction(c) / c0)
-        out = TruncPoly.const(self.ring, Fraction(1))
-        sign = -1
-        for power in g._nilpotent_powers():
-            out = out + power.map_coeffs(lambda c, s=sign: s * c)
-            sign = -sign
-        return out.map_coeffs(lambda c: c / c0)
+        inv0 = 1 / Fraction(c0)
+        g = (self - c0) * inv0
+        return (1 + g._power_sum(lambda k: (-1) ** k)) * inv0
 
     def min_p_valuation(self, p: int):
         """Minimum v_p over coefficients; None for the zero polynomial."""
@@ -354,7 +351,9 @@ def univariate_ring(name: str, bound: int, modulus: int = 0) -> PolyRing:
 
 
 def truncated_exp_log(f: TruncPoly, mode: str) -> TruncPoly:
-    """Formal exp/log of a rational truncated polynomial."""
+    """Formal exp/log by mode name. The library calls the TruncPoly methods;
+    this entry point stays because the benchmark's tracing and its tests
+    (bench/tracing.py, bench/test_bench.py) look it up by name."""
     if mode == "exp":
         return f.series_exp()
     if mode == "log":

@@ -95,22 +95,6 @@ def _axiom_failure_degree(F: TruncPoly, D: int, modulus: int):
     return min(fails) if fails else None
 
 
-def honda_log(p: int, n: int, bound: int, ring: PolyRing) -> TruncPoly:
-    """log(x) = sum_i v^((p^(ni)-1)/(p^n-1)) x^(p^(ni)) / p^i over Q[v]."""
-    if n < 1:
-        raise InvalidInputError("height n must be >= 1")
-    out = TruncPoly.zero(ring)
-    i = 0
-    while p ** (n * i) <= bound:
-        e = (p ** (n * i) - 1) // (p**n - 1)
-        mono = [0] * len(ring.vars)
-        mono[ring.index("x")] = p ** (n * i)
-        mono[ring.index("v")] = e
-        out = out + TruncPoly(ring, {tuple(mono): Fraction(1, p**i)})
-        i += 1
-    return out
-
-
 def _compositional_inverse(f: TruncPoly, var: str, bound: int) -> TruncPoly:
     """g with f(g(x)) = x + O(x^(bound+1)); f = x + higher (Newton)."""
     ring = f.ring
@@ -120,10 +104,7 @@ def _compositional_inverse(f: TruncPoly, var: str, bound: int) -> TruncPoly:
     while True:
         sub_ring = PolyRing(
             vars=ring.vars,
-            bounds=tuple(
-                min(prec - 1, b) if (nm == var and b is not None) else (prec - 1 if nm == var else b)
-                for nm, b in zip(ring.vars, ring.bounds)
-            ),
+            bounds=tuple(prec - 1 if nm == var else b for nm, b in zip(ring.vars, ring.bounds)),
             modulus=ring.modulus,
         )
         cut = lambda poly: TruncPoly(sub_ring, poly.terms)
@@ -138,6 +119,20 @@ def _compositional_inverse(f: TruncPoly, var: str, bound: int) -> TruncPoly:
             break
         prec = min(prec * 2, bound + 1)
     return g
+
+
+def _honda_log_exp(p: int, n: int, bound: int):
+    """(log, exp) of the height-n Honda law over Q[v], in x up to x^bound:
+    log(x) = sum_i v^((p^(ni)-1)/(p^n-1)) x^(p^(ni)) / p^i."""
+    if n < 1:
+        raise InvalidInputError("height n must be >= 1")
+    terms = {}
+    i = 0
+    while p ** (n * i) <= bound:
+        terms[(p ** (n * i), (p ** (n * i) - 1) // (p**n - 1))] = Fraction(1, p**i)
+        i += 1
+    logf = TruncPoly(PolyRing(vars=("x", "v"), bounds=(bound, None)), terms)
+    return logf, _compositional_inverse(logf, "x", bound)
 
 
 def fgl_construct(kind: str, D: int, lam=None, p: int = None, n: int = None,
@@ -164,9 +159,7 @@ def fgl_construct(kind: str, D: int, lam=None, p: int = None, n: int = None,
 
     if kind == "honda":
         require_prime(p)
-        lr = PolyRing(vars=("x", "v"), bounds=(D, None))
-        logf = honda_log(p, n, D, lr)
-        expf = _compositional_inverse(logf, "x", D)
+        logf, expf = _honda_log_exp(p, n, D)
         ring0 = _bivariate_ring(("v",), D)
         X0, Y0 = TruncPoly.var(ring0, "X"), TruncPoly.var(ring0, "Y")
         lx = logf.substitute({"x": X0})
@@ -288,9 +281,7 @@ def q_integer(nval: int, lam, ring: PolyRing) -> TruncPoly:
 def honda_p_series(p: int, n: int, bound: int) -> TruncPoly:
     """[p](x) over F_p[v], computed from the integral logarithm and verified
     to be exactly v x^(p^n)."""
-    lr = PolyRing(vars=("x", "v"), bounds=(bound, None))
-    logf = honda_log(p, n, bound, lr)
-    expf = _compositional_inverse(logf, "x", bound)
+    logf, expf = _honda_log_exp(p, n, bound)
     pseries_rat = expf.substitute({"x": logf * p})
     mod_ring = PolyRing(vars=("x", "v"), bounds=(bound, None), modulus=p)
     pseries = TruncPoly(mod_ring, pseries_rat.terms)

@@ -15,6 +15,7 @@ from .exactalg import (
     IntMatrix,
     InvalidInputError,
     PLocalOps as PLocal,
+    TruncPoly,
     fraction_valuation,
     local_snf,
     matrix_product,
@@ -264,21 +265,16 @@ def two_term_homology(D: GradedLinearMap, bound: int, ops=None, p: int = None,
 
 def chain_homology(dims: dict, mats: dict, bound: int, ops) -> dict:
     """H_d = ker(m_d)/im(m_(d+1)) for a chain complex given by dimensions and
-    matrices m_d: C_d -> C_(d-1). Returns degree -> (free, exponents)."""
+    matrices m_d: C_d -> C_(d-1). A missing m_d is the zero map, passed as a
+    matrix with no rows so that nothing is eliminated. Returns degree ->
+    (free, exponents)."""
     out = {}
     for d in range(0, bound + 1):
         nd = dims.get(d, 0)
         if nd == 0:
             continue
-        n_down = dims.get(d - 1, 0)
-        A = mats.get(d)
-        if A is None or n_down == 0:
-            A = [[ops.zero] * nd for _ in range(n_down)]
-        n_up = dims.get(d + 1, 0)
-        B = mats.get(d + 1)
-        if B is None or n_up == 0:
-            B = [[ops.zero] * n_up for _ in range(nd)]
-        free, torsion = homology_of_pair(ops, A, nd, B, n_up)
+        free, torsion = homology_of_pair(ops, mats.get(d, []), nd,
+                                         mats.get(d + 1, []), dims.get(d + 1, 0))
         if free or torsion:
             out[d] = (free, torsion)
     return out
@@ -291,9 +287,8 @@ def graded_map_chain_homology(D: GradedLinearMap, bound: int, ops,
         raise InvalidInputError("chain differential must have shift 1")
     module = D.module
     dims = {d: len(module.basis(d)) for d in module.bases}
-    mats = {d: D.matrix(d) for d in module.bases if len(module.basis(d))}
     rep = HomologyReport(builder, params)
-    hom = chain_homology(dims, mats, bound, ops)
+    hom = chain_homology(dims, D.matrices, bound, ops)
     for d in sorted(hom):
         free, torsion = hom[d]
         rep.add(d, free, _orders(ops.p, torsion), exponents=torsion)
@@ -648,6 +643,16 @@ def build_dvr_square(desc: DVRDescriptor, bound: int) -> dict:
     }
 
 
+def multiplication_matrix(series: TruncPoly, K: int) -> list:
+    """Integer (Toeplitz) matrix of multiplication by a series in h with scalar
+    coefficients on Z[h]/h^K."""
+    coeffs = [0] * K
+    for mono, c in series.terms.items():
+        if mono[0] < K:
+            coeffs[mono[0]] = int(c)
+    return [[coeffs[i - j] if i >= j else 0 for j in range(K)] for i in range(K)]
+
+
 def fderham_cohomology(cx: FDerhamComplex, h_bound: int = None, p: int = None) -> dict:
     """Per-weight H^1 of the two-term complex: the cokernel of multiplication
     by the divided m-series on the truncated h-line.
@@ -656,7 +661,9 @@ def fderham_cohomology(cx: FDerhamComplex, h_bound: int = None, p: int = None) -
     for the symbolic multiplicative parameter the q-integer identity is
     checked instead and divisors are reported for integer specializations.
     """
-    K = h_bound or cx.h_bound
+    K = cx.h_bound if h_bound is None else h_bound
+    if K < 1:
+        raise InvalidInputError(f"h_bound must be >= 1, got {K}")
     out = {"kind": cx.kind, "params": cx.params, "h_bound": K, "weights": {}}
     for m, series in sorted(cx.weights.items()):
         entry = {"weight": m}
@@ -666,20 +673,11 @@ def fderham_cohomology(cx: FDerhamComplex, h_bound: int = None, p: int = None) -
             ) if m else series.is_zero()
             out["weights"][m] = entry
             continue
-        # scalar coefficients: multiplication matrix on Z[h]/h^K
-        coeffs = [0] * K
-        for mono, c in series.terms.items():
-            if mono[0] < K:
-                coeffs[mono[0]] = c
-        mat = [[0] * K for _ in range(K)]
-        for j in range(K):
-            for i in range(K - j):
-                mat[i + j][j] = int(coeffs[i])
         if m == 0:
             entry["h0_rank"] = K
             entry["divisors"] = [0] * K
         else:
-            dec = smith_normal_form(IntMatrix.from_rows(mat))
+            dec = smith_normal_form(IntMatrix.from_rows(multiplication_matrix(series, K)))
             entry["divisors"] = [abs(x) for x in dec.divisors]
         out["weights"][m] = entry
     return out

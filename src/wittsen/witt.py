@@ -21,7 +21,6 @@ from .exactalg import (
     int_valuation,
     is_prime,
     require_prime,
-    truncated_exp_log,
     univariate_ring,
 )
 
@@ -416,13 +415,8 @@ def solve_frobenius(y: WittVector, guard: int = 4) -> SolveFrobeniusResult:
 
 def _artin_hasse_factor(p, a, start, n, ring):
     """exp(sum_{m=0}^{n-1-start} a[m+start] t^(p^m) / p^m), truncated."""
-    t = TruncPoly.var(ring, "t")
-    s = TruncPoly.zero(ring)
-    for m in range(0, n - start):
-        s = s + (t ** (p**m)).map_coeffs(
-            lambda c, m=m: Fraction(c * a[m + start], p**m)
-        )
-    return truncated_exp_log(s, "exp")
+    s = TruncPoly(ring, {(p**m,): Fraction(a[m + start], p**m) for m in range(n - start)})
+    return s.series_exp()
 
 
 def cartier_character(
@@ -448,7 +442,8 @@ def cartier_character(
     ring = univariate_ring("t", degree_bound)
     t = TruncPoly.var(ring, "t")
 
-    f = _artin_hasse_factor(p, a, 0, n, ring)
+    factors = [_artin_hasse_factor(p, a, j, n, ring) for j in range(n)]
+    f = factors[0]
     first_bad = None
     for mono, c in f.sorted_terms():
         if isinstance(c, Fraction) and c.denominator % p == 0:
@@ -460,42 +455,31 @@ def cartier_character(
             f"non-p-integral coefficient {first_bad['coefficient']} at {first_bad['monomial']}",
         )
 
-    def g_of(scalars):
+    def g_of(args):
+        """prod_j F^j(f)(args[j]) for series args[j] in t."""
         out = TruncPoly.const(ring, 1)
-        for j in range(n):
-            factor = _artin_hasse_factor(p, a, j, n, ring)
-            out = out * factor.substitute({"t": t * scalars[j]})
+        for factor, arg in zip(factors, args):
+            out = out * factor.substitute({"t": arg})
         return out
 
-    gx = g_of(x_scalars)
+    xt = [t * c for c in x_scalars]
+    gx = g_of(xt)
 
     # log g(x) = sum_m (a_m / p^m) w_m(x t)
-    xt = [t * c for c in x_scalars]
     expected_log = TruncPoly.zero(ring)
     for m in range(n):
         wm = ghost_polynomial(p, m, xt)
         expected_log = expected_log + wm.map_coeffs(
             lambda c, m=m: Fraction(c * a[m], p**m)
         )
-    log_ok = truncated_exp_log(gx, "log") == expected_log
+    log_ok = gx.series_log() == expected_log
 
     additive_ok = None
     if xprime_scalars is not None:
-        gxp = g_of(xprime_scalars)
+        xpt = [t * c for c in xprime_scalars]
         # Witt sum with polynomial components, through the ghost map over Q[t]
-        gs = [
-            gi + gj
-            for gi, gj in zip(
-                (ghost_polynomial(p, j, xt) for j in range(n)),
-                (ghost_polynomial(p, j, [t * c for c in xprime_scalars]) for j in range(n)),
-            )
-        ]
-        sum_comps = _ghost_inverse_components(p, gs)
-        gsum = TruncPoly.const(ring, 1)
-        for j in range(n):
-            factor = _artin_hasse_factor(p, a, j, n, ring)
-            gsum = gsum * _subst_series(factor, sum_comps[j])
-        additive_ok = gsum == gx * gxp
+        gs = [ghost_polynomial(p, j, xt) + ghost_polynomial(p, j, xpt) for j in range(n)]
+        additive_ok = g_of(_ghost_inverse_components(p, gs)) == gx * g_of(xpt)
 
     return {
         "p": p,
@@ -506,10 +490,6 @@ def cartier_character(
         "log_identity": log_ok,
         "additivity": additive_ok,
     }
-
-
-def _subst_series(f: TruncPoly, arg: TruncPoly) -> TruncPoly:
-    return f.substitute({"t": arg})
 
 
 def dwork_factorization(x_seq: list, degree_bound: int, lift=None, p_scope=None) -> dict:
@@ -549,10 +529,7 @@ def dwork_factorization(x_seq: list, degree_bound: int, lift=None, p_scope=None)
 
     ring = univariate_ring("t", degree_bound)
     t = TruncPoly.var(ring, "t")
-    lhs = TruncPoly.zero(ring)
-    for nn in range(1, degree_bound + 1):
-        lhs = lhs + (t**nn).map_coeffs(lambda c, nn=nn: Fraction(c * xs[nn], nn))
-    lhs = truncated_exp_log(lhs, "exp")
+    lhs = TruncPoly(ring, {(nn,): Fraction(xs[nn], nn) for nn in xs}).series_exp()
     rhs = TruncPoly.const(ring, 1)
     for j in range(1, degree_bound + 1):
         rhs = rhs * (1 - r[j] * t**j)

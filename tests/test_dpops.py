@@ -22,11 +22,11 @@ from wittsen.dpops import (
     DPModule,
     PDerivation,
     delta_ring_check,
+    derivation_matrices,
     dp_multiply,
     dp_weyl_operators,
     gamma_factorization_unit,
     perfectoid_gamma_values,
-    pd_derivation_extend,
     psi_eigenvalues,
     psi_tensor_check,
     theta_perfectoid,
@@ -82,7 +82,7 @@ def test_unit_lemma_matches_explicit_factorials():
 
 def test_zero_values_give_zero_map():
     module = DPModule(3, 20)
-    D = pd_derivation_extend(3, {0: DPElement()}, DPElement(), module)
+    D = derivation_matrices(module, PDerivation(3, {0: DPElement()}, DPElement()))
     assert not D.matrices
 
 

@@ -15,7 +15,6 @@ from wittsen.exactalg import (
     local_snf,
     PLocalOps,
     smith_normal_form,
-    truncated_exp_log,
     univariate_ring,
 )
 
@@ -229,7 +228,7 @@ def test_exp_log_roundtrip():
     ring = univariate_ring("t", 8)
     t = TruncPoly.var(ring, "t")
     f = 1 + t
-    assert truncated_exp_log(truncated_exp_log(f, "log"), "exp") == f
+    assert f.series_log().series_exp() == f
 
 
 def test_exp_of_minus_sum_tn_over_n():
@@ -238,14 +237,14 @@ def test_exp_of_minus_sum_tn_over_n():
     s = TruncPoly.zero(ring)
     for n in range(1, 11):
         s = s + (t**n).map_coeffs(lambda c, n=n: Fraction(-c, n))
-    assert truncated_exp_log(s, "exp") == 1 - t
+    assert s.series_exp() == 1 - t
 
 
 def test_exp_example_frozen():
     # term-by-term oracle: exp(t+t^2) = 1 + (t+t^2) + (t+t^2)^2/2 + (t+t^2)^3/6 + ...
     ring = univariate_ring("t", 3)
     t = TruncPoly.var(ring, "t")
-    f = truncated_exp_log(t + t**2, "exp")
+    f = (t + t**2).series_exp()
     assert f.coeff((0,)) == 1
     assert f.coeff((1,)) == 1
     assert f.coeff((2,)) == Fraction(3, 2)
@@ -256,9 +255,9 @@ def test_exp_log_preconditions():
     ring = univariate_ring("t", 4)
     t = TruncPoly.var(ring, "t")
     with pytest.raises(InvalidInputError):
-        truncated_exp_log(1 + t, "exp")
+        (1 + t).series_exp()
     with pytest.raises(InvalidInputError):
-        truncated_exp_log(t, "log")
+        t.series_log()
 
 
 def test_truncpoly_mul_assoc_comm():
@@ -309,3 +308,124 @@ def test_modular_ring():
     v = TruncPoly.var(ring, "v")
     assert (v + v).is_zero()
     assert (1 + v) ** 2 == 1 + v**2
+
+
+def test_series_kernel_against_sympy():
+    # independent oracle: sympy's ring_series exp, log, inversion and
+    # reversion on seeded random univariate series with rational coefficients
+    pytest.importorskip("sympy")
+    from sympy import QQ
+    from sympy.polys.rings import ring as sympy_ring
+    from sympy.polys.ring_series import (
+        rs_exp, rs_log, rs_series_inversion, rs_series_reversion)
+    from wittsen.fgl import _compositional_inverse
+
+    rng = random.Random(43)
+    R, s, y = sympy_ring("s,y", QQ)
+
+    def coeffs(series, var, N):
+        return [series.coeff(var**k) if k else series.coeff(1) for k in range(N + 1)]
+
+    for _ in range(12):
+        N = rng.randrange(2, 9)
+        ring = univariate_ring("t", N)
+        c = [Fraction(rng.randrange(-9, 10), rng.randrange(1, 6)) for _ in range(N + 1)]
+        c[1] = c[1] or Fraction(1)
+
+        def both(c0, c1):
+            cs = [c0, c1] + c[2:]
+            ours = TruncPoly(ring, {(k,): x for k, x in enumerate(cs)})
+            theirs = sum((QQ(x.numerator, x.denominator) * s**k
+                          for k, x in enumerate(cs)), R(0))
+            return ours, theirs
+
+        def assert_same(ours, theirs, var=s):
+            want = coeffs(theirs, var, N)
+            assert [ours.coeff((k,)) for k in range(N + 1)] == [
+                Fraction(int(w.numerator), int(w.denominator)) for w in want]
+
+        f, g = both(0, c[1])
+        assert_same(f.series_exp(), rs_exp(g, s, N + 1))
+        f, g = both(1, c[1])
+        assert_same(f.series_log(), rs_log(g, s, N + 1))
+        c0 = c[0] or Fraction(2)
+        f, g = both(c0, c[1])
+        assert_same(f.series_inverse(), rs_series_inversion(g, s, N + 1))
+        f, g = both(0, Fraction(1))
+        assert_same(_compositional_inverse(f, "t", N), rs_series_reversion(g, s, N + 1, y), y)
+
+
+def naive_substitute(f, assignment):
+    """Term-by-term expansion with no truncation until the end: each monomial
+    becomes c * prod(value^e), multiplied out factor by factor."""
+    ring = next((v.ring for v in assignment.values() if isinstance(v, TruncPoly)), f.ring)
+    n = len(ring.vars)
+
+    def mul(a, b):
+        out = {}
+        for m1, c1 in a.items():
+            for m2, c2 in b.items():
+                m = tuple(x + y for x, y in zip(m1, m2))
+                out[m] = out.get(m, 0) + c1 * c2
+        return out
+
+    out = {}
+    for mono, c in f.terms.items():
+        term = {(0,) * n: c}
+        for name, e in zip(f.ring.vars, mono):
+            if name in assignment:
+                val = assignment[name]
+                factor = val.terms if isinstance(val, TruncPoly) else {(0,) * n: val}
+            else:
+                unit = [0] * n
+                unit[ring.index(name)] = 1
+                factor = {tuple(unit): 1}
+            for _ in range(e):
+                term = mul(term, factor)
+        for m, a in term.items():
+            out[m] = out.get(m, 0) + a
+    return TruncPoly(ring, out)
+
+
+def test_substitute_matches_naive_expansion():
+    rng = random.Random(59)
+
+    def rand_poly(ring, nterms, top):
+        k = len(ring.vars)
+        return TruncPoly(ring, {tuple(rng.randrange(0, top + 1) for _ in range(k)):
+                                Fraction(rng.randrange(-6, 7), rng.randrange(1, 4))
+                                for _ in range(nterms)})
+
+    src = PolyRing(vars=("x", "y", "v"))
+    # kept variable v, result ring with a cap on v and a counted total bound
+    target = PolyRing(vars=("s", "v"), bounds=(7, 3))
+    graded = PolyRing(vars=("X", "Y", "v"), total_bound=6, counted=(True, True, False))
+    X, Y = TruncPoly.var(graded, "X"), TruncPoly.var(graded, "Y")
+    # a power table cut short: (X*Y + X^2)^4 has degree 8 > 6
+    assert ((X * Y + X**2) ** 4).is_zero()
+    for _ in range(25):
+        f = rand_poly(src, rng.randrange(1, 7), 5)
+        cases = [
+            {"x": rand_poly(target, 3, 2), "y": rand_poly(target, 2, 2)},
+            {"x": rand_poly(target, 3, 2), "y": Fraction(rng.randrange(-4, 5), 3)},
+            # z is not a source variable
+            {"x": rand_poly(target, 2, 1), "y": 0, "z": rand_poly(target, 2, 1)},
+            {"x": X * Y + X**2, "y": X + rand_poly(graded, 2, 1)},
+            {"x": X * Y + X**2, "y": 2, "v": Y},
+        ]
+        for assignment in cases:
+            assert f.substitute(assignment) == naive_substitute(f, assignment), assignment
+
+
+def test_substitute_builds_powers_without_pow(monkeypatch):
+    ring = PolyRing(vars=("x", "y", "v"))
+    x, y, v = (TruncPoly.var(ring, n) for n in ("x", "y", "v"))
+    f = x**5 * v**2 + 3 * x**2 * y**3 - y + 7
+    tring = PolyRing(vars=("t", "v"), bounds=(9, None))
+    t = TruncPoly.var(tring, "t")
+    want = naive_substitute(f, {"x": 1 + t, "y": 2 * t})
+
+    def no_pow(self, e):
+        raise AssertionError("substitute must build its powers by products")
+    monkeypatch.setattr(TruncPoly, "__pow__", no_pow)
+    assert f.substitute({"x": 1 + t, "y": 2 * t}) == want

@@ -364,6 +364,16 @@ def test_fderham_symbolic_lambda():
         assert rep["weights"][m]["equals_q_integer"]
 
 
+def test_fderham_h_bound_is_honoured_or_rejected():
+    cx = f_derham_complex(fgl_construct("additive", 8), 3, 6)
+    rep = fderham_cohomology(cx, h_bound=4)
+    assert rep["h_bound"] == 4
+    assert rep["weights"][2]["divisors"] == [2] * 4
+    for bad in (0, -1):
+        with pytest.raises(InvalidInputError):
+            fderham_cohomology(cx, h_bound=bad)
+
+
 # ---------------------------------------------------------------------------
 # engine cross-checks
 
@@ -434,3 +444,23 @@ def test_two_term_eliminates_each_degree_once(monkeypatch):
     assert len(seen) == len(set(seen)) == 7       # degrees 2, 4, ..., 14
     assert entry(rep, 5)["torsion"] == [9]        # coker of 9 at degree 6
     assert entry(rep, 0)["free_rank"] == 1
+
+
+def test_chain_homology_eliminates_no_zero_matrix(monkeypatch):
+    # degrees without a differential are the zero map with no rows; the
+    # parent eliminated a zero-filled matrix for each of them
+    import wittsen.senhom as senhom
+
+    zero_filled = []
+    real = senhom.local_snf
+
+    def watching(ops, rows, ncols=None):
+        if rows and all(ops.is_zero(x) for row in rows for x in row):
+            zero_filled.append((len(rows), ncols))
+        return real(ops, rows, ncols)
+
+    monkeypatch.setattr(senhom, "local_snf", watching)
+    zpn = build_zpn_serre(3, 2, 12)
+    perf = build_perfectoid_serre(3, 12)
+    assert zero_filled == []
+    assert zpn.degrees and perf["homology"].degrees

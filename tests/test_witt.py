@@ -358,6 +358,22 @@ def test_cartier_additivity():
             assert rep["additivity"] and rep["log_identity"]
 
 
+def test_cartier_builds_each_artin_hasse_factor_once(monkeypatch):
+    import wittsen.witt as witt
+
+    starts = []
+    real = witt._artin_hasse_factor
+
+    def counting(p, a, start, n, ring):
+        starts.append(start)
+        return real(p, a, start, n, ring)
+
+    monkeypatch.setattr(witt, "_artin_hasse_factor", counting)
+    rep = cartier_character(2, [1, 3, 0], [1, 2, 1], 8, xprime_scalars=[2, 0, 1])
+    assert rep["additivity"] and rep["log_identity"]
+    assert sorted(starts) == [0, 1, 2]  # one factor per level, not 2n + 1
+
+
 # ---------------------------------------------------------------------------
 # Dwork factorization
 
