@@ -218,7 +218,12 @@ def check_honda(cfg: RunConfig):
     rows = []
     ok = True
     for p, n, m in targets.HONDA_GRID:
-        data = FG.honda_pm_divided_series(p, n, m)
+        try:
+            data = FG.honda_pm_divided_series(p, n, m)
+        except FG.InvalidFGLError as exc:
+            rows.append({"p": p, "n": n, "m": m, "error": str(exc), "ok": False})
+            ok = False
+            continue
         rows.append({"p": p, "n": n, "m": m,
                      "v_exponent": data["v_exponent"],
                      "h_exponent": data["h_exponent"],

@@ -614,22 +614,28 @@ def _envelope_lattice(ctx: DeltaRingContext, iters, K: int) -> ZpLattice:
     factors of p cancelled so that the exponents are the true ones."""
     factors = [_integer_vector(ctx.p, f, K) for f in iters]
     vectors = []
-
-    def rec(i, N, s):
-        if i == len(factors):
-            lead = next(j for j, x in enumerate(N) if x)
-            vectors.extend(([0] * j + N[:K - j], s) for j in range(K - lead))
-            return
-        F, sf = factors[i]
-        while any(N):
-            e = min(s, _split_p(ctx.p, gcd(*N))[0])
-            if e:
-                N, s = [x // ctx.p**e for x in N], s - e
-            rec(i + 1, N, s)
-            N, s = _mul_trunc(N, F, K), s + sf
-
-    rec(0, [1] + [0] * (K - 1), 0)
+    _envelope_monomials(ctx.p, factors, K, 0, [1] + [0] * (K - 1), 0, vectors)
     return ZpLattice(ctx.p, K, vectors)
+
+
+def _envelope_monomials(p, factors, K, i, N, s, out):
+    """Append to out the monomials (N/p^s) * prod_(k >= i) F_k^(e_k), for the
+    (F_k, s_k) in factors, with every shift by u^j that truncation keeps.
+
+    A module-level function rather than a closure: a nested function that
+    calls itself is a reference cycle, which would keep `out` (thousands of
+    generators) alive after the lattice is built, until a cyclic collection."""
+    if i == len(factors):
+        lead = next(j for j, x in enumerate(N) if x)
+        out.extend(([0] * j + N[:K - j], s) for j in range(K - lead))
+        return
+    F, sf = factors[i]
+    while any(N):
+        e = min(s, _split_p(p, gcd(*N))[0])
+        if e:
+            N, s = [x // p**e for x in N], s - e
+        _envelope_monomials(p, factors, K, i + 1, N, s, out)
+        N, s = _mul_trunc(N, F, K), s + sf
 
 
 def delta_ring_check(p: int, n: int, B: int, K: int = 18, N: int = 12) -> dict:

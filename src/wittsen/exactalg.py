@@ -477,19 +477,18 @@ class PLocalOps:
 
 
 def local_snf(ops, rows: list, ncols: int = None) -> tuple:
-    """SNF over a local PID given by `ops`.
+    """SNF over a local PID given by `ops`: the elementary divisors of a
+    matrix with `ncols` columns, and no transforms.
 
-    Returns (exponents, rank, Vinv): exponents are the uniformizer-valuations
-    of the nonzero diagonal (nondecreasing by minimal-valuation pivoting) and
-    Vinv is the tracked inverse of the right transform, so that the columns
-    of V beyond the rank span ker and coordinates of a kernel vector in the
-    V-basis are Vinv @ vector.
+    Returns (exponents, rank): exponents are the uniformizer-valuations of the
+    nonzero diagonal, nondecreasing by minimal-valuation pivoting. The pivot
+    divides its whole row, so the column operations that would clear that row
+    touch nothing else and are skipped; row operations update only the columns
+    right of the pivot, the only ones read again.
     """
     a = [list(r) for r in rows]
     n = len(a)
     m = ncols if ncols is not None else (len(a[0]) if a else 0)
-    vinv = [[ops.one if i == j else ops.zero for j in range(m)] for i in range(m)]
-    rank = 0
     exps = []
     for s in range(min(n, m)):
         best = None
@@ -502,27 +501,17 @@ def local_snf(ops, rows: list, ncols: int = None) -> tuple:
         if best is None:
             break
         v, bi, bj = best
-        if bi != s:
-            a[s], a[bi] = a[bi], a[s]
+        a[s], a[bi] = a[bi], a[s]
         if bj != s:
-            for r in range(n):
-                a[r][s], a[r][bj] = a[r][bj], a[r][s]
-            vinv[s], vinv[bj] = vinv[bj], vinv[s]
-        piv = a[s][s]
+            for row in a:
+                row[s], row[bj] = row[bj], row[s]
+        piv, tail = a[s][s], a[s][s + 1:]
         for i in range(s + 1, n):
             if not ops.is_zero(a[i][s]):
                 f = ops.div(a[i][s], piv)
-                a[i] = [ops.sub(x, ops.mul(f, y)) for x, y in zip(a[i], a[s])]
-        for j in range(s + 1, m):
-            if not ops.is_zero(a[s][j]):
-                f = ops.div(a[s][j], piv)
-                for r in range(n):
-                    a[r][j] = ops.sub(a[r][j], ops.mul(f, a[r][s]))
-                # col_j -= f*col_s  =>  row_s of Vinv += f*row_j
-                vinv[s] = [ops.add(x, ops.mul(f, y)) for x, y in zip(vinv[s], vinv[j])]
+                a[i][s + 1:] = [ops.sub(x, ops.mul(f, y)) for x, y in zip(a[i][s + 1:], tail)]
         exps.append(v)
-        rank += 1
-    return exps, rank, vinv
+    return exps, len(exps)
 
 
 def matrix_product(ops, P, Q, ncols: int) -> list:

@@ -96,10 +96,13 @@ def _axiom_failure_degree(F: TruncPoly, D: int, modulus: int):
 
 
 def _compositional_inverse(f: TruncPoly, var: str, bound: int) -> TruncPoly:
-    """g with f(g(x)) = x + O(x^(bound+1)); f = x + higher (Newton)."""
+    """g with f(g(x)) = x + O(x^(bound+1)); f = x + higher (Newton).
+
+    h = 1/f'(g) is carried along by its own Newton step h <- h(2 - f'(g)h),
+    which doubles its precision as g's does; no series is inverted."""
     ring = f.ring
-    x = TruncPoly.var(ring, var)
-    g = x
+    g = TruncPoly.var(ring, var)
+    h = TruncPoly.const(ring, 1)
     prec = 2
     while True:
         sub_ring = PolyRing(
@@ -113,8 +116,9 @@ def _compositional_inverse(f: TruncPoly, var: str, bound: int) -> TruncPoly:
         if err.is_zero() and prec > bound:
             break
         dfg = cut(f.derivative(var)).substitute({var: cut(g)})
-        corr = err * dfg.series_inverse()
-        g = TruncPoly(ring, (cut(g) - corr).terms)
+        h = cut(h)
+        h = h * (2 - dfg * h)
+        g = TruncPoly(ring, (cut(g) - err * h).terms)
         if prec > bound:
             break
         prec = min(prec * 2, bound + 1)
@@ -292,9 +296,11 @@ def honda_p_series(p: int, n: int, bound: int) -> TruncPoly:
 
 
 def honda_pm_divided_series(p: int, n: int, m: int) -> dict:
-    """<p^m>(h) for the height-n law: compose the verified p-series m times."""
+    """<p^m>(h) for the height-n law: honda_p_series raises InvalidFGLError
+    unless [p](x) = v x^(p^n) exactly, so the exponents of its m-fold
+    composite follow by recursion."""
     bound = p ** (n * m)
-    honda_p_series(p, n, max(bound, 2 * p**n))  # verifies the base case exactly
+    honda_p_series(p, n, max(bound, 2 * p**n))
     exp_v, exp_x = 0, 1
     for _ in range(m):
         # apply x -> v x^(p^n): v * (v^a x^b)^(p^n) = v^(a p^n + 1) x^(b p^n)

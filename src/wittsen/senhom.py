@@ -1,9 +1,11 @@
 """Homology engine and named builders.
 
-All homology is computed exactly: over the p-local integers (Fraction
-arithmetic, minimal-valuation pivoting) or over an Eisenstein extension
-Z_(p)[u]/E(u) using field inverses in Q[u]/E(u). Torsion is reported as
-p-power (or uniformizer-power) cyclic summands per degree.
+The engine works over one kind of ring: a local PID given by an ops object,
+either the p-local integers Z_(p) (Fraction arithmetic) or an Eisenstein
+extension Z_(p)[u]/E(u) (field inverses in Q[u]/E(u)). Each differential is
+eliminated once, by minimal-valuation pivoting, and torsion is reported as
+p-power (or uniformizer-power) cyclic summands per degree. Only the
+fderham weights use integer elementary divisors (the Z-SNF).
 """
 
 from __future__ import annotations
@@ -148,30 +150,6 @@ class Eisenstein:
 
 
 # ---------------------------------------------------------------------------
-# exact SNF / homology over a local PID given by ops
-
-
-def homology_of_pair(ops, A, ncols_A, B, ncols_B):
-    """ker(A)/im(B) for A*B = 0; A has ncols_A columns, B maps into them.
-
-    Returns (free_rank, sorted list of positive uniformizer exponents).
-    """
-    _, rank_A, vinv = local_snf(ops, A, ncols_A)
-    ker_dim = ncols_A - rank_A
-    if ker_dim == 0:
-        return 0, []
-    if ncols_B == 0 or all(ops.is_zero(x) for row in B for x in row):
-        return ker_dim, []
-    # B's columns in the V basis: the rows below rank_A are coordinates in
-    # ker(A); the rows above vanish because A*B = 0 over a domain
-    vB = matrix_product(ops, vinv, B, ncols_B)
-    if any(not ops.is_zero(x) for row in vB[:rank_A] for x in row):
-        raise InvalidInputError("maps do not compose to zero")
-    exps_B, rank_B, _ = local_snf(ops, vB[rank_A:], ncols_B)
-    return ker_dim - rank_B, sorted(e for e in exps_B if e > 0)
-
-
-# ---------------------------------------------------------------------------
 # reports
 
 
@@ -209,75 +187,88 @@ def _orders(p, exponents):
 
 
 # ---------------------------------------------------------------------------
-# generic two-term fiber and cube total fiber
+# homology over a local PID given by ops
+#
+# Over a PID, C_d/ker(m_d) embeds in the free module C_(d-1), so ker(m_d) is
+# a direct summand of C_d and
+#     H_d = R^(n_d - rank m_d - rank m_(d+1)) + torsion of coker m_(d+1).
+# One elimination per differential, for its rank and the positive exponents of
+# its elementary divisors, therefore decides all homology.
 
 
-def _int_matrix_ranks(rows, ncols):
-    """(rank, nontrivial coker divisors) over Z via exact SNF."""
-    if not rows or ncols == 0:
+def _eliminate(ops, rows, ncols):
+    """(rank, positive exponents) of a matrix with ncols columns; one with no
+    rows or no columns is the zero map and is not eliminated."""
+    if not rows or not ncols:
         return 0, []
-    ints = [[int(x) for x in row] for row in rows]
-    dec = smith_normal_form(IntMatrix.from_rows(ints))
-    divisors = [abs(d) for d in dec.divisors if d != 0]
-    return len(divisors), [d for d in divisors if d > 1]
+    exps, rank = local_snf(ops, rows, ncols)
+    return rank, [e for e in exps if e > 0]
 
 
-def two_term_homology(D: GradedLinearMap, bound: int, ops=None, p: int = None,
+def _report(builder, params, homology, p):
+    rep = HomologyReport(builder, params or {})
+    for d in sorted(homology):
+        free, torsion = homology[d]
+        rep.add(d, free, _orders(p, torsion), exponents=torsion)
+    return rep
+
+
+def two_term_homology(D: GradedLinearMap, bound: int, ops,
                       builder: str = "two_term", params: dict = None) -> HomologyReport:
     """Fiber of D: M -> M[s]: kernel in the source degree, cokernel one below
-    the source degree (long-exact-sequence convention).
-
-    With neither ops nor p supplied the base ring is Z and torsion carries
-    full integer divisors; otherwise divisors are powers of the uniformizer.
-    Each degree's matrix is eliminated once.
-    """
-    over_Z = ops is None and p is None
-    if not over_Z:
-        ops = ops or PLocal(p)
+    the source degree (long-exact-sequence convention). A missing matrix is
+    the zero map; each degree's matrix is eliminated once."""
     module = D.module
 
     def eliminate(d):
-        """(rank, torsion) of D at source degree d: integer divisors > 1 over
-        Z, positive uniformizer exponents otherwise."""
-        src = len(module.basis(d))
-        if not src or not module.basis(d - D.shift):
-            return 0, []
-        if over_Z:
-            return _int_matrix_ranks(D.matrix(d), src)
-        exps, rank, _ = local_snf(ops, D.matrix(d), src)
-        return rank, [e for e in exps if e > 0]
+        return _eliminate(ops, D.matrices.get(d, []), len(module.basis(d)))
 
-    rep = HomologyReport(builder, params or {})
+    homology = {}
     rank_d, _ = eliminate(0)
     for d in range(0, bound + 1):
         rank_up, torsion = eliminate(d + 1)
         free = len(module.basis(d)) - rank_d
         free += len(module.basis(d + 1 - D.shift)) - rank_up
-        torsion = sorted(torsion)
         if free or torsion:
-            if over_Z:
-                rep.add(d, free, torsion)
-            else:
-                rep.add(d, free, _orders(ops.p, torsion), exponents=torsion)
+            homology[d] = (free, torsion)
         rank_d = rank_up
-    return rep
+    return _report(builder, params, homology, ops.p)
 
 
-def chain_homology(dims: dict, mats: dict, bound: int, ops) -> dict:
-    """H_d = ker(m_d)/im(m_(d+1)) for a chain complex given by dimensions and
-    matrices m_d: C_d -> C_(d-1). A missing m_d is the zero map, passed as a
-    matrix with no rows so that nothing is eliminated. Returns degree ->
-    (free, exponents)."""
-    out = {}
-    for d in range(0, bound + 1):
-        nd = dims.get(d, 0)
-        if nd == 0:
+def homology_of_pair(ncols_A: int, elim_A: tuple, elim_B: tuple) -> tuple:
+    """ker(A)/im(B) for A*B = 0, A with ncols_A columns, from the eliminations
+    (rank, positive exponents) of A and B: (free rank, torsion exponents)."""
+    (rank_A, _), (rank_B, torsion) = elim_A, elim_B
+    return ncols_A - rank_A - rank_B, torsion
+
+
+def chain_homology(dims: dict, mats: dict, bound: int, ops) -> tuple:
+    """H_d = ker(m_d)/im(m_(d+1)) for every degree d <= bound of a chain
+    complex given by dimensions and matrices m_d: C_d -> C_(d-1). A missing
+    m_d is the zero map. Each m_d is eliminated once, after checking that
+    m_(d-1)*m_d = 0.
+
+    Returns (homology, eliminations): degree -> (free, exponents) for each
+    nonzero H_d, and degree -> (rank, positive exponents) of m_d for each
+    degree d <= bound + 1 of the complex.
+    """
+    elim = {}
+    for d in sorted(dims):
+        if d > bound + 1:
+            break
+        m, below = mats.get(d, []), mats.get(d - 1, [])
+        if m and below and any(not ops.is_zero(x) for row in
+                               matrix_product(ops, below, m, dims[d]) for x in row):
+            raise InvalidInputError("maps do not compose to zero")
+        elim[d] = _eliminate(ops, m, dims[d])
+    homology = {}
+    for d in elim:
+        if d > bound:
             continue
-        free, torsion = homology_of_pair(ops, mats.get(d, []), nd,
-                                         mats.get(d + 1, []), dims.get(d + 1, 0))
+        free, torsion = homology_of_pair(dims[d], elim[d], elim.get(d + 1, (0, [])))
         if free or torsion:
-            out[d] = (free, torsion)
-    return out
+            homology[d] = (free, torsion)
+    return homology, elim
 
 
 def graded_map_chain_homology(D: GradedLinearMap, bound: int, ops,
@@ -285,36 +276,21 @@ def graded_map_chain_homology(D: GradedLinearMap, bound: int, ops,
     """Chain homology of a square-zero degree-(-1) differential."""
     if D.shift != 1:
         raise InvalidInputError("chain differential must have shift 1")
-    module = D.module
-    dims = {d: len(module.basis(d)) for d in module.bases}
-    rep = HomologyReport(builder, params)
-    hom = chain_homology(dims, D.matrices, bound, ops)
-    for d in sorted(hom):
-        free, torsion = hom[d]
-        rep.add(d, free, _orders(ops.p, torsion), exponents=torsion)
-    return rep
+    dims = {d: len(basis) for d, basis in D.module.bases.items()}
+    homology, _ = chain_homology(dims, D.matrices, bound, ops)
+    return _report(builder, params, homology, ops.p)
 
 
-def cube_total_fiber(operators, bound: int, ops=None, p: int = None,
+def cube_total_fiber(operators, bound: int, ops,
                      builder: str = "cube", params: dict = None) -> HomologyReport:
     """Total fiber of a strictly commuting cube of degree-shifting operators
     (a list of GradedLinearMaps on one module): the Koszul-style total
-    complex, then exact chain homology. Operators that do not commute raise
-    InvalidInputError.
+    complex, then exact chain homology. A total complex that is not square
+    zero (operators that do not commute in a degree the homology up to bound
+    reads) raises InvalidInputError.
     """
-    ops = ops or PLocal(p)
     n = len(operators)
     module = operators[0].module
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            A, B = operators[i], operators[j]
-            for d in module.bases:
-                cols = len(module.basis(d))
-                left = matrix_product(ops, B.matrix(d - A.shift), A.matrix(d), cols)
-                right = matrix_product(ops, A.matrix(d - B.shift), B.matrix(d), cols)
-                if left != right:
-                    raise InvalidInputError(f"cube operators do not commute in degree {d}")
 
     shifts = [op.shift for op in operators]
     subsets = list(range(1 << n))
@@ -364,22 +340,12 @@ def cube_total_fiber(operators, bound: int, ops=None, p: int = None,
                             )
         return M, n_src
 
-    rep = HomologyReport(builder, params or {})
     lo = min(module.bases) - n if module.bases else 0
-    above = None  # (degree, matrix, columns) of the last total matrix built
-    for d in range(lo, bound + 1):
-        if above and above[0] == d:
-            A, n_src = above[1:]
-        else:
-            A, n_src = total_matrix(d)
-        if n_src == 0:
-            continue
-        B, n_up = total_matrix(d + 1)
-        above = (d + 1, B, n_up)
-        free, torsion = homology_of_pair(ops, A, n_src, B, n_up)
-        if free or torsion:
-            rep.add(d, free, _orders(ops.p, torsion), exponents=torsion)
-    return rep
+    dims, mats = {}, {}
+    for d in range(lo, bound + 2):
+        mats[d], dims[d] = total_matrix(d)
+    homology, _ = chain_homology(dims, mats, bound, ops)
+    return _report(builder, params, homology, ops.p)
 
 
 # ---------------------------------------------------------------------------
@@ -448,26 +414,20 @@ def build_serre_cmn(p: int, n: int, bound: int) -> HomologyReport:
 
 def build_perfectoid_serre(p: int, bound: int) -> dict:
     """Homology of the divided-power model with the degree-lowering operator,
-    plus the kernel ranks of the even-to-odd matrices at degrees 2np."""
+    plus the kernel rank and surjectivity of the even-to-odd matrix at each
+    degree 2np <= bound, read from the same eliminations."""
     D = theta_perfectoid(p, bound + 2)
-    ops = PLocal(p)
-    rep = graded_map_chain_homology(D, bound, ops, "perfectoid_serre",
-                                    {"p": p, "bound": bound})
+    dims = {d: len(basis) for d, basis in D.module.bases.items()}
+    homology, elim = chain_homology(dims, D.matrices, bound, PLocal(p))
+    rep = _report("perfectoid_serre", {"p": p, "bound": bound}, homology, p)
     if not D.meta.get("valuation_identity", True):
         rep.notes.append("generator-value valuation identity failed")
     kernel_ranks = {}
     surjective = {}
-    module = D.module
-    n_idx = 1
-    while 2 * n_idx * p <= bound:
-        d = 2 * n_idx * p
-        src = len(module.basis(d))
-        tgt = len(module.basis(d - 1))
-        A = D.matrix(d)
-        exps, rank, _ = local_snf(ops, A, src)
-        kernel_ranks[d] = src - rank
-        surjective[d] = rank == tgt and all(e == 0 for e in exps)
-        n_idx += 1
+    for d in range(2 * p, bound + 1, 2 * p):
+        rank, torsion = elim.get(d, (0, []))
+        kernel_ranks[d] = len(D.module.basis(d)) - rank
+        surjective[d] = rank == len(D.module.basis(d - 1)) and not torsion
     return {"homology": rep, "kernel_ranks": kernel_ranks, "surjective": surjective}
 
 
@@ -511,9 +471,8 @@ def omega2yn_cohomology(p: int, n: int, bound: int) -> HomologyReport:
             mat[j + 1][j] += Fraction(j + 1)
             # -p^(n-1) c * gamma_j c^(k-1-j)
             mat[j][j] -= Fraction(p ** (n - 1))
-        exps, rank, _ = local_snf(ops, mat, src)
+        rank, torsion = _eliminate(ops, mat, src)
         free = tgt - rank
-        torsion = sorted(e for e in exps if e > 0)
         rep.add(2 * k, free, _orders(p, torsion), exponents=torsion)
     return rep
 

@@ -156,6 +156,23 @@ def test_weyl_M0_is_honoured(capsys, monkeypatch):
     assert bounds and set(bounds) == {0}
 
 
+def test_honda_raising_p_series_is_a_fail_row(capsys, monkeypatch):
+    import wittsen.fgl as fgl
+
+    def raising(p, n, bound):
+        raise fgl.InvalidFGLError(None, "honda p-series is not v*x^(p^n)")
+
+    monkeypatch.setattr(fgl, "honda_p_series", raising)
+    code, out = run_main(["fgl", "honda", "--json"], capsys)
+    assert code == 1
+    row = json.loads(out)["checks"][0]
+    assert row["name"] == "fgl.honda" and row["status"] == "fail"
+    p, n, m = targets.HONDA_GRID[0]
+    assert row["counterexample"] == {
+        "p": p, "n": n, "m": m, "ok": False,
+        "error": "honda p-series is not v*x^(p^n)"}
+
+
 # ---------------------------------------------------------------------------
 # full report
 

@@ -1,3 +1,4 @@
+import gc
 import random
 from fractions import Fraction
 from math import comb
@@ -295,6 +296,23 @@ def test_delta_ring_check_p3():
 def test_delta_ring_check_base_case_p2():
     rep = delta_ring_check(2, 1, 1, K=10, N=8)
     assert rep["all_ok"]
+
+
+def test_envelope_lattice_leaves_no_reference_cycles():
+    # the envelope generators must be freed with the lattice, not held by a
+    # reference cycle until the next cyclic collection
+    ctx = DeltaRingContext(3, 12)
+    iters = [ctx.u ** 2 * ctx.d_inv]
+    for _ in range(3):
+        iters.append(ctx.delta(iters[-1]))
+    gc.collect()
+    gc.disable()
+    try:
+        lattice = _envelope_lattice(ctx, iters, 12)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert len(lattice.basis) == 12
 
 
 def test_delta_ring_check_precision_guard():

@@ -5,7 +5,7 @@ from math import comb
 import pytest
 
 from wittsen.dpops import GradedLinearMap, GradedModule, psi_eigenvalues
-from wittsen.exactalg import InvalidInputError, PLocalOps, int_valuation
+from wittsen.exactalg import InvalidInputError, PLocalOps, int_valuation, matrix_product
 from wittsen.fgl import f_derham_complex, fgl_construct, q_integer
 from wittsen.senhom import (
     DVRDescriptor,
@@ -16,6 +16,7 @@ from wittsen.senhom import (
     build_perfectoid_serre,
     build_serre_cmn,
     build_zpn_serre,
+    chain_homology,
     cube_total_fiber,
     fderham_cohomology,
     omega2yn_cohomology,
@@ -66,26 +67,31 @@ def rank1_module(degree):
 def test_two_term_zero_map():
     gm = rank1_module(4)
     D = GradedLinearMap(gm, 2, {})
-    rep = two_term_homology(D, 10)
-    assert entry(rep, 4) == {"degree": 4, "free_rank": 1, "torsion": []}
-    assert entry(rep, 5) == {"degree": 5, "free_rank": 1, "torsion": []}
+    rep = two_term_homology(D, 10, PLocalOps(3))
+    for d in (4, 5):
+        assert entry(rep, d) == {"degree": d, "free_rank": 1, "torsion": [],
+                                 "exponents": []}
 
 
 def test_two_term_multiplication_by_six():
     gm = GradedModule({2: ["a"], 0: ["b"]})
     D = GradedLinearMap(gm, 2, {2: [[6]]})
-    rep = two_term_homology(D, 10)
-    assert entry(rep, 1)["torsion"] == [6]
-    assert entry(rep, 1)["free_rank"] == 0
+    for p, torsion in ((2, [2]), (3, [3]), (5, [])):
+        rep = two_term_homology(D, 10, PLocalOps(p))
+        assert entry(rep, 1)["torsion"] == torsion, p
+        assert entry(rep, 1)["free_rank"] == 0
 
 
 def test_two_term_diag_2_0():
     gm = GradedModule({2: ["a", "b"], 0: ["c", "d"]})
     D = GradedLinearMap(gm, 2, {2: [[2, 0], [0, 0]]})
-    rep = two_term_homology(D, 10)
+    rep = two_term_homology(D, 10, PLocalOps(2))
     assert entry(rep, 2)["free_rank"] == 1          # kernel rank 1
-    assert entry(rep, 1)["torsion"] == [2]          # coker Z/2 + Z
+    assert entry(rep, 1)["torsion"] == [2]          # coker Z_(2)/2 + Z_(2)
     assert entry(rep, 1)["free_rank"] == 1
+    rep = two_term_homology(D, 10, PLocalOps(3))   # 2 is a unit at p = 3
+    assert entry(rep, 1) == {"degree": 1, "free_rank": 1, "torsion": [],
+                             "exponents": []}
 
 
 # ---------------------------------------------------------------------------
@@ -95,7 +101,7 @@ def test_cube_zero_operators_binomial_pattern():
     for n in (1, 2, 3):
         gm = rank1_module(6)
         ops_list = [GradedLinearMap(gm, 0, {}) for _ in range(n)]
-        rep = cube_total_fiber(ops_list, 10, p=3)
+        rep = cube_total_fiber(ops_list, 10, PLocalOps(3))
         for k in range(n + 1):
             assert entry(rep, 6 - k)["free_rank"] == comb(n, k)
         chi = sum(
@@ -107,8 +113,8 @@ def test_cube_zero_operators_binomial_pattern():
 def test_cube_single_operator_matches_two_term():
     gm = GradedModule({4: ["a"], 2: ["b"], 0: ["c"]})
     D = GradedLinearMap(gm, 2, {4: [[2]], 2: [[3]]})
-    rep_cube = cube_total_fiber([D], 8, p=2)
-    rep_two = two_term_homology(D, 8, p=2)
+    rep_cube = cube_total_fiber([D], 8, PLocalOps(2))
+    rep_two = two_term_homology(D, 8, PLocalOps(2))
     for d in range(0, 8):
         assert entry(rep_cube, d)["free_rank"] == entry(rep_two, d)["free_rank"]
         assert entry(rep_cube, d)["torsion"] == entry(rep_two, d)["torsion"]
@@ -124,8 +130,8 @@ def test_cube_scalar_operators_order_permutation_invariant():
             ops_list = [
                 GradedLinearMap(gm, 0, {0: [[Fraction(s)]]}) for s in scalars
             ]
-            rep1 = cube_total_fiber(ops_list, 2, p=p)
-            rep2 = cube_total_fiber(list(reversed(ops_list)), 2, p=p)
+            rep1 = cube_total_fiber(ops_list, 2, PLocalOps(p))
+            rep2 = cube_total_fiber(list(reversed(ops_list)), 2, PLocalOps(p))
             assert [
                 (r["degree"], r["free_rank"], r["torsion"]) for r in rep1.degrees
             ] == [
@@ -138,7 +144,7 @@ def test_cube_commutation_required():
     M1 = GradedLinearMap(gm, 0, {0: [[0, 1], [0, 0]]})
     M2 = GradedLinearMap(gm, 0, {0: [[0, 0], [1, 0]]})
     with pytest.raises(InvalidInputError):
-        cube_total_fiber([M1, M2], 2, p=2)
+        cube_total_fiber([M1, M2], 2, PLocalOps(2))
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +398,7 @@ def test_local_snf_matches_integer_snf_p_parts():
         expected = sorted(
             int_valuation(p, d) for d in dec.divisors if d != 0
         )
-        exps, rank, _ = local_snf(
+        exps, rank = local_snf(
             PLocalOps(p), [[Fraction(x) for x in r] for r in rows], m
         )
         assert rank == sum(1 for d in dec.divisors if d != 0)
@@ -400,67 +406,223 @@ def test_local_snf_matches_integer_snf_p_parts():
 
 
 def test_double_entry_bookkeeping():
-    # free rank + torsion length of ker(A)/im(B) matches the SNF rank data
-    from wittsen.senhom import homology_of_pair
+    # free rank + torsion of H_0 = C_0/im(m_1) and H_1 = ker(m_1) match the
+    # SNF rank data of m_1 (m_0 is the zero map: ker = everything)
+    from wittsen.exactalg import local_snf
 
     rng = random.Random(101)
     ops = PLocalOps(3)
-    from fractions import Fraction
     for _ in range(25):
         dim1, dim0 = rng.randrange(1, 5), rng.randrange(1, 5)
         B = [[Fraction(rng.randrange(-9, 10)) for _ in range(dim1)]
              for _ in range(dim0)]
-        A = [[Fraction(0)] * dim0]  # zero map out: ker = everything
-        free, torsion = homology_of_pair(ops, A, dim0, B, dim1)
-        from wittsen.exactalg import local_snf
-        exps, rank, _ = local_snf(ops, B, dim1)
-        assert free == dim0 - rank
-        assert len(torsion) == sum(1 for e in exps if e > 0)
+        homology, elim = chain_homology({0: dim0, 1: dim1}, {1: B}, 1, ops)
+        exps, rank = local_snf(ops, B, dim1)
+        torsion = [e for e in exps if e > 0]
+        assert elim[1] == (rank, torsion)
+        assert homology.get(0, (0, [])) == (dim0 - rank, torsion)
+        assert homology.get(1, (0, [])) == (dim1 - rank, [])
 
 
 def test_two_term_complex_type():
+    # the same complex over three local rings: Z_(2), Z_(3), and
+    # Z_(3)[u]/(u^2 - 3), where 6 = 2u^2 has valuation 2
     gm = GradedModule({2: ["a"], 0: ["b"]})
     D = GradedLinearMap(gm, 2, {2: [[6]]})
-    rep = two_term_homology(D, 10)
-    assert entry(rep, 1)["torsion"] == [6]
-    rep_p = two_term_homology(D, 10, p=3)
-    assert entry(rep_p, 1)["torsion"] == [3]
+    assert entry(two_term_homology(D, 10, PLocalOps(2)), 1)["exponents"] == [1]
+    assert entry(two_term_homology(D, 10, PLocalOps(3)), 1)["torsion"] == [3]
+    R = Eisenstein(3, [-3, 0, 1])
+    DR = GradedLinearMap(gm, 2, {2: [[R.scalar(6)]]})
+    row = entry(two_term_homology(DR, 10, R), 1)
+    assert row["exponents"] == [2] and row["free_rank"] == 0
 
 
-def test_two_term_eliminates_each_degree_once(monkeypatch):
+def counting_local_snf(monkeypatch):
+    """Wrap senhom.local_snf; the returned list holds every matrix it is
+    given (kept alive, so identities are never reused)."""
     import wittsen.senhom as senhom
 
     seen = []
     real = senhom.local_snf
 
     def counting(ops, rows, ncols=None):
-        seen.append(id(rows))
+        seen.append(rows)
         return real(ops, rows, ncols)
 
     monkeypatch.setattr(senhom, "local_snf", counting)
+    return seen
+
+
+def test_two_term_eliminates_each_degree_once(monkeypatch):
+    seen = counting_local_snf(monkeypatch)
     gm = GradedModule({2 * k: ["e"] for k in range(8)})
     D = GradedLinearMap(gm, 2, {2 * k: [[Fraction(3 * k)]] for k in range(1, 8)})
-    rep = two_term_homology(D, 14, p=3)
-    assert len(seen) == len(set(seen)) == 7       # degrees 2, 4, ..., 14
+    rep = two_term_homology(D, 14, PLocalOps(3))
+    assert len(seen) == len({id(m) for m in seen}) == 7   # degrees 2, 4, ..., 14
     assert entry(rep, 5)["torsion"] == [9]        # coker of 9 at degree 6
     assert entry(rep, 0)["free_rank"] == 1
 
 
 def test_chain_homology_eliminates_no_zero_matrix(monkeypatch):
-    # degrees without a differential are the zero map with no rows; the
-    # parent eliminated a zero-filled matrix for each of them
-    import wittsen.senhom as senhom
-
-    zero_filled = []
-    real = senhom.local_snf
-
-    def watching(ops, rows, ncols=None):
-        if rows and all(ops.is_zero(x) for row in rows for x in row):
-            zero_filled.append((len(rows), ncols))
-        return real(ops, rows, ncols)
-
-    monkeypatch.setattr(senhom, "local_snf", watching)
+    # degrees without a differential are the zero map with no rows, so no
+    # zero-filled matrix is eliminated for them
+    seen = counting_local_snf(monkeypatch)
     zpn = build_zpn_serre(3, 2, 12)
     perf = build_perfectoid_serre(3, 12)
-    assert zero_filled == []
+    assert not [m for m in seen if m and all(x == 0 for row in m for x in row)]
     assert zpn.degrees and perf["homology"].degrees
+
+
+# ---------------------------------------------------------------------------
+# engine oracle: planted homology, Koszul closed forms, square-zero check
+
+def unimodular(rng, n):
+    """A random integer matrix of determinant 1 and its inverse, built from
+    elementary row operations."""
+    U = [[int(i == j) for j in range(n)] for i in range(n)]
+    Uinv = [row[:] for row in U]
+    for _ in range(3 * n if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        c = rng.randrange(-3, 4)
+        U[i] = [x + c * y for x, y in zip(U[i], U[j])]        # U <- E U
+        for row in Uinv:                                      # Uinv <- Uinv E^-1
+            row[j] -= c * row[i]
+    return U, Uinv
+
+
+def planted_complex(rng, ops, lift, pi, top):
+    """A chain complex on degrees 0..top with planted homology: free summands
+    plus elementary complexes R --unit*pi^e--> R, conjugated in each degree by
+    a random unimodular integer matrix. Returns dims, mats and the expected
+    chain_homology result."""
+    free = {d: rng.randrange(0, 3) for d in range(top + 1)}
+    pieces = {d: [rng.randrange(0, 4) for _ in range(rng.randrange(0, 3))]
+              for d in range(1, top + 1)}
+    pieces[0] = pieces[top + 1] = []
+    dims = {d: free[d] + len(pieces[d]) + len(pieces[d + 1]) for d in range(top + 1)}
+    # basis of C_d: free summands, sources of pieces d -> d-1, targets of d+1 -> d
+    change = {d: unimodular(rng, dims[d]) for d in range(top + 1)}
+    mats = {}
+    for d in range(1, top + 1):
+        if not pieces[d]:
+            continue
+        m = [[ops.zero] * dims[d] for _ in range(dims[d - 1])]
+        for k, e in enumerate(pieces[d]):
+            x = lift(rng.choice([1, -1, 7, -11]))     # a unit for p = 2, 3, 5
+            for _ in range(e):
+                x = ops.mul(x, pi)
+            m[free[d - 1] + len(pieces[d - 1]) + k][free[d] + k] = x
+        U, _ = change[d - 1]
+        _, Vinv = change[d]
+        U = [[lift(x) for x in row] for row in U]
+        Vinv = [[lift(x) for x in row] for row in Vinv]
+        mats[d] = matrix_product(ops, matrix_product(ops, U, m, dims[d]), Vinv, dims[d])
+    homology = {}
+    for d in range(top + 1):
+        torsion = sorted(e for e in pieces[d + 1] if e > 0)
+        if free[d] or torsion:
+            homology[d] = (free[d], torsion)
+    return dims, mats, homology
+
+
+def engine_rings():
+    """(ops, integer lift, uniformizer): Z_(p), Z_(3)[u]/(u^2 - 3) and
+    Z_(2)[u]/(u^3 + 2u - 2)."""
+    for p in (2, 3, 5):
+        yield PLocalOps(p), Fraction, Fraction(p)
+    for p, E in ((3, [-3, 0, 1]), (2, [-2, 2, 0, 1])):
+        R = Eisenstein(p, E)
+        yield R, R.scalar, R.uniformizer()
+
+
+def test_chain_homology_recovers_planted_homology():
+    rng = random.Random(211)
+    for ops, lift, pi in engine_rings():
+        for _ in range(8):
+            dims, mats, want = planted_complex(rng, ops, lift, pi, 4)
+            homology, elim = chain_homology(dims, mats, 4, ops)
+            assert homology == want, (ops.p, dims)
+
+
+def test_chain_homology_eliminates_each_matrix_once(monkeypatch):
+    rng = random.Random(223)
+    dims, mats, want = planted_complex(rng, PLocalOps(3), Fraction, Fraction(3), 5)
+    seen = counting_local_snf(monkeypatch)
+    homology, _ = chain_homology(dims, mats, 5, PLocalOps(3))
+    assert homology == want
+    eliminated = sorted(id(m) for m in seen)
+    assert eliminated == sorted(id(m) for d, m in mats.items() if m and dims[d])
+
+
+def koszul_closed_form(p, scalars):
+    """Homology of the Koszul complex of scalars over Z_(p), in the cube's
+    degrees -k: with v the least valuation, (R/p^v)^C(n-1, k-1) for
+    k = 1..n; all scalars zero give R^C(n, k) for k = 0..n."""
+    n = len(scalars)
+    vals = [vp(p, int(s)) for s in scalars if s]
+    if not vals:
+        return {-k: (comb(n, k), []) for k in range(n + 1)}
+    v = min(vals)
+    return {-k: (0, [v] * comb(n - 1, k - 1)) for k in range(1, n + 1) if v}
+
+
+def test_cube_scalar_operators_match_koszul_closed_form():
+    rng = random.Random(227)
+    gm = rank1_module(0)
+    for p in (2, 3, 5):
+        for _ in range(10):
+            n = rng.randrange(1, 4)
+            scalars = [rng.choice([0, 1, 2, 3, 4, 6, 9, 12, 25, 27]) * rng.choice([1, -1])
+                       for _ in range(n)]
+            ops_list = [GradedLinearMap(gm, 0, {0: [[Fraction(c)]]}) for c in scalars]
+            rep = cube_total_fiber(ops_list, 2, PLocalOps(p))
+            got = {r["degree"]: (r["free_rank"], r["exponents"]) for r in rep.degrees}
+            assert got == koszul_closed_form(p, scalars), (p, scalars)
+
+
+def test_cube_eliminates_each_total_matrix_once(monkeypatch):
+    # the Koszul complex of n scalars has n nonzero differentials
+    seen = counting_local_snf(monkeypatch)
+    gm = rank1_module(0)
+    for n in (1, 2, 3):
+        del seen[:]
+        ops_list = [GradedLinearMap(gm, 0, {0: [[Fraction(3 ** (i + 1))]]})
+                    for i in range(n)]
+        rep = cube_total_fiber(ops_list, 2, PLocalOps(3))
+        assert len(seen) == len({id(m) for m in seen}) == n
+        assert entry(rep, -n)["exponents"] == [1]
+
+
+def test_perfectoid_eliminates_each_matrix_once(monkeypatch):
+    import wittsen.senhom as senhom
+
+    built = []
+    real_theta = senhom.theta_perfectoid
+
+    def capture(*args):
+        built.append(real_theta(*args))
+        return built[-1]
+
+    monkeypatch.setattr(senhom, "theta_perfectoid", capture)
+    seen = counting_local_snf(monkeypatch)
+    out = build_perfectoid_serre(3, 12)
+    matrices = [id(m) for m in built[0].matrices.values()]
+    assert len(seen) == len({id(m) for m in seen})
+    assert all(id(m) in matrices for m in seen)
+    assert sorted(out["kernel_ranks"]) == [6, 12]
+    assert all(out["surjective"].values())
+
+
+def test_chain_homology_requires_square_zero():
+    ops = PLocalOps(3)
+    with pytest.raises(InvalidInputError, match="compose to zero"):
+        chain_homology({0: 1, 1: 1, 2: 1}, {1: [[Fraction(1)]], 2: [[Fraction(3)]]}, 2, ops)
+    # a square-zero pair, then one entry of m_2 perturbed
+    dims = {0: 2, 1: 2, 2: 2}
+    m1 = [[Fraction(3), Fraction(0)], [Fraction(0), Fraction(0)]]
+    m2 = [[Fraction(0), Fraction(0)], [Fraction(0), Fraction(9)]]
+    assert chain_homology(dims, {1: m1, 2: m2}, 2, ops)[0] == {
+        0: (1, [1]), 1: (0, [2]), 2: (1, [])}
+    m2[0][1] = Fraction(1)
+    with pytest.raises(InvalidInputError, match="compose to zero"):
+        chain_homology(dims, {1: m1, 2: m2}, 2, ops)
