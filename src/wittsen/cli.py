@@ -1,16 +1,18 @@
 """Command-line surface: named checks over the witt / fgl / dpops / senhom
 modules, emitted as deterministic text or JSON reports.
 
-Exit codes: 0 all pass (or skipped), 1 some check failed, 2 usage error.
+Exit codes: 0 all pass (or skipped), 1 some check failed (the row carries a
+counterexample), 2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import __version__, targets
@@ -27,12 +29,15 @@ from . import fgl as FG
 from . import dpops as DP
 from . import senhom as SH
 
-DEFAULTS = {"p": 3, "N": 12, "L": 6, "D": 40, "K": 18}
 REPORT_SEED = 74207281
 
 
 @dataclass
 class RunConfig:
+    """The settings a document echoes. The report's checks read L and K; a
+    given -p or -D is echoed here too. N is a precision label only: no
+    computation reads it."""
+
     p: int = 3
     N: int = 12
     L: int = 6
@@ -40,14 +45,6 @@ class RunConfig:
     K: int = 18
     fmt: str = "text"
     out: str = None
-    extra: dict = field(default_factory=dict)
-
-    def validate(self):
-        if not is_prime(self.p):
-            raise InvalidInputError(f"{self.p} is not prime")
-        for name in ("N", "L", "D", "K"):
-            if getattr(self, name) < 1:
-                raise InvalidInputError(f"{name} must be >= 1")
 
     def echo(self):
         return {"p": self.p, "N": self.N, "L": self.L, "D": self.D, "K": self.K}
@@ -92,39 +89,38 @@ def check_gabber(cfg: RunConfig):
         W.gabber_y(p, L).components == comps
         for (p, L), comps in targets.GABBER_Y_SMALL.items()
     )
-    ok = all(r["holds"] for r in rows) and small_ok
-    bad = next((r for r in rows if not r["holds"]), None)
-    return check("witt.gabber", ok, {"cases": rows, "small_values_ok": small_ok}, bad)
+    bad = next((r for r in rows if not r["holds"]),
+               None if small_ok else {"small_values": targets.GABBER_Y_SMALL})
+    return check("witt.gabber", bad is None,
+                 {"cases": rows, "small_values_ok": small_ok}, bad)
 
 
 def check_pn_vanishing(cfg: RunConfig):
     rows = [W.check_pn_vanishing(p, n, targets.PN_VANISHING_LENGTH)
             for p, n in targets.PN_VANISHING_GRID]
-    ok = all(r["holds"] for r in rows)
-    return check("witt.pn-vanishing", ok, {"cases": rows},
-                 next((r for r in rows if not r["holds"]), None))
+    bad = next((r for r in rows if not r["holds"]), None)
+    return check("witt.pn-vanishing", bad is None, {"cases": rows}, bad)
 
 
 def check_solve_frobenius(cfg: RunConfig):
     payload = {}
-    ok = True
+    bad = None
     for p in targets.FROBENIUS_PREIMAGE_ODD:
         res = W.solve_frobenius(W.gabber_y(p, cfg.L))
+        payload[f"p{p}"] = {"success": res.success,
+                            "side_conditions": res.side_conditions}
         good = (res.success and res.side_conditions["x0_mod_p"] == 1
                 and res.side_conditions["higher_components_div_p"]
                 and res.side_conditions["ghost_all_one_mod_p"])
-        payload[f"p{p}"] = {"success": res.success,
-                            "side_conditions": res.side_conditions}
-        ok = ok and good
+        bad = bad or (None if good else {"p": p, **payload[f"p{p}"]})
     res2 = W.solve_frobenius(W.gabber_y(2, cfg.L))
     wit = targets.FROBENIUS_PREIMAGE_FAIL_WITNESS
+    payload["p2"] = {"stage": res2.stage, "witness": res2.witness}
     fail_ok = (not res2.success
                and res2.stage == targets.FROBENIUS_PREIMAGE_FAIL_STAGE
-               and res2.witness["lhs_coefficient"] == wit["lhs_coefficient"]
-               and res2.witness["rhs_balanced"] == wit["rhs_balanced"]
-               and res2.witness["modulus"] == wit["modulus"])
-    payload["p2"] = {"stage": res2.stage, "witness": res2.witness}
-    ok = ok and fail_ok
+               and all(res2.witness[k] == wit[k]
+                       for k in ("lhs_coefficient", "rhs_balanced", "modulus")))
+    bad = bad or (None if fail_ok else {"p": 2, **payload["p2"], "want": wit})
     for m in targets.FROBENIUS_PREIMAGE_TEICH_POWERS:
         ctx = W.WittContext(2, cfg.L)
         y = W.witt_mul(W.gabber_y(2, cfg.L), W.teichmuller(2**m, ctx))
@@ -134,19 +130,17 @@ def check_solve_frobenius(cfg: RunConfig):
                                     "all_components_div_p":
                                     res3.side_conditions["all_components_div_p"]
                                     if res3.success else None}
-        ok = ok and good
-    return check("witt.solve-frobenius", ok, payload)
+        bad = bad or (None if good else {"p": 2, "teichmuller_power": m,
+                                         **payload[f"p2_teich_{m}"]})
+    return check("witt.solve-frobenius", bad is None, payload, bad)
 
 
 def check_frobenius_of_p(cfg: RunConfig):
     rows = [W.frobenius_of_p_identity(p, 4) for p in (2, 3, 5)]
-    ok = all(
+    bad = next((r for r in rows if not (
         r["holds_p_to_p"] and (r["holds_p_squared"] == (r["p"] == 2))
-        and r["frobenius_fixes_integers"]
-        for r in rows
-    )
-    return check("witt.frobenius-of-p", ok, {"cases": rows},
-                 next((r for r in rows if not r["holds_p_to_p"]), None))
+        and r["frobenius_fixes_integers"])), None)
+    return check("witt.frobenius-of-p", bad is None, {"cases": rows}, bad)
 
 
 def _valid_ghost_tuple(rng, p, n, spread=20):
@@ -159,7 +153,6 @@ def _valid_ghost_tuple(rng, p, n, spread=20):
 
 def check_cartier(cfg: RunConfig):
     rng = random.Random(REPORT_SEED)
-    ok = True
     bad = None
     count = 0
     for p in targets.CARTIER_PRIMES:
@@ -170,11 +163,10 @@ def check_cartier(cfg: RunConfig):
             rep = W.cartier_character(p, a, x, targets.CARTIER_DEGREE,
                                       xprime_scalars=xp)
             good = rep["f_p_integral"] and rep["additivity"] and rep["log_identity"]
-            if not good and bad is None:
-                bad = {"p": p, "a": a, "x": x, "xprime": xp, "report": rep}
-            ok = ok and good
+            if not good:
+                bad = bad or {"p": p, "a": a, "x": x, "xprime": xp, "report": rep}
             count += 1
-    return check("witt.cartier", ok, {"samples": count}, bad)
+    return check("witt.cartier", bad is None, {"samples": count}, bad)
 
 
 def check_dwork(cfg: RunConfig):
@@ -184,26 +176,30 @@ def check_dwork(cfg: RunConfig):
         "zero": [0] * D,
         "two_geometric": [-2 - 2**nn for nn in range(1, D + 1)],
     }
-    payload = {}
-    ok = True
-    for name, xs in cases.items():
-        rep = W.dwork_factorization(xs, D)
-        payload[name] = rep
-        ok = ok and rep["reconstructs"]
-    ok = ok and payload["all_minus_one"]["r"] == [1] + [0] * (D - 1)
-    ok = ok and payload["zero"]["r"] == [0] * D
-    return check("witt.dwork", ok, payload)
+    payload = {name: W.dwork_factorization(xs, D) for name, xs in cases.items()}
+    want_r = {"all_minus_one": [1] + [0] * (D - 1), "zero": [0] * D}
+    bad = next(({"case": name, "report": rep, "want_r": want_r.get(name)}
+                for name, rep in payload.items()
+                if not rep["reconstructs"] or rep["r"] != want_r.get(name, rep["r"])),
+               None)
+    return check("witt.dwork", bad is None, payload, bad)
 
 
 # ---------------------------------------------------------------------------
 # fgl checks
 
 
-def check_q_identity(cfg: RunConfig, n_max=None):
-    if n_max is None:
-        n_max = targets.Q_IDENTITY_MAX
-    elif n_max < 1:
-        raise InvalidInputError("--n-max must be >= 1")
+def check_nseries(cfg: RunConfig, kind="additive", m=2, D=40, p=3, n=1):
+    if kind == "honda":
+        F = FG.fgl_construct("honda", max(8, D // 4), p=p, n=n)
+    else:  # for m >= 0, [m](x) is a polynomial of degree at most m
+        F = FG.fgl_construct(kind, D if m < 0 else min(D, m + 2),
+                             lam="lam" if kind == "multiplicative" else None)
+    return check("fgl.nseries", True,
+                 {"kind": kind, "m": m, "series": repr(FG.n_series(F, m))})
+
+
+def check_q_identity(cfg: RunConfig, n_max=targets.Q_IDENTITY_MAX):
     F = FG.fgl_construct("multiplicative", n_max + 1, lam="lam")
     bad = None
     for m in range(1, n_max + 1):
@@ -216,44 +212,44 @@ def check_q_identity(cfg: RunConfig, n_max=None):
 
 def check_honda(cfg: RunConfig):
     rows = []
-    ok = True
     for p, n, m in targets.HONDA_GRID:
         try:
             data = FG.honda_pm_divided_series(p, n, m)
         except FG.InvalidFGLError as exc:
             rows.append({"p": p, "n": n, "m": m, "error": str(exc), "ok": False})
-            ok = False
             continue
         rows.append({"p": p, "n": n, "m": m,
                      "v_exponent": data["v_exponent"],
                      "h_exponent": data["h_exponent"],
                      "ok": data["matches_closed_form"]})
-        ok = ok and data["matches_closed_form"]
-    return check("fgl.honda", ok, {"cases": rows},
-                 next((r for r in rows if not r["ok"]), None))
+    bad = next((r for r in rows if not r["ok"]), None)
+    return check("fgl.honda", bad is None, {"cases": rows}, bad)
 
 
 def check_right_unit(cfg: RunConfig):
     payload = {}
-    ok = True
+    bad = None
     for p in (2, 3):
         eta = FG.bp_right_unit(p, 2)
         ring = eta[1].ring
         v1 = FG.TruncPoly.var(ring, "v1")
         t1 = FG.TruncPoly.var(ring, "t1")
-        ok = ok and eta[1] == v1 + p * t1
         payload[f"eta_v1_p{p}"] = repr(eta[1])
+        if eta[1] != v1 + p * t1:
+            bad = bad or {"p": p, "eta_v1": eta[1], "want": v1 + p * t1}
     eta = FG.bp_right_unit(2, 2)
     ring = eta[1].ring
     v1, v2 = FG.TruncPoly.var(ring, "v1"), FG.TruncPoly.var(ring, "v2")
     t1, t2 = FG.TruncPoly.var(ring, "t1"), FG.TruncPoly.var(ring, "t2")
     combo = (eta[1] ** 2 - v1**2).map_coeffs(lambda c: Fraction(c, 4))
-    ok = ok and combo == t1**2 + v1 * t1
+    if combo != t1**2 + v1 * t1:
+        bad = bad or {"quarter_combination": combo, "want": t1**2 + v1 * t1}
     expected_v2 = v2 - 5 * v1 * t1**2 - 3 * v1**2 * t1 + 2 * t2 - 4 * t1**3
-    ok = ok and eta[2] == expected_v2
+    if eta[2] != expected_v2:
+        bad = bad or {"eta_v2_p2": eta[2], "want": expected_v2}
     payload["eta_v2_p2"] = repr(eta[2])
     payload["quarter_combination"] = repr(combo)
-    return check("fgl.right-unit", ok, payload)
+    return check("fgl.right-unit", bad is None, payload, bad)
 
 
 def check_b4(cfg: RunConfig):
@@ -266,19 +262,21 @@ def check_b4(cfg: RunConfig):
     exact = b4 == expected
     sign_flipped = (not exact) and (b4 == -expected)
     homogeneous = FG.polynomial_degree(b4) == {8}
-    ok = exact and homogeneous
     payload = {"polynomial": repr(b4), "exact_match": exact,
                "sign_flipped_match": sign_flipped, "homogeneous": homogeneous}
-    return check("fgl.b4", ok, payload)
+    return check("fgl.b4", exact and homogeneous, payload,
+                 {"polynomial": b4, "want": expected, "homogeneous": homogeneous})
 
 
 def check_fderham(cfg: RunConfig):
-    ok = True
+    bad = None
     payload = {}
     F = FG.fgl_construct("additive", 8)
     rep = SH.fderham_cohomology(FG.f_derham_complex(F, 5, 6))
     for m in range(1, 6):
-        ok = ok and rep["weights"][m]["divisors"] == [m] * 6
+        if rep["weights"][m]["divisors"] != [m] * 6:
+            bad = bad or {"law": "additive", "weight": m,
+                          "divisors": rep["weights"][m]["divisors"], "want": [m] * 6}
     payload["additive"] = rep["weights"][3]
     Fm = FG.fgl_construct("multiplicative", 8, lam=1)
     repm = SH.fderham_cohomology(FG.f_derham_complex(Fm, 4, 6))
@@ -286,266 +284,217 @@ def check_fderham(cfg: RunConfig):
     for m in range(1, 5):
         mat = SH.multiplication_matrix(FG.q_integer(m, 1, ring), 6)
         expected = [abs(d) for d in smith_normal_form(IntMatrix.from_rows(mat)).divisors]
-        ok = ok and repm["weights"][m]["divisors"] == expected
+        if repm["weights"][m]["divisors"] != expected:
+            bad = bad or {"law": "multiplicative_lambda_1", "weight": m,
+                          "divisors": repm["weights"][m]["divisors"], "want": expected}
     payload["multiplicative_lambda_1"] = repm["weights"][2]
     Fs = FG.fgl_construct("multiplicative", 8, lam="lam")
     reps = SH.fderham_cohomology(FG.f_derham_complex(Fs, 4, 6))
     for m in range(1, 5):
-        ok = ok and reps["weights"][m]["equals_q_integer"]
+        if not reps["weights"][m]["equals_q_integer"]:
+            bad = bad or {"law": "multiplicative_symbolic", "weight": m,
+                          "equals_q_integer": False}
     payload["symbolic_identity"] = True
-    return check("fgl.fderham", ok, payload)
+    return check("fgl.fderham", bad is None, payload, bad)
 
 
 # ---------------------------------------------------------------------------
 # sen checks
 
 
-def check_bokstedt(cfg: RunConfig, p=None, variant="T1", bound=None):
-    ps = [p] if p else list(targets.BOKSTEDT_PRIMES)
-    ok = True
+def check_bokstedt(cfg: RunConfig, p=None, variant="T1", D=None):
     bad = None
     payload = {}
-    for pp in ps:
+    for pp in [p] if p else targets.BOKSTEDT_PRIMES:
         gen = 2 * pp if variant == "T1" else 2
-        top = bound or gen * targets.BOKSTEDT_J_MAX
+        top = D or gen * targets.BOKSTEDT_J_MAX
         rep = SH.build_bokstedt(pp, variant, top)
-        good = rep.entry(0)["free_rank"] == 1
+        if rep.entry(0)["free_rank"] != 1:
+            bad = bad or {"p": pp, "degree": 0, "row": rep.entry(0)}
         for j in range(1, top // gen + 1):
             d = gen * j - 1
             v = int_valuation(pp, j)
             exp = v + 1 if variant == "T1" else v
             expected = [pp**exp] if exp else []
             if rep.entry(d)["torsion"] != expected:
-                good = False
-                if bad is None:
-                    bad = {"p": pp, "j": j, "degree": d,
-                           "got": rep.entry(d)["torsion"], "want": expected}
+                bad = bad or {"p": pp, "j": j, "degree": d,
+                              "got": rep.entry(d)["torsion"], "want": expected}
         payload[f"p{pp}"] = {"degrees_checked": top // gen}
-        ok = ok and good
-    return check(f"sen.bokstedt.{variant}", ok, payload, bad)
+    return check(f"sen.bokstedt.{variant}", bad is None, payload, bad)
 
 
 def check_cmn(cfg: RunConfig):
-    ok = True
     bad = None
     payload = {}
     for p, n in targets.CMN_GRID:
         bound = 2 * p**n * targets.CMN_K_MAX
         rep = SH.build_serre_cmn(p, n, bound)
-        good = rep.entry(0)["free_rank"] == 1
+        if rep.entry(0)["free_rank"] != 1:
+            bad = bad or {"p": p, "n": n, "degree": 0, "row": rep.entry(0)}
         for k in range(1, targets.CMN_K_MAX + 1):
             d = 2 * k * p**n - 1
             expected = [p ** int_valuation(p, p * k)]
             if rep.entry(d)["torsion"] != expected:
-                good = False
-                if bad is None:
-                    bad = {"p": p, "n": n, "k": k,
-                           "got": rep.entry(d)["torsion"], "want": expected}
+                bad = bad or {"p": p, "n": n, "k": k,
+                              "got": rep.entry(d)["torsion"], "want": expected}
         for row in rep.degrees:
             if row["degree"] > 0 and row["degree"] % 2 == 0:
                 if row["free_rank"] or row["torsion"]:
-                    good = False
                     bad = bad or {"even_degree": row}
         payload[f"p{p}_n{n}"] = {"k_max": targets.CMN_K_MAX}
-        ok = ok and good
-    return check("sen.cmn", ok, payload, bad)
+    return check("sen.cmn", bad is None, payload, bad)
 
 
 def check_perfectoid(cfg: RunConfig):
-    ok = True
     bad = None
     payload = {}
     for p in targets.PERFECTOID_PRIMES:
         bound = targets.PERFECTOID_DEGREE_FACTOR * p
         out = SH.build_perfectoid_serre(p, bound)
         rep = out["homology"]
-        good = True
         for d in range(0, bound + 1):
             row = rep.entry(d)
             want_free = 1 if d % 2 == 0 else 0
             if row["free_rank"] != want_free or row["torsion"]:
-                good = False
-                if bad is None:
-                    bad = {"p": p, "degree": d, "row": row}
+                bad = bad or {"p": p, "degree": d, "row": row}
         for d, rank in out["kernel_ranks"].items():
             if rank != 1 or not out["surjective"][d]:
-                good = False
-                if bad is None:
-                    bad = {"p": p, "kernel_degree": d, "rank": rank}
+                bad = bad or {"p": p, "kernel_degree": d, "rank": rank}
         payload[f"p{p}"] = {"bound": bound,
                             "kernel_degrees": sorted(out["kernel_ranks"])}
-        ok = ok and good
-    return check("sen.perfectoid", ok, payload, bad)
+    return check("sen.perfectoid", bad is None, payload, bad)
 
 
-def check_zpn(cfg: RunConfig, p=None):
-    p = p or targets.ZPN_P
+def _zpn_torsion(p, k):
+    return sorted(p ** int_valuation(p, j) for j in range(1, k + 1)
+                  if int_valuation(p, j) > 0)
+
+
+def check_zpn(cfg: RunConfig, p=targets.ZPN_P):
     if p == 2:
         return check("sen.zpn", True,
                      {"reason": "operator defined for odd primes only"},
                      skipped=True)
     bound = 2 * targets.ZPN_K_MAX
     reps = {}
-    ok = True
     bad = None
     for n in targets.ZPN_NS:
-        rep = SH.build_zpn_serre(p, n, bound)
-        reps[n] = rep
+        rep = reps[n] = SH.build_zpn_serre(p, n, bound)
         for k in range(1, targets.ZPN_K_MAX + 1):
-            d = 2 * k - 1
-            expected = sorted(
-                p ** int_valuation(p, j)
-                for j in range(1, k + 1)
-                if int_valuation(p, j) > 0
-            )
-            if rep.entry(d)["torsion"] != expected:
-                ok = False
-                bad = bad or {"n": n, "k": k, "got": rep.entry(d)["torsion"],
+            expected = _zpn_torsion(p, k)
+            if rep.entry(2 * k - 1)["torsion"] != expected:
+                bad = bad or {"n": n, "k": k, "got": rep.entry(2 * k - 1)["torsion"],
                               "want": expected}
         for d in range(0, bound + 1, 2):
             if rep.entry(d)["free_rank"] != 1:
-                ok = False
                 bad = bad or {"n": n, "even_degree": d}
     pair = list(targets.ZPN_NS)
-    same = all(
-        reps[pair[0]].entry(d)["torsion"] == reps[pair[1]].entry(d)["torsion"]
-        and reps[pair[0]].entry(d)["free_rank"] == reps[pair[1]].entry(d)["free_rank"]
-        for d in range(0, bound + 1)
-    )
-    ok = ok and same
-    return check("sen.zpn", ok, {"p": p, "ns": pair, "n_independent": same}, bad)
+    rows = [[(reps[n].entry(d)["free_rank"], reps[n].entry(d)["torsion"])
+             for d in range(0, bound + 1)] for n in pair]
+    if rows[0] != rows[1]:
+        d = next(d for d, (a, b) in enumerate(zip(*rows)) if a != b)
+        bad = bad or {"n_dependent_degree": d, "rows": [reps[n].entry(d) for n in pair]}
+    return check("sen.zpn", bad is None,
+                 {"p": p, "ns": pair, "n_independent": rows[0] == rows[1]}, bad)
 
 
 def check_omega2yn(cfg: RunConfig):
     p = targets.ZPN_P
     bound = 2 * targets.ZPN_K_MAX
-    ok = True
     bad = None
     hom = SH.build_zpn_serre(p, 2, bound + 1)
     for n in targets.ZPN_NS:
         coh = SH.omega2yn_cohomology(p, n, bound)
         for k in range(1, targets.ZPN_K_MAX + 1):
             row = coh.entry(2 * k)
-            expected = sorted(
-                p ** int_valuation(p, j)
-                for j in range(1, k + 1)
-                if int_valuation(p, j) > 0
-            )
+            expected = _zpn_torsion(p, k)
             if row["free_rank"] != 1 or row["torsion"] != expected:
-                ok = False
                 bad = bad or {"n": n, "k": k, "row": row, "want": expected}
             if row["torsion"] != hom.entry(2 * k - 1)["torsion"]:
-                ok = False
                 bad = bad or {"uct_mismatch_at": k, "n": n}
-    return check("sen.omega2yn", ok, {"p": p, "k_max": targets.ZPN_K_MAX}, bad)
+    return check("sen.omega2yn", bad is None, {"p": p, "k_max": targets.ZPN_K_MAX}, bad)
 
 
-def check_dvr(cfg: RunConfig, E=None, p=None):
-    cases = [{"p": p, "E": E}] if E else targets.DVR_CASES
-    ok = True
+def check_dvr(cfg: RunConfig, E=None, p=3):
     bad = None
     payload = {}
-    for case in cases:
+    for case in [{"p": p, "E": E}] if E else targets.DVR_CASES:
         desc = SH.DVRDescriptor(case["p"], cfg.N, case["E"])
         bound = 2 * targets.DVR_J_MAX - 1
         out = SH.build_dvr_square(desc, bound)
         R = desc.ring()
         vE = out["Eprime_valuation"]
-        good = out["consistent"]
-        nab = out["nabla"]
+        if not out["consistent"]:
+            bad = bad or {"case": case, "consistent": False}
         for j in range(1, targets.DVR_J_MAX + 1):
             d = 2 * j - 1
-            if d > bound:
-                break
             row = out["total"].entry(d)
             kj = R.val(R.mul(R.scalar(j), R.from_poly(
                 [i * c for i, c in enumerate(R.E)][1:])))
             if row.get("r_divisors") != ([kj] if kj else []) or not row.get("cyclic"):
-                good = False
                 bad = bad or {"case": case, "j": j, "row": row}
-            nrow = nab.entry(d)
-            want_nab = [vE] * j if vE else []
-            if nrow.get("exponents", []) != want_nab:
-                good = False
+            nrow = out["nabla"].entry(d)
+            if nrow.get("exponents", []) != ([vE] * j if vE else []):
                 bad = bad or {"case": case, "nabla_degree": d, "row": nrow}
-        row_ext = out["total"].entry(2 * case["p"] - 1)
-        if not row_ext.get("extension_order_check"):
-            good = False
+        if not out["total"].entry(2 * case["p"] - 1).get("extension_order_check"):
             bad = bad or {"case": case, "extension_degree": 2 * case["p"] - 1}
         payload[f"p{case['p']}_E{case['E']}"] = {
             "Eprime_valuation": vE,
             "consistent": out["consistent"],
         }
-        ok = ok and good
-    return check("sen.dvr", ok, payload, bad)
+    return check("sen.dvr", bad is None, payload, bad)
 
 
 # ---------------------------------------------------------------------------
 # cartier (operator calculus) checks
 
 
-def check_psi(cfg: RunConfig, p=None, n=None, m=None):
+def check_psi(cfg: RunConfig, m=None, p=3, n=3):
     if m is not None:
-        psi = DP.psi_eigenvalues(p or cfg.p, 3 if n is None else n, m)
-        return check("cartier.psi", True, {"psi": list(psi)})
-    ok = True
+        return check("cartier.psi", True, {"psi": list(DP.psi_eigenvalues(p, n, m))})
     bad = None
     for pp in targets.PSI_PRIMES:
         for mm in range(0, targets.PSI_M_MAX + 1):
             psi = DP.psi_eigenvalues(pp, targets.PSI_J_MAX + 1, mm)
             if not all(isinstance(c, int) for c in psi):
-                ok, bad = False, {"p": pp, "m": mm}
-                break
-            if psi[1] != (mm - mm**pp) // pp:
-                ok, bad = False, {"p": pp, "m": mm, "component": 1}
-                break
-            if Fraction(psi[2]) != targets.psi2_display(pp, mm):
-                ok, bad = False, {"p": pp, "m": mm, "component": 2}
-                break
-    return check("cartier.psi", ok,
+                bad = bad or {"p": pp, "m": mm}
+            elif psi[1] != (mm - mm**pp) // pp:
+                bad = bad or {"p": pp, "m": mm, "component": 1}
+            elif Fraction(psi[2]) != targets.psi2_display(pp, mm):
+                bad = bad or {"p": pp, "m": mm, "component": 2}
+    return check("cartier.psi", bad is None,
                  {"m_max": targets.PSI_M_MAX, "j_max": targets.PSI_J_MAX}, bad)
 
 
 def check_psi_tensor(cfg: RunConfig):
     rng = random.Random(REPORT_SEED + 1)
-    ok = True
     bad = None
     for pp in targets.PSI_PRIMES:
         for _ in range(targets.PSI_TENSOR_SAMPLES):
             a, b = rng.randrange(-60, 61), rng.randrange(-60, 61)
             if not DP.psi_tensor_check(pp, 3, a, b):
-                ok, bad = False, {"p": pp, "a": a, "b": b}
-                break
-    return check("cartier.psi-tensor", ok,
+                bad = bad or {"p": pp, "a": a, "b": b}
+    return check("cartier.psi-tensor", bad is None,
                  {"samples": targets.PSI_TENSOR_SAMPLES}, bad)
 
 
 def check_weyl(cfg: RunConfig, M=None):
-    ok = True
     bad = None
-    payload = {}
+    payload = {} if M is None else {"M": M}  # the rows are booleans only
     for p, n, bound in targets.WEYL_GRID:
-        if M is not None:
-            bound = M
-        rep = DP.dp_weyl_operators(p, n, bound)
-        for k, good in rep["commutators"].items():
-            if not good:
-                ok, bad = False, {"p": p, "commutator_at": k}
-        for k, good in rep["unit_multiple"].items():
-            if not good:
-                ok, bad = False, {"p": p, "unit_multiple_at": k}
+        rep = DP.dp_weyl_operators(p, n, bound if M is None else M)
+        for test in ("commutators", "unit_multiple"):
+            k = next((k for k, good in rep[test].items() if not good), None)
+            if k is not None:
+                bad = bad or {"p": p, f"{test}_at": k}
         payload[f"p{p}"] = {"commutators": rep["commutators"],
                             "unit_multiple": rep["unit_multiple"]}
-    return check("cartier.weyl", ok, payload, bad)
+    return check("cartier.weyl", bad is None, payload, bad)
 
 
-def check_delta(cfg: RunConfig, B=None):
+def check_delta(cfg: RunConfig, B=targets.DELTA_RING["B"]):
     t = targets.DELTA_RING
-    if B is None:
-        B = t["B"]
-    elif B < 0:
-        raise InvalidInputError("B must be >= 0")
-    rep = DP.delta_ring_check(t["p"], t["n"], B, K=cfg.K, N=cfg.N)
+    rep = DP.delta_ring_check(t["p"], t["n"], B, K=cfg.K)
     return check("cartier.delta", rep["all_ok"], rep,
                  None if rep["all_ok"] else rep["rows"])
 
@@ -581,10 +530,164 @@ def build_full_report(cfg: RunConfig) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# argument plumbing
+# the flag table: each check, the flags it reads and their values
 
 
-def _read_config_file(path):
+class Ints:
+    """Integer flag values lo..hi, primes only if asked."""
+
+    def __init__(self, lo, hi, prime=False):
+        self.lo, self.hi, self.prime = lo, hi, prime
+
+    def __call__(self, text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+        if not self.lo <= value <= self.hi or (self.prime and not is_prime(value)):
+            raise argparse.ArgumentTypeError(f"{value} is not {self}")
+        return value
+
+    def __str__(self):
+        return f"{'a prime' if self.prime else 'an integer'} in [{self.lo}, {self.hi}]"
+
+
+class Choice(tuple):
+    """A flag that takes one of a few words."""
+
+    def __call__(self, text):
+        if text not in self:
+            raise argparse.ArgumentTypeError(f"{text!r} is not {self}")
+        return text
+
+    def __str__(self):
+        return "one of " + ", ".join(self)
+
+
+class Polynomial:
+    """-E: a monic integer polynomial as coefficients, leading first ('1,0,-3'
+    is u^2 - 3); the check gets them low degree first."""
+
+    def __init__(self, max_degree, max_coeff):
+        self.max_degree, self.max_coeff = max_degree, max_coeff
+
+    def __call__(self, text):
+        try:
+            coeffs = [int(c) for c in text.split(",")]
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"-E needs comma-separated integers, got {text!r}") from None
+        if (not 2 <= len(coeffs) <= self.max_degree + 1
+                or max(map(abs, coeffs)) > self.max_coeff):
+            raise argparse.ArgumentTypeError(f"{text!r} is not {self}")
+        return coeffs[::-1]
+
+    def __str__(self):
+        return (f"the coefficients, leading first, of a degree 1..{self.max_degree} "
+                f"polynomial with entries in [-{self.max_coeff}, {self.max_coeff}]")
+
+
+class Needs:
+    """A flag that is read only when the flag `on` is given, with one of
+    `values` if any are named."""
+
+    def __init__(self, spec, on, *values):
+        self.spec, self.on, self.values = spec, on, values
+
+    def __call__(self, text):
+        return self.spec(text)
+
+    def met(self, flags):
+        return self.on in flags and (not self.values or flags[self.on] in self.values)
+
+    def __str__(self):
+        return f"{self.spec}; needs {_option(self.on)} {'|'.join(self.values)}".rstrip()
+
+
+PRIME = Ints(2, 97, prime=True)
+
+# Each maximum keeps one run of its check within about 2 s on a 2-core x86
+# (times in CHANGES.md). Minimums are domain limits: gabber's y has length
+# L - 1 >= 1, solve-frobenius's p = 2 failure witness needs L >= 2, and
+# delta's x = (q-1)^2 needs K >= 3.
+CHECKS = {
+    ("witt", "gabber"): {"L": Ints(2, 6)},  # L = 7 has 4300-digit components
+    ("witt", "pn-vanishing"): {},
+    ("witt", "solve-frobenius"): {"L": Ints(2, 8)},
+    ("witt", "frobenius-of-p"): {},
+    ("witt", "cartier"): {},
+    ("witt", "dwork"): {},
+    ("fgl", "nseries"): {"kind": Choice(("additive", "multiplicative", "honda")),
+                         "m": Ints(-100, 100),
+                         "D": Needs(Ints(1, 120), "kind", "multiplicative", "honda"),
+                         "p": Needs(PRIME, "kind", "honda"),
+                         "n": Needs(Ints(1, 6), "kind", "honda")},
+    ("fgl", "q-identity"): {"n_max": Ints(1, 60)},
+    ("fgl", "honda"): {},
+    ("fgl", "right-unit"): {},
+    ("fgl", "b4"): {},
+    ("fgl", "fderham"): {},
+    ("sen", "bokstedt"): {"p": PRIME, "D": Ints(1, 10000),
+                          "variant": Choice(("T1", "Jp"))},
+    ("sen", "cmn"): {},
+    ("sen", "perfectoid"): {},
+    ("sen", "zpn"): {"p": PRIME},
+    ("sen", "omega2yn"): {},
+    # the extension degree 2p - 1 must lie within the 2 * DVR_J_MAX - 1 checked
+    ("sen", "dvr"): {"E": Polynomial(12, 10**6),
+                     "p": Needs(Ints(2, targets.DVR_J_MAX, prime=True), "E")},
+    ("cartier", "psi"): {"m": Ints(-1000, 1000),
+                         "p": Needs(Ints(2, 11, prime=True), "m"),
+                         "n": Needs(Ints(1, 6), "m")},
+    ("cartier", "psi-tensor"): {},
+    ("cartier", "weyl"): {"M": Ints(0, 200)},
+    ("cartier", "delta"): {"B": Ints(0, 4), "K": Ints(3, 20)},
+    ("report",): {"L": Ints(2, 6), "K": Ints(3, 20)},
+}
+COMMAND_HELP = {
+    "witt": "Witt-vector identity suite",
+    "fgl": "formal group law suite",
+    "sen": "homology builders",
+    "cartier": "operator calculus",
+    "report": "full named-check suite",
+}
+
+
+def _option(flag):
+    return f"-{flag}" if len(flag) == 1 else "--" + flag.replace("_", "-")
+
+
+@functools.cache
+def _parser():
+    """The argparse tree of CHECKS, built on the first main() call. A check's
+    namespace holds only the flags given."""
+    parser = argparse.ArgumentParser(
+        prog="wittsen",
+        description="exact identity checks for truncated Witt vectors, "
+                    "formal group laws and divided-power operator complexes",
+    )
+    commands = parser.add_subparsers(dest="command", required=True)
+    groups = {}
+    for key, flags in CHECKS.items():
+        if len(key) == 1:
+            sp = commands.add_parser(key[0], help=COMMAND_HELP[key[0]],
+                                     argument_default=argparse.SUPPRESS)
+        else:
+            if key[0] not in groups:
+                groups[key[0]] = commands.add_parser(
+                    key[0], help=COMMAND_HELP[key[0]]).add_subparsers(
+                        dest="check", required=True)
+            sp = groups[key[0]].add_parser(key[1], argument_default=argparse.SUPPRESS)
+        for flag, spec in flags.items():
+            sp.add_argument(_option(flag), dest=flag, type=spec, help=str(spec))
+        if flags:
+            sp.add_argument("--config", help="file of 'flag = value' lines")
+        sp.add_argument("--json", action="store_true")
+        sp.add_argument("-o", "--output")
+    return parser
+
+
+def _read_config_file(path, flags):
     out = {}
     with open(path) as fh:
         for line in fh:
@@ -594,26 +697,15 @@ def _read_config_file(path):
             if "=" not in line:
                 raise InvalidInputError(f"bad config line: {line!r}")
             key, value = (s.strip() for s in line.split("=", 1))
-            out[key] = value
+            if key not in flags:
+                raise InvalidInputError(
+                    f"config key {key!r} is not a flag of this check "
+                    f"(its flags: {', '.join(flags)})")
+            try:
+                out[key] = flags[key](value)
+            except argparse.ArgumentTypeError as exc:
+                raise InvalidInputError(f"config {key}: {exc}") from None
     return out
-
-
-def _make_config(args) -> RunConfig:
-    values = dict(DEFAULTS)
-    if getattr(args, "config", None):
-        file_values = _read_config_file(args.config)
-        for k in DEFAULTS:
-            if k in file_values:
-                values[k] = int(file_values[k])
-    for k in DEFAULTS:
-        flag = getattr(args, k, None)
-        if flag is not None:
-            values[k] = flag
-    cfg = RunConfig(**values)
-    cfg.fmt = "json" if getattr(args, "json", False) else "text"
-    cfg.out = getattr(args, "output", None)
-    cfg.validate()
-    return cfg
 
 
 def _emit(doc: dict, cfg: RunConfig) -> int:
@@ -648,147 +740,44 @@ def _doc(cfg, checks):
     }
 
 
-def _add_common(sp):
-    sp.add_argument("-p", type=int, default=None)
-    sp.add_argument("-N", type=int, default=None)
-    sp.add_argument("-L", type=int, default=None)
-    sp.add_argument("-D", type=int, default=None)
-    sp.add_argument("-K", type=int, default=None)
-    sp.add_argument("--config", default=None)
-    sp.add_argument("--json", action="store_true")
-    sp.add_argument("--text", action="store_true")
-    sp.add_argument("-o", "--output", default=None)
-
-
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="wittsen",
-        description="exact identity checks for truncated Witt vectors, "
-                    "formal group laws and divided-power operator complexes",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    witt_p = sub.add_parser("witt", help="Witt-vector identity suite")
-    witt_p.add_argument("subcheck", choices=[
-        "gabber", "pn-vanishing", "solve-frobenius", "frobenius-of-p",
-        "cartier", "dwork"])
-    _add_common(witt_p)
-
-    fgl_p = sub.add_parser("fgl", help="formal group law suite")
-    fgl_p.add_argument("subcheck", choices=[
-        "nseries", "q-identity", "honda", "right-unit", "b4", "fderham"])
-    fgl_p.add_argument("--kind", default="additive",
-                       choices=["additive", "multiplicative", "honda"])
-    fgl_p.add_argument("-m", type=int, default=None)
-    fgl_p.add_argument("-n", type=int, default=None)
-    fgl_p.add_argument("--n-max", type=int, default=None)
-    _add_common(fgl_p)
-
-    sen_p = sub.add_parser("sen", help="homology builders")
-    sen_p.add_argument("builder", choices=[
-        "bokstedt", "cmn", "perfectoid", "zpn", "omega2yn", "dvr"])
-    sen_p.add_argument("--variant", default="T1", choices=["T1", "Jp"])
-    sen_p.add_argument("-E", default=None,
-                       help="monic polynomial coefficients, leading first, "
-                            "e.g. '1,0,-3' for u^2 - 3")
-    sen_p.add_argument("-n", type=int, default=None)
-    _add_common(sen_p)
-
-    car_p = sub.add_parser("cartier", help="operator calculus")
-    car_p.add_argument("subcheck", choices=["psi", "psi-tensor", "weyl", "delta"])
-    car_p.add_argument("-m", type=int, default=None)
-    car_p.add_argument("-n", type=int, default=None)
-    car_p.add_argument("-M", type=int, default=None)
-    car_p.add_argument("-B", type=int, default=None)
-    _add_common(car_p)
-
-    rep_p = sub.add_parser("report", help="full named-check suite")
-    _add_common(rep_p)
-
-    args = parser.parse_args(argv)
+    parser = _parser()
+    flags = vars(parser.parse_args(argv))
+    key = tuple(flags.pop(k) for k in ("command", "check") if k in flags)
+    fmt = "json" if flags.pop("json", False) else "text"
+    out = flags.pop("output", None)
+    table = CHECKS[key]
     try:
-        cfg = _make_config(args)
-    except (InvalidInputError, ValueError, OSError) as exc:
+        if "config" in flags:
+            flags = {**_read_config_file(flags.pop("config"), table), **flags}
+        for flag, spec in table.items():
+            if flag in flags and isinstance(spec, Needs) and not spec.met(flags):
+                raise InvalidInputError(f"{_option(flag)}: {spec}")
+    except (InvalidInputError, OSError) as exc:
         parser.error(str(exc))
 
+    # -L and -K reach their checks through cfg, as in the report; every other
+    # flag is a keyword argument of its check. Checks are looked up by name at
+    # call time, like build_full_report.
+    cfg = RunConfig(fmt=fmt, out=out,
+                    **{k: v for k, v in flags.items() if k in ("p", "L", "D", "K")})
     try:
-        if args.command == "witt":
-            fn = {
-                "gabber": check_gabber,
-                "pn-vanishing": check_pn_vanishing,
-                "solve-frobenius": check_solve_frobenius,
-                "frobenius-of-p": check_frobenius_of_p,
-                "cartier": check_cartier,
-                "dwork": check_dwork,
-            }[args.subcheck]
-            return _emit(_doc(cfg, [fn(cfg)]), cfg)
-
-        if args.command == "fgl":
-            if args.subcheck == "nseries":
-                m = args.m if args.m is not None else 2
-                if args.kind == "honda":
-                    F = FG.fgl_construct("honda", max(8, cfg.D // 4),
-                                         p=cfg.p, n=1 if args.n is None else args.n)
-                elif args.kind == "multiplicative":
-                    F = FG.fgl_construct("multiplicative", min(cfg.D, abs(m) + 2),
-                                         lam="lam")
-                else:
-                    F = FG.fgl_construct("additive", min(cfg.D, abs(m) + 2))
-                series = FG.n_series(F, m)
-                row = check("fgl.nseries", True,
-                            {"kind": args.kind, "m": m, "series": repr(series)})
-                return _emit(_doc(cfg, [row]), cfg)
-            fn = {
-                "q-identity": lambda c: check_q_identity(c, args.n_max),
-                "honda": check_honda,
-                "right-unit": check_right_unit,
-                "b4": check_b4,
-                "fderham": check_fderham,
-            }[args.subcheck]
-            return _emit(_doc(cfg, [fn(cfg)]), cfg)
-
-        if args.command == "sen":
-            if args.builder == "bokstedt":
-                row = check_bokstedt(cfg, p=cfg.p if args.p else None,
-                                     variant=args.variant,
-                                     bound=cfg.D if args.D else None)
-            elif args.builder == "cmn":
-                row = check_cmn(cfg)
-            elif args.builder == "perfectoid":
-                row = check_perfectoid(cfg)
-            elif args.builder == "zpn":
-                row = check_zpn(cfg, p=cfg.p if args.p else None)
-            elif args.builder == "omega2yn":
-                row = check_omega2yn(cfg)
-            else:
-                if args.E:
-                    try:
-                        coeffs = [int(c) for c in args.E.split(",")]
-                    except ValueError:
-                        raise InvalidInputError(
-                            f"-E needs comma-separated integers, got {args.E!r}") from None
-                    low_first = list(reversed(coeffs))
-                    row = check_dvr(cfg, E=low_first, p=cfg.p)
-                else:
-                    row = check_dvr(cfg)
-            return _emit(_doc(cfg, [row]), cfg)
-
-        if args.command == "cartier":
-            if args.subcheck == "psi":
-                row = check_psi(cfg, p=cfg.p, n=args.n, m=args.m)
-            elif args.subcheck == "psi-tensor":
-                row = check_psi_tensor(cfg)
-            elif args.subcheck == "weyl":
-                row = check_weyl(cfg, M=args.M)
-            else:
-                row = check_delta(cfg, B=args.B)
-            return _emit(_doc(cfg, [row]), cfg)
-
-        if args.command == "report":
-            return _emit(build_full_report(cfg), cfg)
+        if key == ("report",):
+            doc = build_full_report(cfg)
+        else:
+            fn = globals()["check_" + key[1].replace("-", "_")]
+            row = fn(cfg, **{k: v for k, v in flags.items() if k not in ("L", "K")})
+            doc = _doc(cfg, [row])
     except (InvalidInputError, PrecisionError) as exc:
         parser.error(str(exc))
-    return 2
+    try:
+        return _emit(doc, cfg)
+    except ValueError:  # an integer past str()'s digit limit
+        lower = ", ".join(_option(f) for f, spec in table.items()
+                          if not isinstance(spec, Choice))
+        parser.error(f"the result has integers too long to print; lower {lower}")
+    except OSError as exc:
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":

@@ -1,10 +1,16 @@
+import copy
+import importlib
+import io
 import json
 import os
+import random
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
+import wittsen.cli as cli
 import wittsen.targets as targets
 from wittsen.cli import main
 
@@ -19,14 +25,14 @@ def run_main(argv, capsys):
 # exit codes and flags
 
 def test_gabber_pass(capsys):
-    code, out = run_main(["witt", "gabber", "-p", "3", "-L", "5"], capsys)
+    code, out = run_main(["witt", "gabber", "-L", "5"], capsys)
     assert code == 0
     assert "witt.gabber" in out and "pass" in out
 
 
 def test_usage_error_nonprime():
     with pytest.raises(SystemExit) as e:
-        main(["witt", "gabber", "-p", "4"])
+        main(["sen", "zpn", "-p", "4"])
     assert e.value.code == 2
 
 
@@ -43,7 +49,7 @@ def test_zpn_p2_skipped(capsys):
 
 
 def test_solve_frobenius_failure_reported_as_pass(capsys):
-    code, out = run_main(["witt", "solve-frobenius", "-p", "2"], capsys)
+    code, out = run_main(["witt", "solve-frobenius"], capsys)
     assert code == 0
 
 
@@ -94,17 +100,24 @@ def test_output_file(tmp_path, capsys):
 
 def test_config_file_and_flag_precedence(tmp_path, capsys):
     cfgfile = tmp_path / "run.cfg"
-    cfgfile.write_text("p = 5\nL = 4  # comment\n")
+    cfgfile.write_text("p = 5\nD = 30  # comment\n")
     code, out = run_main(
-        ["witt", "gabber", "--config", str(cfgfile), "--json"], capsys
+        ["sen", "bokstedt", "--config", str(cfgfile), "--json"], capsys
     )
     doc = json.loads(out)
-    assert doc["config"]["p"] == 5 and doc["config"]["L"] == 4
+    assert doc["config"]["p"] == 5 and doc["config"]["D"] == 30
+    assert doc["checks"][0]["payload"] == {"p5": {"degrees_checked": 3}}
     code, out = run_main(
-        ["witt", "gabber", "--config", str(cfgfile), "-p", "2", "--json"], capsys
+        ["sen", "bokstedt", "--config", str(cfgfile), "-p", "2", "--json"], capsys
     )
     doc = json.loads(out)
-    assert doc["config"]["p"] == 2 and doc["config"]["L"] == 4
+    assert doc["config"]["p"] == 2 and doc["config"]["D"] == 30
+    assert doc["checks"][0]["payload"] == {"p2": {"degrees_checked": 7}}
+    cfgfile.write_text("p = 5\nL = 4\n")  # sen bokstedt reads no L
+    with pytest.raises(SystemExit) as e:
+        main(["sen", "bokstedt", "--config", str(cfgfile)])
+    assert e.value.code == 2
+    assert "'L'" in capsys.readouterr().err
 
 
 def test_delta_B0_runs_one_row(capsys):
@@ -131,6 +144,23 @@ def test_delta_bad_flags_are_usage_errors(flags, capsys):
     ["fgl", "q-identity", "--n-max", "0"],
     ["fgl", "nseries", "--kind", "honda", "-n", "0"],
     ["cartier", "weyl", "-M", "-1"],
+    # flags the check does not read
+    ["fgl", "right-unit", "-p", "5"],
+    ["sen", "cmn", "-n", "7"],
+    ["witt", "dwork", "--text"],
+    ["report", "-p", "5"],
+    ["report", "-N", "20"],
+    ["fgl", "nseries", "-D", "20"],
+    # flags read only together with another
+    ["sen", "dvr", "-p", "5"],
+    ["cartier", "psi", "-p", "5"],
+    ["fgl", "nseries", "-p", "5"],
+    # out of the domain or past the maximum
+    ["witt", "solve-frobenius", "-L", "1"],
+    ["report", "-L", "1"],
+    ["cartier", "weyl", "-M", "100000000"],
+    ["sen", "dvr", "-p", "11", "-E", "1,11"],
+    ["witt", "dwork", "-o", "/nonexistent/out.json"],
 ])
 def test_bad_input_is_usage_error(argv, capsys):
     with pytest.raises(SystemExit) as e:
@@ -173,6 +203,114 @@ def test_honda_raising_p_series_is_a_fail_row(capsys, monkeypatch):
         "error": "honda p-series is not v*x^(p^n)"}
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["witt", "gabber", "-L", "7"], "-L"),
+    (["cartier", "psi", "-p", "3", "-n", "9", "-m", "10"], "-n"),
+    # in range, but the components pass str()'s 4300-digit limit
+    (["cartier", "psi", "-p", "7", "-n", "6", "-m", "1000"], "-m"),
+    (["cartier", "psi", "-p", "7", "-n", "6", "-m", "1000", "--json"], "-m"),
+])
+def test_oversized_result_is_usage_error(argv, flag, capsys):
+    with pytest.raises(SystemExit) as e:
+        main(argv)
+    assert e.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and flag in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, module, name", [
+    (["witt", "solve-frobenius", "-L", "9"], "witt", "solve_frobenius"),
+    (["cartier", "weyl", "-M", "201"], "dpops", "dp_weyl_operators"),
+    (["cartier", "delta", "-K", "21"], "dpops", "delta_ring_check"),
+    (["cartier", "delta", "-B", "5"], "dpops", "delta_ring_check"),
+    (["fgl", "nseries", "--kind", "honda", "-D", "121"], "fgl", "fgl_construct"),
+    (["fgl", "q-identity", "--n-max", "61"], "fgl", "fgl_construct"),
+    (["sen", "bokstedt", "-D", "10001"], "senhom", "build_bokstedt"),
+    (["sen", "dvr", "-E", "1," + "0," * 12 + "3"], "senhom", "build_dvr_square"),
+    (["report", "-K", "21"], "witt", "check_gabber_identity"),
+])
+def test_over_maximum_exits_before_the_library(argv, module, name, monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError(f"{name} was called")
+
+    monkeypatch.setattr(importlib.import_module(f"wittsen.{module}"), name, unreachable)
+    with pytest.raises(SystemExit) as e:
+        main(argv)
+    assert e.value.code == 2
+
+
+def test_parser_is_built_once(capsys):
+    main(["witt", "dwork"])
+    parser = cli._parser()
+    main(["witt", "dwork"])
+    assert cli._parser() is parser
+    assert cli._parser.cache_info().misses == 1
+
+
+def _tamper(module, name, change):
+    """Patch wittsen.<module>.<name> to return change(a copy of its result)."""
+    def patch(monkeypatch):
+        mod = importlib.import_module(f"wittsen.{module}")
+        real = getattr(mod, name)
+        monkeypatch.setattr(mod, name,
+                            lambda *a, **kw: change(copy.deepcopy(real(*a, **kw)), *a))
+    return patch
+
+
+def _set_row(degree, **values):
+    def change(rep, *args):
+        rep.entry(degree).update(values)
+        return rep
+    return change
+
+
+def _fderham(rep, *args):
+    rep["weights"][1]["divisors"] = [7]
+    return rep
+
+
+def _zpn(rep, p, n, bound):  # only n = 3 differs, and only where no per-n check looks
+    return _set_row(0, torsion=[p])(rep) if n == targets.ZPN_NS[1] else rep
+
+
+@pytest.mark.parametrize("argv, patch, key", [
+    (["witt", "solve-frobenius"],
+     lambda mp: mp.setitem(targets.FROBENIUS_PREIMAGE_FAIL_WITNESS, "rhs_balanced", 17),
+     "want"),
+    (["witt", "dwork"],
+     _tamper("witt", "dwork_factorization", lambda r, *a: {**r, "reconstructs": False}),
+     "case"),
+    (["witt", "frobenius-of-p"],
+     _tamper("witt", "frobenius_of_p_identity",
+             lambda r, *a: {**r, "holds_p_squared": not r["holds_p_squared"]}),
+     "holds_p_squared"),
+    (["witt", "frobenius-of-p"],
+     _tamper("witt", "frobenius_of_p_identity",
+             lambda r, *a: {**r, "frobenius_fixes_integers": False}),
+     "frobenius_fixes_integers"),
+    (["fgl", "right-unit"],
+     _tamper("fgl", "bp_right_unit", lambda eta, *a: {**eta, 2: 2 * eta[2]}),
+     "eta_v2_p2"),
+    (["fgl", "b4"], _tamper("fgl", "b4_cobar_class", lambda b4: -b4), "polynomial"),
+    (["fgl", "fderham"], _tamper("senhom", "fderham_cohomology", _fderham), "weight"),
+    (["sen", "bokstedt"], _tamper("senhom", "build_bokstedt", _set_row(0, free_rank=0)),
+     "degree"),
+    (["sen", "cmn"], _tamper("senhom", "build_serre_cmn", _set_row(0, free_rank=0)),
+     "degree"),
+    (["sen", "zpn"], _tamper("senhom", "build_zpn_serre", _zpn), "n_dependent_degree"),
+    (["sen", "dvr"],
+     _tamper("senhom", "build_dvr_square", lambda out, *a: {**out, "consistent": False}),
+     "consistent"),
+])
+def test_failure_names_its_counterexample(argv, patch, key, capsys, monkeypatch):
+    patch(monkeypatch)
+    code, out = run_main(argv + ["--json"], capsys)
+    assert code == 1
+    (row,) = json.loads(out)["checks"]
+    assert row["status"] == "fail" and row["counterexample"]
+    assert key in row["counterexample"]
+
+
 # ---------------------------------------------------------------------------
 # full report
 
@@ -206,3 +344,115 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert "pass" in proc.stdout
+
+
+# ---------------------------------------------------------------------------
+# the argv grammar, fuzzed
+
+# every flag some subcommand accepted before each check took only its own
+OLD_FLAGS = ["-p", "-N", "-L", "-D", "-K", "-m", "-n", "-M", "-B", "--n-max",
+             "--kind", "--variant", "-E", "--text", "--config"]
+
+
+@pytest.fixture
+def cheap_checks(monkeypatch):
+    """Cut the slow default runs down; the report keeps the checks that read
+    -L and -K."""
+    monkeypatch.setattr(targets, "HONDA_GRID", targets.HONDA_GRID[:2])
+    monkeypatch.setattr(targets, "CARTIER_SAMPLES", 2)
+    monkeypatch.setattr(targets, "DVR_CASES", targets.DVR_CASES[:1])
+    monkeypatch.setattr(cli, "ALL_CHECKS",
+                        [cli.check_gabber, cli.check_solve_frobenius, cli.check_delta])
+
+
+def _run(argv):
+    """(exit code, stdout) of one in-process call; any exception but
+    SystemExit propagates."""
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue()
+
+
+def _fuzz_value(rng, flags, flag, config):
+    spec = flags.get(flag.lstrip("-").replace("-", "_"))
+    if flag == "--config":
+        return [str(config)]
+    if flag == "--text":
+        return []
+    if flag == "-E":
+        return [rng.choice(["1,0,-3", "1,-2", "1,2", "1,x", "1," + "0," * 12 + "3"])]
+    if flag in ("--kind", "--variant"):
+        return [rng.choice(list(spec or ()) + ["bogus"])]
+    values = [0, 1, 2, 3, -1, -7, "1.5", "x"]
+    if isinstance(spec, cli.Needs):
+        spec = spec.spec
+    if isinstance(spec, cli.Ints):
+        values += [spec.lo, spec.lo + 1, spec.lo - 1, spec.hi + 1]
+    return [str(rng.choice(values))]
+
+
+def test_argv_fuzz(cheap_checks, tmp_path):
+    rng = random.Random(20240611)
+    keys = list(cli.CHECKS)
+    seen = set()
+    for i in range(300):
+        key = rng.choice(keys)
+        flags = cli.CHECKS[key]
+        config = tmp_path / f"{i}.cfg"
+        cfg_key = rng.choice(list(flags) + ["N", "bogus"])
+        config.write_text(f"{cfg_key} = {rng.choice([2, 3, -1])}\n")
+        argv = list(key)
+        for flag in rng.sample(OLD_FLAGS, rng.randrange(4)):
+            argv += [flag] + _fuzz_value(rng, flags, flag, config)
+        code, out = _run(argv + ["--json"])
+        assert code in (0, 1, 2), argv
+        seen.add(code)
+        if code == 1:
+            rows = [r for r in json.loads(out)["checks"] if r["status"] == "fail"]
+            assert rows and all(r.get("counterexample") for r in rows), argv
+    assert seen == {0, 2}
+
+
+# two in-range values of each (check, flag) pair, with the flags it needs
+DISTINCT = {
+    (("witt", "gabber"), "L"): ([], "2", "3"),
+    (("witt", "solve-frobenius"), "L"): ([], "2", "3"),
+    (("fgl", "nseries"), "kind"): ([], "additive", "multiplicative"),
+    (("fgl", "nseries"), "m"): ([], "2", "3"),
+    (("fgl", "nseries"), "D"): (["--kind", "multiplicative", "-m", "-2"], "3", "4"),
+    (("fgl", "nseries"), "p"): (["--kind", "honda"], "2", "3"),
+    (("fgl", "nseries"), "n"): (["--kind", "honda"], "1", "2"),
+    (("fgl", "q-identity"), "n_max"): ([], "1", "2"),
+    (("sen", "bokstedt"), "p"): ([], "2", "3"),
+    (("sen", "bokstedt"), "D"): ([], "10", "20"),
+    (("sen", "bokstedt"), "variant"): ([], "T1", "Jp"),
+    (("sen", "zpn"), "p"): ([], "3", "5"),
+    (("sen", "dvr"), "E"): ([], "1,-3", "1,0,-3"),
+    (("sen", "dvr"), "p"): (["-E", "1,-6"], "2", "3"),
+    (("cartier", "psi"), "m"): ([], "2", "3"),
+    (("cartier", "psi"), "p"): (["-m", "3"], "2", "3"),
+    (("cartier", "psi"), "n"): (["-m", "3"], "2", "3"),
+    (("cartier", "weyl"), "M"): ([], "3", "4"),
+    (("cartier", "delta"), "B"): ([], "0", "1"),
+    (("cartier", "delta"), "K"): ([], "3", "4"),
+    (("report",), "L"): ([], "2", "3"),
+    (("report",), "K"): ([], "3", "4"),
+}
+
+
+def test_every_accepted_flag_changes_the_run(cheap_checks):
+    assert set(DISTINCT) == {(key, flag) for key, flags in cli.CHECKS.items()
+                             for flag in flags}
+    for (key, flag), (needs, a, b) in DISTINCT.items():
+        docs = []
+        for value in (a, b):
+            code, out = _run([*key, *needs, cli._option(flag), value, "--json"])
+            assert code == 0, (key, flag, value)
+            doc = json.loads(out)
+            del doc["config"]
+            docs.append(doc)
+        assert docs[0] != docs[1], (key, flag)
