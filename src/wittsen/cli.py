@@ -57,8 +57,6 @@ def jsonable(x):
         return {str(k): jsonable(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
         return [jsonable(v) for v in x]
-    if isinstance(x, SH.HomologyReport):
-        return jsonable(x.to_json_dict())
     if hasattr(x, "terms"):
         return repr(x)
     if isinstance(x, bool) or x is None or isinstance(x, (int, str)):
@@ -360,6 +358,8 @@ def check_perfectoid(cfg: RunConfig):
         for d, rank in out["kernel_ranks"].items():
             if rank != 1 or not out["surjective"][d]:
                 bad = bad or {"p": p, "kernel_degree": d, "rank": rank}
+        if not out["valuation_identity"]:
+            bad = bad or {"p": p, "valuation_identity": False}
         payload[f"p{p}"] = {"bound": bound,
                             "kernel_degrees": sorted(out["kernel_ranks"])}
     return check("sen.perfectoid", bad is None, payload, bad)
@@ -419,10 +419,9 @@ def check_dvr(cfg: RunConfig, E=None, p=3):
     bad = None
     payload = {}
     for case in [{"p": p, "E": E}] if E else targets.DVR_CASES:
-        desc = SH.DVRDescriptor(case["p"], cfg.N, case["E"])
         bound = 2 * targets.DVR_J_MAX - 1
-        out = SH.build_dvr_square(desc, bound)
-        R = desc.ring()
+        out = SH.build_dvr_square(case["p"], case["E"], bound)
+        R = SH.Eisenstein(case["p"], case["E"])
         vE = out["Eprime_valuation"]
         if not out["consistent"]:
             bad = bad or {"case": case, "consistent": False}

@@ -5,7 +5,7 @@ divided-power Weyl operators, and delta-ring divisibility checks."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, gcd, prod
 
@@ -36,10 +36,6 @@ class DPBasisMonomial:
     def __post_init__(self):
         if self.a < 0 or self.b < 0 or self.c not in (0, 1):
             raise InvalidInputError("bad divided-power monomial")
-
-    def degree(self, weights) -> int:
-        wa, wb, wc = weights
-        return wa * self.a + wb * self.b + wc * self.c
 
 
 def dp_multiply(i: int, j: int):
@@ -112,28 +108,21 @@ class DPElement:
 
 @dataclass
 class DPModule:
-    """Graded basis of gamma_a theta^b eps^c monomials up to a degree bound."""
+    """Graded basis of gamma_a theta^b eps^c monomials up to a degree bound,
+    with deg gamma_1 = 2, deg theta = 2p and deg eps = 2p - 1."""
 
     p: int
     bound: int
-    weights: tuple = None  # (deg gamma_1, deg theta, deg eps)
 
     def __post_init__(self):
         require_prime(self.p)
-        if self.weights is None:
-            self.weights = (2, 2 * self.p, 2 * self.p - 1)
         self.bases = {d: [] for d in range(self.bound + 1)}
-        wa, wb, wc = self.weights
+        wb, wc = 2 * self.p, 2 * self.p - 1
         for c in (0, 1):
-            if c and wc > self.bound:
-                continue
-            for b in range(0, (self.bound // wb) + 1 if wb else 1):
+            for b in range(0, self.bound // wb + 1):
                 rem_b = self.bound - wb * b - wc * c
-                if rem_b < 0:
-                    continue
-                for a in range(0, rem_b // wa + 1):
-                    m = DPBasisMonomial(a, b, c)
-                    self.bases[m.degree(self.weights)].append(m)
+                for a in range(0, rem_b // 2 + 1):
+                    self.bases[2 * a + wb * b + wc * c].append(DPBasisMonomial(a, b, c))
         self.index = {
             d: {m: i for i, m in enumerate(basis)} for d, basis in self.bases.items()
         }
@@ -159,7 +148,6 @@ class GradedLinearMap:
     module: GradedModule
     shift: int
     matrices: dict
-    meta: dict = field(default_factory=dict)
 
     def matrix(self, d):
         tgt = len(self.module.basis(d - self.shift))
@@ -232,12 +220,6 @@ class PDerivation:
             out = out + dth
         return out
 
-    def apply(self, elt: DPElement) -> DPElement:
-        out = DPElement()
-        for mono, c in elt.terms.items():
-            out = out + c * self.apply_monomial(mono)
-        return out
-
 
 def derivation_matrices(module: DPModule, der: PDerivation) -> GradedLinearMap:
     """Assemble the degree-(-1) matrices of a derivation on the module."""
@@ -289,9 +271,7 @@ def theta_perfectoid(p: int, bound: int) -> GradedLinearMap:
     module = DPModule(p, bound)
     gamma_values = perfectoid_gamma_values(p, bound)
     theta_value = DPElement.monomial(0, 0, 1, coeff=p)
-    out = derivation_matrices(module, PDerivation(p, gamma_values, theta_value))
-    out.meta["valuation_identity"] = factorial_unit_identity(p, gamma_values)
-    return out
+    return derivation_matrices(module, PDerivation(p, gamma_values, theta_value))
 
 
 def factorial_unit_identity(p: int, gamma_values: dict) -> bool:
@@ -330,10 +310,7 @@ def theta_zpn(p: int, n: int, bound: int) -> GradedLinearMap:
     gamma_values = {k: v * p ** (n - 2 + k)
                     for k, v in perfectoid_gamma_values(p, bound).items()}
     theta_value = DPElement.monomial(0, 0, 1, coeff=p)
-    out = derivation_matrices(module, PDerivation(p, gamma_values, theta_value))
-    out.meta["scale"] = p ** (n - 1)
-    out.meta["level_scales"] = {k: p ** (n - 2 + k) for k in gamma_values if k}
-    return out
+    return derivation_matrices(module, PDerivation(p, gamma_values, theta_value))
 
 
 # ---------------------------------------------------------------------------
@@ -448,7 +425,6 @@ class DeltaRingContext:
 
     p: int
     K: int
-    N: int = 12
 
     def __post_init__(self):
         require_prime(self.p)
@@ -647,7 +623,7 @@ def delta_ring_check(p: int, n: int, B: int, K: int = 18, N: int = 12) -> dict:
     p-integrally-weighted combination of the monomials in t, delta(t), ...;
     this is decided by an exact lattice-membership certificate.
     """
-    ctx = DeltaRingContext(p, K, N)
+    ctx = DeltaRingContext(p, K)
     if n * (p - 1) >= K:
         raise PrecisionError(f"truncation K={K} kills x = u^{n*(p-1)}")
     x = ctx.u ** (n * (p - 1))

@@ -225,19 +225,6 @@ class TruncPoly:
     def map_coeffs(self, f):
         return TruncPoly(self.ring, {m: f(c) for m, c in self.terms.items()})
 
-    def exact_div_int(self, d: int):
-        """Divide every coefficient by d, insisting on exactness over Z."""
-        out = {}
-        for m, c in self.terms.items():
-            if isinstance(c, int):
-                q, r = divmod(c, d)
-                if r:
-                    raise InvalidInputError(f"coefficient {c} not divisible by {d}")
-                out[m] = q
-            else:
-                out[m] = c / d
-        return TruncPoly(self.ring, out)
-
     def substitute(self, assignment: dict):
         """Replace variables by polynomials or scalars.
 

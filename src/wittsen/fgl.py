@@ -1,6 +1,6 @@
 """Formal group laws as truncated series, n-series and divided n-series,
-logarithms, Tate-quotient data, and the graded right-unit computations on
-the polynomial generators of the Brown-Peterson coefficient ring."""
+the Honda law's p-series, and the graded right-unit computations on the
+polynomial generators of the Brown-Peterson coefficient ring."""
 
 from __future__ import annotations
 
@@ -243,32 +243,6 @@ def divided_n_series(F: FormalGroupLaw, m: int, bound: int = None) -> TruncPoly:
     return TruncPoly(ring, out)
 
 
-@dataclass
-class SeriesInH:
-    """A truncated series in the degree -2 variable h."""
-
-    series: TruncPoly
-    bound: int
-
-
-def fgl_log_exp(F: FormalGroupLaw, bound: int):
-    """(log_F, exp_F) over a Q-algebra: log'(x) = 1/(dF/dY)(x, 0)."""
-    if F.modulus:
-        raise InvalidInputError("log/exp need a Q-algebra coefficient ring")
-    ring, x = _series_var(F, bound)
-    omega = F.F.derivative("Y").substitute({"X": x, "Y": 0})
-    integrand = omega.series_inverse()
-    ix = ring.index("x")
-    log_terms = {}
-    for mono, c in integrand.terms.items():
-        new = list(mono)
-        new[ix] += 1
-        log_terms[tuple(new)] = Fraction(c, new[ix])
-    logf = TruncPoly(ring, log_terms)
-    expf = _compositional_inverse(logf, "x", bound)
-    return logf, expf
-
-
 def q_integer(nval: int, lam, ring: PolyRing) -> TruncPoly:
     """[n]_q = sum_{i<n} q^i at q = 1 + lam*h, as a polynomial in h."""
     h = TruncPoly.var(ring, "h")
@@ -317,36 +291,8 @@ def honda_pm_divided_series(p: int, n: int, m: int) -> dict:
     }
 
 
-def tate_quotient_series(F: FormalGroupLaw, m: int, bound: int) -> dict:
-    """The divided m-series and, in the Honda case, the nilpotence exponent of
-    v in the quotient by (<p^m>(h)) after inverting h."""
-    out = {"kind": F.kind, "m": m}
-    if F.kind == "honda":
-        p, n = F.params["p"], F.params["n"]
-        mm = m
-        power = 0
-        while mm % p == 0:
-            mm //= p
-            power += 1
-        if mm != 1:
-            raise InvalidInputError("honda tate quotient expects m a power of p")
-        data = honda_pm_divided_series(p, n, power)
-        out["series"] = SeriesInH(data["series"], p ** (n * power))
-        out["annihilation_exponent"] = data["v_exponent"]
-        out["closed_form_ok"] = data["matches_closed_form"]
-        return out
-    series = divided_n_series(F, m, bound)
-    out["series"] = SeriesInH(series, bound)
-    if F.kind == "additive":
-        out["quotient"] = f"base ring mod {m} in each h-degree"
-    if F.kind == "multiplicative":
-        ring = series.ring
-        out["equals_q_integer"] = series == q_integer(m, F.params["lam"], ring)
-    return out
-
-
 # ---------------------------------------------------------------------------
-# Hazewinkel generators and the right unit
+# the right unit
 
 
 def _bp_ring(p: int, N: int) -> PolyRing:
@@ -355,20 +301,6 @@ def _bp_ring(p: int, N: int) -> PolyRing:
         + tuple(f"t{i}" for i in range(1, N + 1))
     degs = tuple(2 * p**i - 2 for i in range(1, N + 1)) * 3
     return PolyRing(vars=names, degrees=degs)
-
-
-def hazewinkel_generators(p: int, N: int) -> dict:
-    """v_n as polynomials in l_1..l_n: v_n = p l_n - sum_{0<i<n} l_i v_{n-i}^(p^i)."""
-    require_prime(p)
-    ring = _bp_ring(p, N)
-    l = {i: TruncPoly.var(ring, f"l{i}") for i in range(1, N + 1)}
-    v = {}
-    for nn in range(1, N + 1):
-        acc = l[nn] * p
-        for i in range(1, nn):
-            acc = acc - l[i] * v[nn - i] ** (p**i)
-        v[nn] = acc
-    return v
 
 
 def _l_in_terms_of_v(p: int, N: int, ring: PolyRing) -> dict:
@@ -458,6 +390,8 @@ class FDerhamComplex:
 
 
 def f_derham_complex(F: FormalGroupLaw, weight_bound: int, h_bound: int) -> FDerhamComplex:
+    if h_bound < 1:
+        raise InvalidInputError(f"h_bound must be >= 1, got {h_bound}")
     out = FDerhamComplex(F.kind, dict(F.params), weight_bound, h_bound)
     for m in range(0, weight_bound + 1):
         if m == 0:

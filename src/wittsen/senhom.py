@@ -27,6 +27,8 @@ from .exactalg import (
 from .dpops import (
     GradedLinearMap,
     GradedModule,
+    factorial_unit_identity,
+    perfectoid_gamma_values,
     theta_perfectoid,
     theta_zpn,
 )
@@ -77,13 +79,6 @@ class Eisenstein:
 
     def scalar(self, n):
         return tuple([Fraction(n)] + [Fraction(0)] * (self.e - 1))
-
-    def uniformizer(self):
-        if self.e == 1:
-            return self.scalar(self.p)
-        return tuple(
-            Fraction(1) if i == 1 else Fraction(0) for i in range(self.e)
-        )
 
     def from_poly(self, coeffs):
         """Reduce an arbitrary-degree polynomial in u modulo E."""
@@ -155,11 +150,9 @@ class Eisenstein:
 
 @dataclass
 class HomologyReport:
-    builder: str
-    params: dict
-    precision: int = None  # None: computed exactly over Z_(p)
+    """Per-degree rows {"degree", "free_rank", "torsion", ...}."""
+
     degrees: list = field(default_factory=list)
-    notes: list = field(default_factory=list)
 
     def entry(self, degree):
         for row in self.degrees:
@@ -171,15 +164,6 @@ class HomologyReport:
         row = {"degree": degree, "free_rank": free_rank, "torsion": list(torsion)}
         row.update(extra)
         self.degrees.append(row)
-
-    def to_json_dict(self):
-        return {
-            "builder": self.builder,
-            "params": self.params,
-            "precision": self.precision,
-            "degrees": self.degrees,
-            "notes": self.notes,
-        }
 
 
 def _orders(p, exponents):
@@ -205,16 +189,15 @@ def _eliminate(ops, rows, ncols):
     return rank, [e for e in exps if e > 0]
 
 
-def _report(builder, params, homology, p):
-    rep = HomologyReport(builder, params or {})
+def _report(homology, p):
+    rep = HomologyReport()
     for d in sorted(homology):
         free, torsion = homology[d]
         rep.add(d, free, _orders(p, torsion), exponents=torsion)
     return rep
 
 
-def two_term_homology(D: GradedLinearMap, bound: int, ops,
-                      builder: str = "two_term", params: dict = None) -> HomologyReport:
+def two_term_homology(D: GradedLinearMap, bound: int, ops) -> HomologyReport:
     """Fiber of D: M -> M[s]: kernel in the source degree, cokernel one below
     the source degree (long-exact-sequence convention). A missing matrix is
     the zero map; each degree's matrix is eliminated once."""
@@ -232,7 +215,7 @@ def two_term_homology(D: GradedLinearMap, bound: int, ops,
         if free or torsion:
             homology[d] = (free, torsion)
         rank_d = rank_up
-    return _report(builder, params, homology, ops.p)
+    return _report(homology, ops.p)
 
 
 def homology_of_pair(ncols_A: int, elim_A: tuple, elim_B: tuple) -> tuple:
@@ -271,18 +254,16 @@ def chain_homology(dims: dict, mats: dict, bound: int, ops) -> tuple:
     return homology, elim
 
 
-def graded_map_chain_homology(D: GradedLinearMap, bound: int, ops,
-                              builder: str, params: dict) -> HomologyReport:
+def graded_map_chain_homology(D: GradedLinearMap, bound: int, ops) -> HomologyReport:
     """Chain homology of a square-zero degree-(-1) differential."""
     if D.shift != 1:
         raise InvalidInputError("chain differential must have shift 1")
     dims = {d: len(basis) for d, basis in D.module.bases.items()}
     homology, _ = chain_homology(dims, D.matrices, bound, ops)
-    return _report(builder, params, homology, ops.p)
+    return _report(homology, ops.p)
 
 
-def cube_total_fiber(operators, bound: int, ops,
-                     builder: str = "cube", params: dict = None) -> HomologyReport:
+def cube_total_fiber(operators, bound: int, ops) -> HomologyReport:
     """Total fiber of a strictly commuting cube of degree-shifting operators
     (a list of GradedLinearMaps on one module): the Koszul-style total
     complex, then exact chain homology. A total complex that is not square
@@ -345,7 +326,7 @@ def cube_total_fiber(operators, bound: int, ops,
     for d in range(lo, bound + 2):
         mats[d], dims[d] = total_matrix(d)
     homology, _ = chain_homology(dims, mats, bound, ops)
-    return _report(builder, params, homology, ops.p)
+    return _report(homology, ops.p)
 
 
 # ---------------------------------------------------------------------------
@@ -382,8 +363,7 @@ def build_bokstedt(p: int, variant: str, bound: int) -> HomologyReport:
         d = gen * j
         matrices[d] = [[Fraction(j * scale)]]
     D = GradedLinearMap(module, gen, matrices)
-    return two_term_homology(D, bound, ops=PLocal(p), builder="bokstedt",
-                             params={"p": p, "variant": variant, "bound": bound})
+    return two_term_homology(D, bound, ops=PLocal(p))
 
 
 def build_serre_cmn(p: int, n: int, bound: int) -> HomologyReport:
@@ -408,39 +388,31 @@ def build_serre_cmn(p: int, n: int, bound: int) -> HomologyReport:
             mat[tgt.index(("yx", m - 1))][src.index(("y", m))] = Fraction(m * p)
             mats[d] = mat
     D = GradedLinearMap(GradedModule(bases), 1, mats)
-    return graded_map_chain_homology(D, bound, PLocal(p), "serre_cmn",
-                                     {"p": p, "n": n, "bound": bound})
+    return graded_map_chain_homology(D, bound, PLocal(p))
 
 
 def build_perfectoid_serre(p: int, bound: int) -> dict:
     """Homology of the divided-power model with the degree-lowering operator,
     plus the kernel rank and surjectivity of the even-to-odd matrix at each
-    degree 2np <= bound, read from the same eliminations."""
+    degree 2np <= bound, read from the same eliminations, and whether the
+    operator's generator values satisfy the valuation identity."""
     D = theta_perfectoid(p, bound + 2)
     dims = {d: len(basis) for d, basis in D.module.bases.items()}
     homology, elim = chain_homology(dims, D.matrices, bound, PLocal(p))
-    rep = _report("perfectoid_serre", {"p": p, "bound": bound}, homology, p)
-    if not D.meta.get("valuation_identity", True):
-        rep.notes.append("generator-value valuation identity failed")
     kernel_ranks = {}
     surjective = {}
     for d in range(2 * p, bound + 1, 2 * p):
         rank, torsion = elim.get(d, (0, []))
         kernel_ranks[d] = len(D.module.basis(d)) - rank
         surjective[d] = rank == len(D.module.basis(d - 1)) and not torsion
-    return {"homology": rep, "kernel_ranks": kernel_ranks, "surjective": surjective}
+    identity = factorial_unit_identity(p, perfectoid_gamma_values(p, bound + 2))
+    return {"homology": _report(homology, p), "kernel_ranks": kernel_ranks,
+            "surjective": surjective, "valuation_identity": identity}
 
 
 def build_zpn_serre(p: int, n: int, bound: int) -> HomologyReport:
     """Homology of the p^(n-1)-scaled operator complex (p odd, n >= 2)."""
-    D = theta_zpn(p, n, bound + 2)
-    rep = graded_map_chain_homology(D, bound, PLocal(p), "zpn_serre",
-                                    {"p": p, "n": n, "bound": bound})
-    rep.notes.append(
-        "reported groups are the homology of the operator complex; no "
-        "gcd-form closed expression is asserted at degree 0"
-    )
-    return rep
+    return graded_map_chain_homology(theta_zpn(p, n, bound + 2), bound, PLocal(p))
 
 
 def omega2yn_cohomology(p: int, n: int, bound: int) -> HomologyReport:
@@ -451,7 +423,7 @@ def omega2yn_cohomology(p: int, n: int, bound: int) -> HomologyReport:
     if n < 2:
         raise InvalidInputError("the integral basis change needs n >= 2")
     ops = PLocal(p)
-    rep = HomologyReport("omega2yn", {"p": p, "n": n, "bound": bound})
+    rep = HomologyReport()
     # basis-change integrality and unitriangularity
     fact = [1]
     for i in range(1, bound // 2 + 2):
@@ -477,21 +449,11 @@ def omega2yn_cohomology(p: int, n: int, bound: int) -> HomologyReport:
     return rep
 
 
-@dataclass
-class DVRDescriptor:
-    """Eisenstein data: R = Z_(p)[u]/E(u), pi = class of u."""
-
-    p: int
-    N: int
-    E: list  # coefficients, low degree first, monic
-
-    def ring(self):
-        return Eisenstein(self.p, self.E)
-
-
-def build_dvr_square(desc: DVRDescriptor, bound: int) -> dict:
-    """Fiber of the derivation gamma_m -> E'(pi) gamma_(m-1) alone, and the
-    total fiber of the commuting square with x^i -> i x^(i-1).
+def build_dvr_square(p: int, E: list, bound: int) -> dict:
+    """Over R = Z_(p)[u]/E(u), for Eisenstein E given low degree first and
+    pi the class of u: the fiber of the derivation gamma_m -> E'(pi)
+    gamma_(m-1) alone, and the total fiber of the commuting square with
+    x^i -> i x^(i-1).
 
     The engine computes the strict total complex exactly. In odd degrees the
     two-step fibration leaves one extension of R/E'(pi) by R/j, which the
@@ -501,8 +463,7 @@ def build_dvr_square(desc: DVRDescriptor, bound: int) -> dict:
     sub/quotient valuations, and degree-by-degree agreement of the engine
     with the closed form whenever E'(pi) is a unit.
     """
-    R = desc.ring()
-    ops = R
+    R = Eisenstein(p, E)
     e = R.e
     # E'(pi)
     dE = [i * c for i, c in enumerate(R.E)][1:]
@@ -539,19 +500,12 @@ def build_dvr_square(desc: DVRDescriptor, bound: int) -> dict:
     nabla = GradedLinearMap(module, 2, {d: nabla_matrix(d) for d in bases})
     theta = GradedLinearMap(module, 2, {d: theta_matrix(d) for d in bases})
 
-    report_nabla = two_term_homology(nabla, bound, ops=ops, builder="dvr_nabla",
-                                     params={"p": desc.p, "E": desc.E,
-                                             "bound": bound})
-    engine_total = cube_total_fiber([nabla, theta], bound, ops=ops,
-                                    builder="dvr_total_engine",
-                                    params={"p": desc.p, "E": desc.E,
-                                            "bound": bound})
+    report_nabla = two_term_homology(nabla, bound, R)
+    engine_total = cube_total_fiber([nabla, theta], bound, R)
 
-    report_total = HomologyReport("dvr_total", {"p": desc.p, "E": desc.E,
-                                                "bound": bound, "N": desc.N})
+    report_total = HomologyReport()
     report_total.add(0, 1, [], r_divisors=[], cyclic=True)
     all_consistent = True
-    p = desc.p
     for j in range(1, (bound + 1) // 2 + 1):
         d = 2 * j - 1
         if d > bound:
@@ -574,7 +528,7 @@ def build_dvr_square(desc: DVRDescriptor, bound: int) -> dict:
             all_consistent = False
         closed_form_matches_engine = engine_exps == ([kj] if kj else [])
         report_total.add(
-            d, 0, _orders(desc.p, [kj] if kj else []),
+            d, 0, _orders(p, [kj] if kj else []),
             r_divisors=[kj] if kj else [],
             cyclic=True,
             order_check=order_match,
@@ -587,12 +541,6 @@ def build_dvr_square(desc: DVRDescriptor, bound: int) -> dict:
         row = report_total.entry(2 * p - 1)
         k = row["r_divisors"][0] if row["r_divisors"] else 0
         row["extension_order_check"] = (k == e + vE)  # |R/p| * |R/E'(pi)|
-    report_total.notes.append(
-        "odd-degree extensions are recorded in closed form; the strict chain "
-        "engine is kept alongside and compared where it is a faithful model"
-    )
-    if vE == 0:
-        report_total.notes.append("E'(pi) is a unit: engine agrees degree-by-degree")
     return {
         "nabla": report_nabla,
         "total": report_total,
@@ -612,7 +560,7 @@ def multiplication_matrix(series: TruncPoly, K: int) -> list:
     return [[coeffs[i - j] if i >= j else 0 for j in range(K)] for i in range(K)]
 
 
-def fderham_cohomology(cx: FDerhamComplex, h_bound: int = None, p: int = None) -> dict:
+def fderham_cohomology(cx: FDerhamComplex) -> dict:
     """Per-weight H^1 of the two-term complex: the cokernel of multiplication
     by the divided m-series on the truncated h-line.
 
@@ -620,9 +568,7 @@ def fderham_cohomology(cx: FDerhamComplex, h_bound: int = None, p: int = None) -
     for the symbolic multiplicative parameter the q-integer identity is
     checked instead and divisors are reported for integer specializations.
     """
-    K = cx.h_bound if h_bound is None else h_bound
-    if K < 1:
-        raise InvalidInputError(f"h_bound must be >= 1, got {K}")
+    K = cx.h_bound
     out = {"kind": cx.kind, "params": cx.params, "h_bound": K, "weights": {}}
     for m, series in sorted(cx.weights.items()):
         entry = {"weight": m}

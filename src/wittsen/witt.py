@@ -3,19 +3,16 @@
 Vectors live over Z or Z/p^N. Ring operations are the universal structure
 polynomials, evaluated by transporting through the ghost isomorphism over a
 torsion-free lift (the same values, by functoriality, and tractable at the
-lengths the identity suite needs). Symbolic structure polynomials are still
-available for small (p, L) via witt_structure_polynomials.
+lengths the identity suite needs).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .exactalg import (
     InvalidInputError,
-    PolyRing,
     PrecisionError,
     TruncPoly,
     int_valuation,
@@ -86,43 +83,6 @@ def make_witt(ctx: WittContext, comps) -> WittVector:
     return WittVector(ctx, tuple(comps))
 
 
-# ---------------------------------------------------------------------------
-# structure polynomials (symbolic; cached per (p, L))
-
-
-@lru_cache(maxsize=None)
-def witt_structure_polynomials(p: int, L: int):
-    """Universal sum/product polynomials S_0..S_{L-1}, P_0..P_{L-1} over Z.
-
-    Derived by the ghost recursion; every division is exact over Z, and a
-    failure is a hard internal error.
-    """
-    require_prime(p)
-    names = tuple(f"X{i}" for i in range(L)) + tuple(f"Y{i}" for i in range(L))
-    ring = PolyRing(vars=names)
-    X = [TruncPoly.var(ring, f"X{i}") for i in range(L)]
-    Y = [TruncPoly.var(ring, f"Y{i}") for i in range(L)]
-
-    S, P = [], []
-    for n in range(L):
-        acc = TruncPoly.zero(ring)
-        for i in range(n):
-            acc = acc + (X[i] ** (p ** (n - i)) + Y[i] ** (p ** (n - i))
-                         - S[i] ** (p ** (n - i))) * p**i
-        S.append(X[n] + Y[n] + acc.exact_div_int(p**n))
-
-        gx = TruncPoly.zero(ring)
-        gy = TruncPoly.zero(ring)
-        for i in range(n + 1):
-            gx = gx + X[i] ** (p ** (n - i)) * p**i
-            gy = gy + Y[i] ** (p ** (n - i)) * p**i
-        prod = gx * gy
-        for i in range(n):
-            prod = prod - P[i] ** (p ** (n - i)) * p**i
-        P.append(prod.exact_div_int(p**n))
-    return tuple(S), tuple(P)
-
-
 def ghost_polynomial(p: int, j: int, values: list):
     """w_j evaluated on symbolic/polynomial component values."""
     acc = values[0] ** (p**j)
@@ -175,12 +135,6 @@ def _ghost_inverse_components(p, entries):
     return comps
 
 
-def ghost_inverse(g: GhostVector) -> WittVector:
-    if g.ctx.modulus:
-        raise InvalidInputError("ghost_inverse needs a torsion-free base")
-    return make_witt(g.ctx, _ghost_inverse_components(g.ctx.p, list(g.entries)))
-
-
 def _lift_binary(op_name, x: WittVector, y: WittVector) -> WittVector:
     if x.ctx != y.ctx:
         raise InvalidInputError("Witt context mismatch")
@@ -208,10 +162,6 @@ def witt_sub(x, y):
 
 def witt_mul(x, y):
     return _lift_binary("mul", x, y)
-
-
-def witt_zero(ctx):
-    return make_witt(ctx, [0] * ctx.length)
 
 
 def teichmuller(a, ctx: WittContext) -> WittVector:
@@ -256,10 +206,6 @@ def delta(x: WittVector) -> WittVector:
         dg.append(q)
     comps = _ghost_inverse_components(p, dg)
     return make_witt(x.ctx.resized(x.ctx.length - 1), comps)
-
-
-def witt_scalar(m: int, x: WittVector) -> WittVector:
-    return witt_mul(int_to_witt(m, x.ctx), x)
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +371,6 @@ def cartier_character(
     x_scalars: list,
     degree_bound: int,
     xprime_scalars: list = None,
-    require_integral: bool = False,
 ) -> dict:
     """Pairing of a ghost tuple a (a_m = 0 for m >= n) against Witt components.
 
@@ -449,11 +394,6 @@ def cartier_character(
         if isinstance(c, Fraction) and c.denominator % p == 0:
             first_bad = {"monomial": f"t^{mono[0]}", "coefficient": str(c)}
             break
-    if require_integral and first_bad:
-        raise IntegralityViolationError(
-            first_bad["monomial"],
-            f"non-p-integral coefficient {first_bad['coefficient']} at {first_bad['monomial']}",
-        )
 
     def g_of(args):
         """prod_j F^j(f)(args[j]) for series args[j] in t."""
@@ -492,24 +432,22 @@ def cartier_character(
     }
 
 
-def dwork_factorization(x_seq: list, degree_bound: int, lift=None, p_scope=None) -> dict:
+def dwork_factorization(x_seq: list, degree_bound: int) -> dict:
     """Factor exp(sum x_n t^n / n) as prod (1 - r_j t^j) with integral r_j.
 
-    x_seq[0] is x_1. `lift` is the family of Frobenius lifts (prime, value) ->
-    value, defaulting to the identity (the right choice over Z). Preconditions
-    x_n = phi_p(x_{n/p}) mod p^{v_p(n)} are checked for all p | n, n <= bound.
+    x_seq[0] is x_1. Over Z every Frobenius lift is the identity, so the
+    preconditions x_n = x_{n/p} mod p^{v_p(n)} are checked for all primes
+    p | n, n <= bound.
     """
-    if lift is None:
-        lift = lambda p, v: v
     xs = {i + 1: x_seq[i] for i in range(min(len(x_seq), degree_bound))}
     if len(xs) < degree_bound:
         raise InvalidInputError("need x_1..x_D")
-    primes = p_scope or [q for q in range(2, degree_bound + 1) if is_prime(q)]
+    primes = [q for q in range(2, degree_bound + 1) if is_prime(q)]
     for nn in range(2, degree_bound + 1):
         for q in primes:
             if nn % q == 0:
                 v = int_valuation(q, nn)
-                if (xs[nn] - lift(q, xs[nn // q])) % q**v != 0:
+                if (xs[nn] - xs[nn // q]) % q**v != 0:
                     raise InvalidInputError(
                         f"congruence fails at (p, n) = ({q}, {nn}): "
                         f"x_{nn} != phi_{q}(x_{nn // q}) mod {q**v}"

@@ -311,6 +311,19 @@ def test_failure_names_its_counterexample(argv, patch, key, capsys, monkeypatch)
     assert key in row["counterexample"]
 
 
+def test_perfectoid_gates_on_its_valuation_identity(capsys, monkeypatch):
+    monkeypatch.setattr(importlib.import_module("wittsen.senhom"),
+                        "factorial_unit_identity", lambda p, gamma_values: False)
+    code, out = run_main(["sen", "perfectoid", "--json"], capsys)
+    assert code == 1
+    (row,) = json.loads(out)["checks"]
+    assert row["status"] == "fail"
+    assert row["counterexample"] == {"p": targets.PERFECTOID_PRIMES[0],
+                                     "valuation_identity": False}
+    assert {k: sorted(v) for k, v in row["payload"].items()} == {
+        f"p{p}": ["bound", "kernel_degrees"] for p in targets.PERFECTOID_PRIMES}
+
+
 # ---------------------------------------------------------------------------
 # full report
 

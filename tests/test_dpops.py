@@ -26,6 +26,7 @@ from wittsen.dpops import (
     derivation_matrices,
     dp_multiply,
     dp_weyl_operators,
+    factorial_unit_identity,
     gamma_factorization_unit,
     perfectoid_gamma_values,
     psi_eigenvalues,
@@ -124,6 +125,14 @@ def test_perfectoid_generator_values():
     assert fraction_valuation(3, c / comb(6, 3)) == 0
 
 
+def apply(der, elt):
+    """The derivation on a combination of monomials, term by term."""
+    out = DPElement()
+    for mono, c in elt.terms.items():
+        out = out + c * der.apply_monomial(mono)
+    return out
+
+
 def test_perfectoid_leibniz():
     # Leibniz holds exactly on products without a base-p carry in digit 0;
     # a digit-0 carry passes through the gamma_1-power relation, where the
@@ -136,7 +145,7 @@ def test_perfectoid_leibniz():
             a = DPBasisMonomial(rng.randrange(0, 12), rng.randrange(0, 3), 0)
             b = DPBasisMonomial(rng.randrange(0, 12), rng.randrange(0, 3), 0)
             ab = DPElement({a: 1}) * DPElement({b: 1})
-            lhs = der.apply(ab)
+            lhs = apply(der, ab)
             rhs = der.apply_monomial(a) * DPElement({b: 1}) \
                 + DPElement({a: 1}) * der.apply_monomial(b)
             if a.a % p + b.a % p < p:
@@ -151,7 +160,7 @@ def test_perfectoid_leibniz_failure_locus_is_digit_zero():
         for j in range(12):
             a, b = DPBasisMonomial(i, 0, 0), DPBasisMonomial(j, 0, 0)
             ab = DPElement({a: 1}) * DPElement({b: 1})
-            lhs = der.apply(ab)
+            lhs = apply(der, ab)
             rhs = der.apply_monomial(a) * DPElement({b: 1}) \
                 + DPElement({a: 1}) * der.apply_monomial(b)
             assert (lhs == rhs) == (i % p + j % p < p), (i, j)
@@ -159,7 +168,7 @@ def test_perfectoid_leibniz_failure_locus_is_digit_zero():
 
 def test_theta_perfectoid_structure():
     D = theta_perfectoid(2, 20)
-    assert D.meta["valuation_identity"]
+    assert factorial_unit_identity(2, perfectoid_gamma_values(2, 20))
     # theta^2 -> 2p theta eps at p=2: source degree 8, target degree 7
     module = DPModule(2, 20)
     src = module.bases[8]

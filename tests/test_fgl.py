@@ -5,27 +5,35 @@ import pytest
 
 from wittsen.exactalg import PolyRing, TruncPoly
 from wittsen.fgl import (
-    FormalGroupLaw,
     InvalidFGLError,
+    _bp_ring,
+    _compositional_inverse,
+    _l_in_terms_of_v,
     b4_cobar_class,
     bp_right_unit,
     divided_n_series,
     f_derham_complex,
     fgl_construct,
-    fgl_log_exp,
     formal_inverse,
-    hazewinkel_generators,
     honda_p_series,
     honda_pm_divided_series,
     n_series,
     polynomial_degree,
     q_integer,
-    tate_quotient_series,
 )
 
 
 def poly_of(ring, name, e=1):
     return TruncPoly.var(ring, name, e)
+
+
+def multiplicative_log(x, lam, bound):
+    """log(1 + lam x)/lam = sum_k (-lam)^(k-1) x^k / k up to x^bound: the
+    logarithm of the law X + Y + lam XY."""
+    out = 0 * x
+    for k in range(1, bound + 1):
+        out = out + (-lam) ** (k - 1) * x**k * Fraction(1, k)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -132,35 +140,36 @@ def test_honda_generic_n_series_agrees():
 # ---------------------------------------------------------------------------
 # logarithms
 
-def test_log_additive():
-    F = fgl_construct("additive", 8)
-    logf, expf = fgl_log_exp(F, 8)
-    assert logf == TruncPoly.var(logf.ring, "x")
-    assert expf == TruncPoly.var(expf.ring, "x")
-
-
 def test_log_multiplicative_series():
-    # Lagrange-inversion oracle: log = x - lam x^2/2 + lam^2 x^3/3 - ...
-    F = fgl_construct("multiplicative", 7, lam="lam")
-    logf, expf = fgl_log_exp(F, 7)
+    # Lagrange-inversion oracle for the Newton reversion: the inverse of the
+    # logarithm x - lam x^2/2 + lam^2 x^3/3 - ... is the exponential
+    # (e^(lam x) - 1)/lam = sum_k lam^(k-1) x^k / k!
+    ring = PolyRing(vars=("x", "lam"), bounds=(7, None))
+    x = poly_of(ring, "x")
+    logf = multiplicative_log(x, poly_of(ring, "lam"), 7)
+    expf = _compositional_inverse(logf, "x", 7)
+    want, fact = {}, 1
     for k in range(1, 8):
-        mono = [0] * len(logf.ring.vars)
-        mono[logf.ring.index("x")] = k
-        mono[logf.ring.index("lam")] = k - 1
-        assert logf.coeff(tuple(mono)) == Fraction((-1) ** (k - 1), k)
-    assert logf.substitute({"x": expf}) == TruncPoly.var(logf.ring, "x")
+        fact *= k
+        want[(k, k - 1)] = Fraction(1, fact)
+    assert expf == TruncPoly(ring, want)
+    assert logf.substitute({"x": expf}) == x
+    assert expf.substitute({"x": logf}) == x
 
 
 def test_log_of_n_series():
+    # log([m](x)) = m log(x) for the law X + Y + 2XY
     F = fgl_construct("multiplicative", 8, lam=2)
-    logf, _ = fgl_log_exp(F, 8)
+    logf = multiplicative_log(poly_of(F.series_ring("x", 8), "x"), 2, 8)
     for m in range(1, 6):
         assert logf.substitute({"x": n_series(F, m)}) == logf * m
 
 
 def test_log_additivity():
+    # log(F(X, Y)) = log(X) + log(Y): the constructed law is X + Y + lam XY
     F = fgl_construct("multiplicative", 6, lam="lam")
-    logf, _ = fgl_log_exp(F, 6)
+    series_ring = F.series_ring("x", 6)
+    logf = multiplicative_log(poly_of(series_ring, "x"), poly_of(series_ring, "lam"), 6)
     ring = PolyRing(
         vars=("X", "Y", "lam"),
         total_bound=6,
@@ -172,48 +181,31 @@ def test_log_additivity():
     assert lhs == rhs
 
 
-def test_log_rejects_char_p():
-    F = fgl_construct("honda", 8, p=2, n=1)
-    with pytest.raises(Exception):
-        fgl_log_exp(F, 8)
-
-
-# ---------------------------------------------------------------------------
-# Tate quotients
-
-def test_tate_honda():
-    F = fgl_construct("honda", 8, p=2, n=1)
-    rep = tate_quotient_series(F, 4, 8)
-    assert rep["annihilation_exponent"] == 3
-    assert rep["closed_form_ok"]
-
-
-def test_tate_additive_and_multiplicative():
-    F = fgl_construct("additive", 8)
-    rep = tate_quotient_series(F, 3, 8)
-    assert rep["series"].series == 3
-    assert rep["series"].bound == 8
-    Fm = fgl_construct("multiplicative", 8, lam="lam")
-    rep = tate_quotient_series(Fm, 3, 8)
-    assert rep["equals_q_integer"]
-
-
 # ---------------------------------------------------------------------------
 # Hazewinkel generators and right unit
 
 def test_hazewinkel_small():
-    v = hazewinkel_generators(2, 2)
-    ring = v[1].ring
-    l1, l2 = poly_of(ring, "l1"), poly_of(ring, "l2")
-    assert v[1] == 2 * l1
-    assert v[2] == 2 * l2 - l1 * (2 * l1) ** 2
+    # p = 2: v1 = 2 l1 and v2 = 2 l2 - l1 v1^2, solved for l1 and l2
+    ring = _bp_ring(2, 2)
+    l = _l_in_terms_of_v(2, 2, ring)
+    v1, v2 = poly_of(ring, "v1"), poly_of(ring, "v2")
+    assert l[1] == v1 * Fraction(1, 2)
+    assert l[2] == v2 * Fraction(1, 2) + v1**3 * Fraction(1, 4)
 
 
 def test_hazewinkel_grading():
+    # the logarithm coefficients l_n are homogeneous of degree 2p^n - 2 and
+    # satisfy Hazewinkel's recursion v_n = p l_n - sum_(0<i<n) l_i v_(n-i)^(p^i)
     for p in (2, 3):
-        v = hazewinkel_generators(p, 3)
+        ring = _bp_ring(p, 3)
+        l = _l_in_terms_of_v(p, 3, ring)
+        v = {nn: poly_of(ring, f"v{nn}") for nn in range(1, 4)}
         for nn in range(1, 4):
-            assert polynomial_degree(v[nn]) == {2 * p**nn - 2}
+            assert polynomial_degree(l[nn]) == {2 * p**nn - 2}
+            rhs = l[nn] * p
+            for i in range(1, nn):
+                rhs = rhs - l[i] * v[nn - i] ** (p**i)
+            assert rhs == v[nn]
 
 
 def test_right_unit_v1():

@@ -8,9 +8,7 @@ from wittsen.dpops import GradedLinearMap, GradedModule, psi_eigenvalues
 from wittsen.exactalg import InvalidInputError, PLocalOps, int_valuation, matrix_product
 from wittsen.fgl import f_derham_complex, fgl_construct, q_integer
 from wittsen.senhom import (
-    DVRDescriptor,
     Eisenstein,
-    HomologyReport,
     build_bokstedt,
     build_dvr_square,
     build_perfectoid_serre,
@@ -32,12 +30,17 @@ def entry(report, d):
     return report.entry(d)
 
 
+def uniformizer(R):
+    """The class of u in Z_(p)[u]/E(u), for E of degree at least 2."""
+    return tuple(Fraction(int(i == 1)) for i in range(R.e))
+
+
 # ---------------------------------------------------------------------------
 # Eisenstein ring
 
 def test_eisenstein_basics():
     R = Eisenstein(3, [-3, 0, 1])  # u^2 - 3
-    pi = R.uniformizer()
+    pi = uniformizer(R)
     assert R.val(pi) == 1
     assert R.val(R.scalar(3)) == 2
     assert R.val(R.scalar(2)) == 0
@@ -269,8 +272,7 @@ def test_omega2yn_uct_consistency():
 
 
 def test_dvr_unramified_matches_bokstedt_jp():
-    desc = DVRDescriptor(3, 12, [-3, 1])  # u - 3
-    out = build_dvr_square(desc, 19)
+    out = build_dvr_square(3, [-3, 1], 19)  # u - 3
     assert out["Eprime_valuation"] == 0
     assert out["consistent"]
     jp = build_bokstedt(3, "Jp", 19)
@@ -284,8 +286,7 @@ def test_dvr_unramified_matches_bokstedt_jp():
 
 
 def test_dvr_nabla_pattern():
-    desc = DVRDescriptor(3, 12, [-3, 0, 1])  # u^2 - 3, E' = 2u: valuation 1
-    out = build_dvr_square(desc, 13)
+    out = build_dvr_square(3, [-3, 0, 1], 13)  # u^2 - 3, E' = 2u: valuation 1
     nab = out["nabla"]
     for j in range(1, 7):
         d = 2 * j - 1
@@ -297,8 +298,7 @@ def test_dvr_nabla_pattern():
 
 
 def test_dvr_ramified_total():
-    desc = DVRDescriptor(3, 12, [-3, 0, 1])  # u^2 - 3
-    out = build_dvr_square(desc, 13)
+    out = build_dvr_square(3, [-3, 0, 1], 13)  # u^2 - 3
     assert out["consistent"]
     total = out["total"]
     # degree 1: R/E' = R/pi, order 3
@@ -318,13 +318,13 @@ def test_dvr_ramified_total():
 
 
 def test_dvr_cubic_total():
-    desc = DVRDescriptor(3, 12, [-3, 0, 0, 1])  # u^3 - 3, E' = 3u^2: val 5
-    out = build_dvr_square(desc, 9)
+    E = [-3, 0, 0, 1]  # u^3 - 3, E' = 3u^2: val 5
+    out = build_dvr_square(3, E, 9)
     assert out["Eprime_valuation"] == 5
     assert out["consistent"]
     total = out["total"]
     # degree 2j-1 has order exponent v(j) * e + v(E')
-    R = desc.ring()
+    R = Eisenstein(3, E)
     for j in range(1, 5):
         kj = R.val(R.scalar(j)) + 5
         assert total.entry(2 * j - 1)["r_divisors"] == [kj], j
@@ -371,13 +371,14 @@ def test_fderham_symbolic_lambda():
 
 
 def test_fderham_h_bound_is_honoured_or_rejected():
-    cx = f_derham_complex(fgl_construct("additive", 8), 3, 6)
-    rep = fderham_cohomology(cx, h_bound=4)
-    assert rep["h_bound"] == 4
-    assert rep["weights"][2]["divisors"] == [2] * 4
+    F = fgl_construct("additive", 8)
+    for K in (1, 4):
+        rep = fderham_cohomology(f_derham_complex(F, 3, K))
+        assert rep["h_bound"] == K
+        assert rep["weights"][2]["divisors"] == [2] * K
     for bad in (0, -1):
         with pytest.raises(InvalidInputError):
-            fderham_cohomology(cx, h_bound=bad)
+            f_derham_complex(F, 3, bad)
 
 
 # ---------------------------------------------------------------------------
@@ -532,7 +533,7 @@ def engine_rings():
         yield PLocalOps(p), Fraction, Fraction(p)
     for p, E in ((3, [-3, 0, 1]), (2, [-2, 2, 0, 1])):
         R = Eisenstein(p, E)
-        yield R, R.scalar, R.uniformizer()
+        yield R, R.scalar, uniformizer(R)
 
 
 def test_chain_homology_recovers_planted_homology():
