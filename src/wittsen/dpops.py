@@ -129,30 +129,17 @@ class DPModule:
 
 
 @dataclass
-class GradedModule:
-    """Degree -> ordered basis labels; the common input to the homology engine."""
-
-    bases: dict
-
-    def basis(self, d):
-        return self.bases.get(d, [])
-
-
-@dataclass
 class GradedLinearMap:
-    """Degree-lowering map D: M_d -> M_(d-shift); one matrix per degree.
+    """Degree-lowering map D: M_d -> M_(d-shift) on the module with the given
+    bases (degree -> ordered basis labels); one matrix per degree, a missing
+    one being the zero map.
 
-    matrices[d] has len(basis(d-shift)) rows and len(basis(d)) columns.
+    matrices[d] has len(bases[d-shift]) rows and len(bases[d]) columns.
     """
 
-    module: GradedModule
+    bases: dict
     shift: int
     matrices: dict
-
-    def matrix(self, d):
-        tgt = len(self.module.basis(d - self.shift))
-        src = len(self.module.basis(d))
-        return self.matrices.get(d, [[0] * src for _ in range(tgt)])
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +210,6 @@ class PDerivation:
 
 def derivation_matrices(module: DPModule, der: PDerivation) -> GradedLinearMap:
     """Assemble the degree-(-1) matrices of a derivation on the module."""
-    gm = GradedModule(module.bases)
     matrices = {}
     for d, basis in module.bases.items():
         target = module.bases.get(d - 1, [])
@@ -244,7 +230,7 @@ def derivation_matrices(module: DPModule, der: PDerivation) -> GradedLinearMap:
                     )
         if nonzero:
             matrices[d] = mat
-    return GradedLinearMap(gm, 1, matrices)
+    return GradedLinearMap(module.bases, 1, matrices)
 
 
 def perfectoid_gamma_values(p: int, bound: int) -> dict:

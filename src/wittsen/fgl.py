@@ -139,11 +139,11 @@ def _honda_log_exp(p: int, n: int, bound: int):
     return logf, _compositional_inverse(logf, "x", bound)
 
 
-def fgl_construct(kind: str, D: int, lam=None, p: int = None, n: int = None,
-                  F_custom: TruncPoly = None) -> FormalGroupLaw:
+def fgl_construct(kind: str, D: int, lam=None, p: int = None,
+                  n: int = None) -> FormalGroupLaw:
     """additive -> X+Y; multiplicative -> X+Y+lam*X*Y (lam an integer or the
     symbol 'lam'); honda -> the height-n law over F_p[v] with p-series
-    v*x^(p^n); custom -> validate the supplied series."""
+    v*x^(p^n)."""
     if kind == "additive":
         ring = _bivariate_ring((), D)
         F = TruncPoly.var(ring, "X") + TruncPoly.var(ring, "Y")
@@ -176,13 +176,6 @@ def fgl_construct(kind: str, D: int, lam=None, p: int = None, n: int = None,
         if bad is not None:
             raise InvalidFGLError(bad, f"honda law fails axioms at degree {bad}")
         return fgl
-
-    if kind == "custom":
-        F = F_custom
-        bad = _axiom_failure_degree(F, D, F.ring.modulus)
-        if bad is not None:
-            raise InvalidFGLError(bad, f"axioms fail at degree {bad}")
-        return FormalGroupLaw("custom", {}, D, F.ring, F, modulus=F.ring.modulus)
 
     raise InvalidInputError(f"unknown kind {kind!r}")
 
@@ -280,11 +273,8 @@ def honda_pm_divided_series(p: int, n: int, m: int) -> dict:
         # apply x -> v x^(p^n): v * (v^a x^b)^(p^n) = v^(a p^n + 1) x^(b p^n)
         exp_v = exp_v * p**n + 1
         exp_x = exp_x * p**n
-    ring = PolyRing(vars=("h", "v"), bounds=(bound, None), modulus=p)
-    series = TruncPoly(ring, {(exp_x - 1, exp_v): 1})
     expected_e = (p ** (n * m) - 1) // (p**n - 1)
     return {
-        "series": series,
         "v_exponent": exp_v,
         "h_exponent": exp_x - 1,
         "matches_closed_form": exp_v == expected_e and exp_x == p ** (n * m),

@@ -2,10 +2,15 @@
 
 The engine works over one kind of ring: a local PID given by an ops object,
 either the p-local integers Z_(p) (Fraction arithmetic) or an Eisenstein
-extension Z_(p)[u]/E(u) (field inverses in Q[u]/E(u)). Each differential is
-eliminated once, by minimal-valuation pivoting, and torsion is reported as
-p-power (or uniformizer-power) cyclic summands per degree. Only the
-fderham weights use integer elementary divisors (the Z-SNF).
+extension Z_(p)[u]/E(u) (field inverses in Q[u]/E(u)). The homology of a
+complex goes through chain_homology: a chain complex directly, a commuting
+operator cube through its Koszul total complex, and a two-term fiber as the
+cube of one operator (omega2yn's presentation is one cokernel per degree).
+Each nonzero differential is eliminated once, by minimal-valuation
+pivoting, and torsion is reported as p-power (or uniformizer-power) cyclic
+summands per degree. The builders return the engine's reports; the closed
+forms they reproduce live in the sen.* checks. Only the fderham weights use
+integer elementary divisors (the Z-SNF).
 """
 
 from __future__ import annotations
@@ -26,7 +31,6 @@ from .exactalg import (
 )
 from .dpops import (
     GradedLinearMap,
-    GradedModule,
     factorial_unit_identity,
     perfectoid_gamma_values,
     theta_perfectoid,
@@ -150,7 +154,9 @@ class Eisenstein:
 
 @dataclass
 class HomologyReport:
-    """Per-degree rows {"degree", "free_rank", "torsion", ...}."""
+    """Per-degree rows {"degree", "free_rank", "torsion", "exponents"}: the
+    torsion is the cyclic summands R/pi^e, listed by their exponents e and by
+    their orders p^e."""
 
     degrees: list = field(default_factory=list)
 
@@ -158,16 +164,12 @@ class HomologyReport:
         for row in self.degrees:
             if row["degree"] == degree:
                 return row
-        return {"degree": degree, "free_rank": 0, "torsion": []}
+        return {"degree": degree, "free_rank": 0, "torsion": [], "exponents": []}
 
-    def add(self, degree, free_rank, torsion, **extra):
-        row = {"degree": degree, "free_rank": free_rank, "torsion": list(torsion)}
-        row.update(extra)
-        self.degrees.append(row)
-
-
-def _orders(p, exponents):
-    return [p**e for e in exponents]
+    def add(self, degree, free_rank, exponents, p):
+        self.degrees.append({"degree": degree, "free_rank": free_rank,
+                             "torsion": [p**e for e in exponents],
+                             "exponents": list(exponents)})
 
 
 # ---------------------------------------------------------------------------
@@ -192,30 +194,8 @@ def _eliminate(ops, rows, ncols):
 def _report(homology, p):
     rep = HomologyReport()
     for d in sorted(homology):
-        free, torsion = homology[d]
-        rep.add(d, free, _orders(p, torsion), exponents=torsion)
+        rep.add(d, *homology[d], p)
     return rep
-
-
-def two_term_homology(D: GradedLinearMap, bound: int, ops) -> HomologyReport:
-    """Fiber of D: M -> M[s]: kernel in the source degree, cokernel one below
-    the source degree (long-exact-sequence convention). A missing matrix is
-    the zero map; each degree's matrix is eliminated once."""
-    module = D.module
-
-    def eliminate(d):
-        return _eliminate(ops, D.matrices.get(d, []), len(module.basis(d)))
-
-    homology = {}
-    rank_d, _ = eliminate(0)
-    for d in range(0, bound + 1):
-        rank_up, torsion = eliminate(d + 1)
-        free = len(module.basis(d)) - rank_d
-        free += len(module.basis(d + 1 - D.shift)) - rank_up
-        if free or torsion:
-            homology[d] = (free, torsion)
-        rank_d = rank_up
-    return _report(homology, ops.p)
 
 
 def homology_of_pair(ncols_A: int, elim_A: tuple, elim_B: tuple) -> tuple:
@@ -254,92 +234,76 @@ def chain_homology(dims: dict, mats: dict, bound: int, ops) -> tuple:
     return homology, elim
 
 
-def graded_map_chain_homology(D: GradedLinearMap, bound: int, ops) -> HomologyReport:
-    """Chain homology of a square-zero degree-(-1) differential."""
+def graded_map_chain_homology(D: GradedLinearMap, bound: int, ops) -> tuple:
+    """Chain homology of a square-zero degree-(-1) differential:
+    (report, eliminations), the eliminations as chain_homology gives them."""
     if D.shift != 1:
         raise InvalidInputError("chain differential must have shift 1")
-    dims = {d: len(basis) for d, basis in D.module.bases.items()}
-    homology, _ = chain_homology(dims, D.matrices, bound, ops)
-    return _report(homology, ops.p)
+    dims = {d: len(basis) for d, basis in D.bases.items()}
+    homology, elim = chain_homology(dims, D.matrices, bound, ops)
+    return _report(homology, ops.p), elim
 
 
 def cube_total_fiber(operators, bound: int, ops) -> HomologyReport:
     """Total fiber of a strictly commuting cube of degree-shifting operators
-    (a list of GradedLinearMaps on one module): the Koszul-style total
-    complex, then exact chain homology. A total complex that is not square
+    (GradedLinearMaps on one module): the Koszul-style total complex, then
+    exact chain homology. A degree in which no operator has a matrix gets no
+    total matrix, so it is not eliminated. A total complex that is not square
     zero (operators that do not commute in a degree the homology up to bound
     reads) raises InvalidInputError.
     """
     n = len(operators)
-    module = operators[0].module
-
-    shifts = [op.shift for op in operators]
-    subsets = list(range(1 << n))
-
-    def piece_degree(d, S):
-        size = bin(S).count("1")
-        tot = sum(shifts[i] for i in range(n) if S >> i & 1)
-        return d + size - tot
-
-    def basis_size(d, S):
-        return len(module.basis(piece_degree(d, S)))
+    bases = operators[0].bases
+    # in total degree d, the piece of the subset S of operators is M_(d + lift[S])
+    lift = [sum(1 - op.shift for i, op in enumerate(operators) if S >> i & 1)
+            for S in range(1 << n)]
 
     def offsets(d):
-        out = {}
-        acc = 0
-        for S in subsets:
-            out[S] = acc
-            acc += basis_size(d, S)
+        out, acc = [], 0
+        for step in lift:
+            out.append(acc)
+            acc += len(bases.get(d + step, []))
         return out, acc
 
     def total_matrix(d):
-        off_src, n_src = offsets(d)
-        off_tgt, n_tgt = offsets(d - 1)
-        M = [[ops.zero] * n_src for _ in range(n_tgt)]
-        for S in subsets:
-            delta = piece_degree(d, S)
-            cols = len(module.basis(delta))
-            if not cols:
-                continue
-            for i in range(n):
-                if S >> i & 1:
+        (off_src, n_src), (off_tgt, n_tgt) = offsets(d), offsets(d - 1)
+        M = None
+        for S, step in enumerate(lift):
+            for i, op in enumerate(operators):
+                mat = op.matrices.get(d + step)
+                if S >> i & 1 or not mat:
                     continue
-                T = S | (1 << i)
-                sign = (-1) ** sum(1 for j in range(i) if S >> j & 1)
-                mat = operators[i].matrix(delta)
-                rows = len(module.basis(delta - shifts[i]))
-                if not rows:
-                    continue
-                for r in range(rows):
-                    for c in range(cols):
-                        x = mat[r][c]
+                if M is None:
+                    M = [[ops.zero] * n_src for _ in range(n_tgt)]
+                r0, c0 = off_tgt[S | 1 << i], off_src[S]
+                negate = bin(S & ((1 << i) - 1)).count("1") % 2
+                for r, row in enumerate(mat):
+                    for c, x in enumerate(row):
                         if not ops.is_zero(x):
-                            if sign < 0:
+                            if negate:
                                 x = ops.sub(ops.zero, x)
-                            M[off_tgt[T] + r][off_src[S] + c] = ops.add(
-                                M[off_tgt[T] + r][off_src[S] + c], x
-                            )
+                            M[r0 + r][c0 + c] = ops.add(M[r0 + r][c0 + c], x)
         return M, n_src
 
-    lo = min(module.bases) - n if module.bases else 0
+    lo = min(bases) - n if bases else 0
     dims, mats = {}, {}
     for d in range(lo, bound + 2):
-        mats[d], dims[d] = total_matrix(d)
+        M, dims[d] = total_matrix(d)
+        if M:
+            mats[d] = M
     homology, _ = chain_homology(dims, mats, bound, ops)
     return _report(homology, ops.p)
 
 
+def two_term_homology(D: GradedLinearMap, bound: int, ops) -> HomologyReport:
+    """Fiber of D: M -> M[s], the one-operator cube: in degree d, the kernel
+    of D out of degree d plus the cokernel of D out of degree d + 1
+    (long-exact-sequence convention)."""
+    return cube_total_fiber([D], bound, ops)
+
+
 # ---------------------------------------------------------------------------
 # named builders
-
-
-def _monomial_module(degree_of, count_bound, top_degree):
-    bases = {}
-    for j in range(count_bound + 1):
-        d = degree_of(j)
-        if d <= top_degree:
-            bases.setdefault(d, []).append(j)
-    return GradedModule(bases)
 
 
 def build_bokstedt(p: int, variant: str, bound: int) -> HomologyReport:
@@ -356,14 +320,10 @@ def build_bokstedt(p: int, variant: str, bound: int) -> HomologyReport:
         gen, scale = 2, 1
     else:
         raise InvalidInputError(f"unknown variant {variant!r}")
-    top = bound + gen + 1
-    module = _monomial_module(lambda j: gen * j, top // gen + 1, top)
-    matrices = {}
-    for j in range(1, top // gen + 1):
-        d = gen * j
-        matrices[d] = [[Fraction(j * scale)]]
-    D = GradedLinearMap(module, gen, matrices)
-    return two_term_homology(D, bound, ops=PLocal(p))
+    j_max = (bound + gen + 1) // gen
+    bases = {gen * j: [j] for j in range(j_max + 1)}
+    matrices = {gen * j: [[Fraction(j * scale)]] for j in range(1, j_max + 1)}
+    return two_term_homology(GradedLinearMap(bases, gen, matrices), bound, PLocal(p))
 
 
 def build_serre_cmn(p: int, n: int, bound: int) -> HomologyReport:
@@ -387,8 +347,7 @@ def build_serre_cmn(p: int, n: int, bound: int) -> HomologyReport:
             mat = [[Fraction(0)] * len(src) for _ in range(len(tgt))]
             mat[tgt.index(("yx", m - 1))][src.index(("y", m))] = Fraction(m * p)
             mats[d] = mat
-    D = GradedLinearMap(GradedModule(bases), 1, mats)
-    return graded_map_chain_homology(D, bound, PLocal(p))
+    return graded_map_chain_homology(GradedLinearMap(bases, 1, mats), bound, PLocal(p))[0]
 
 
 def build_perfectoid_serre(p: int, bound: int) -> dict:
@@ -397,22 +356,21 @@ def build_perfectoid_serre(p: int, bound: int) -> dict:
     degree 2np <= bound, read from the same eliminations, and whether the
     operator's generator values satisfy the valuation identity."""
     D = theta_perfectoid(p, bound + 2)
-    dims = {d: len(basis) for d, basis in D.module.bases.items()}
-    homology, elim = chain_homology(dims, D.matrices, bound, PLocal(p))
+    homology, elim = graded_map_chain_homology(D, bound, PLocal(p))
     kernel_ranks = {}
     surjective = {}
     for d in range(2 * p, bound + 1, 2 * p):
         rank, torsion = elim.get(d, (0, []))
-        kernel_ranks[d] = len(D.module.basis(d)) - rank
-        surjective[d] = rank == len(D.module.basis(d - 1)) and not torsion
+        kernel_ranks[d] = len(D.bases[d]) - rank
+        surjective[d] = rank == len(D.bases[d - 1]) and not torsion
     identity = factorial_unit_identity(p, perfectoid_gamma_values(p, bound + 2))
-    return {"homology": _report(homology, p), "kernel_ranks": kernel_ranks,
+    return {"homology": homology, "kernel_ranks": kernel_ranks,
             "surjective": surjective, "valuation_identity": identity}
 
 
 def build_zpn_serre(p: int, n: int, bound: int) -> HomologyReport:
     """Homology of the p^(n-1)-scaled operator complex (p odd, n >= 2)."""
-    return graded_map_chain_homology(theta_zpn(p, n, bound + 2), bound, PLocal(p))
+    return graded_map_chain_homology(theta_zpn(p, n, bound + 2), bound, PLocal(p))[0]
 
 
 def omega2yn_cohomology(p: int, n: int, bound: int) -> HomologyReport:
@@ -445,109 +403,42 @@ def omega2yn_cohomology(p: int, n: int, bound: int) -> HomologyReport:
             mat[j][j] -= Fraction(p ** (n - 1))
         rank, torsion = _eliminate(ops, mat, src)
         free = tgt - rank
-        rep.add(2 * k, free, _orders(p, torsion), exponents=torsion)
+        rep.add(2 * k, free, torsion, p)
     return rep
 
 
 def build_dvr_square(p: int, E: list, bound: int) -> dict:
     """Over R = Z_(p)[u]/E(u), for Eisenstein E given low degree first and
-    pi the class of u: the fiber of the derivation gamma_m -> E'(pi)
-    gamma_(m-1) alone, and the total fiber of the commuting square with
-    x^i -> i x^(i-1).
-
-    The engine computes the strict total complex exactly. In odd degrees the
-    two-step fibration leaves one extension of R/E'(pi) by R/j, which the
-    strict chain model cannot glue; the recorded answer is the cyclic module
-    R/(j E'(pi)) (the known closed form), and the report carries the exact
-    cross-checks: the group order per degree (extension-invariant), the
-    sub/quotient valuations, and degree-by-degree agreement of the engine
-    with the closed form whenever E'(pi) is a unit.
-    """
+    pi the class of u, on the module with basis gamma_m x^i in degree
+    2(m + i): the fiber of the derivation nabla: gamma_m -> E'(pi)
+    gamma_(m-1) alone ("nabla"), the total fiber of the commuting square of
+    nabla with theta: x^i -> i x^(i-1) ("total"), and v(E'(pi))."""
     R = Eisenstein(p, E)
-    e = R.e
-    # E'(pi)
-    dE = [i * c for i, c in enumerate(R.E)][1:]
-    Eprime = R.from_poly(dE)
-    vE = R.val(Eprime)
-
+    Eprime = R.from_poly([i * c for i, c in enumerate(R.E)][1:])
     top = bound + 4
     bases = {}
     for m in range(top // 2 + 1):
-        for i in range(top // 2 + 1):
-            d = 2 * (m + i)
-            if d <= top:
-                bases.setdefault(d, []).append((m, i))
-    module = GradedModule(bases)
+        for i in range(top // 2 + 1 - m):
+            bases.setdefault(2 * (m + i), []).append((m, i))
 
-    def nabla_matrix(d):
-        src = bases.get(d, [])
-        tgt = bases.get(d - 2, [])
-        mat = [[R.zero] * len(src) for _ in range(len(tgt))]
-        for c_idx, (m, i) in enumerate(src):
-            if m >= 1:
-                mat[tgt.index((m - 1, i))][c_idx] = Eprime
-        return mat
+    def lowering(k, coefficient):
+        """The shift-2 map lowering index k of the label (m, i) by one,
+        times coefficient(that index)."""
+        matrices = {}
+        for d, src in bases.items():
+            tgt = bases.get(d - 2, [])
+            matrices[d] = mat = [[R.zero] * len(src) for _ in tgt]
+            for col, mono in enumerate(src):
+                if mono[k]:
+                    lower = tuple(x - (j == k) for j, x in enumerate(mono))
+                    mat[tgt.index(lower)][col] = coefficient(mono[k])
+        return GradedLinearMap(bases, 2, matrices)
 
-    def theta_matrix(d):
-        src = bases.get(d, [])
-        tgt = bases.get(d - 2, [])
-        mat = [[R.zero] * len(src) for _ in range(len(tgt))]
-        for c_idx, (m, i) in enumerate(src):
-            if i >= 1:
-                mat[tgt.index((m, i - 1))][c_idx] = R.scalar(i)
-        return mat
-
-    nabla = GradedLinearMap(module, 2, {d: nabla_matrix(d) for d in bases})
-    theta = GradedLinearMap(module, 2, {d: theta_matrix(d) for d in bases})
-
-    report_nabla = two_term_homology(nabla, bound, R)
-    engine_total = cube_total_fiber([nabla, theta], bound, R)
-
-    report_total = HomologyReport()
-    report_total.add(0, 1, [], r_divisors=[], cyclic=True)
-    all_consistent = True
-    for j in range(1, (bound + 1) // 2 + 1):
-        d = 2 * j - 1
-        if d > bound:
-            break
-        kj = R.val(R.mul(R.scalar(j), Eprime))
-        engine_row = engine_total.entry(d)
-        engine_exps = engine_row.get("exponents", [])
-        # The strict chain square determines the fiber only through degree
-        # 2p-1 (and everywhere when E'(pi) is a unit); beyond that the
-        # coherence data the square of spectra carries has no chain shadow.
-        comparable = vE == 0 or j <= p
-        order_match = None
-        if comparable:
-            order_match = (sum(engine_exps) == kj
-                           and engine_row["free_rank"] == 0)
-            if not order_match:
-                all_consistent = False
-        sub_quotient_ok = kj == R.val(R.scalar(j)) + vE
-        if not sub_quotient_ok:
-            all_consistent = False
-        closed_form_matches_engine = engine_exps == ([kj] if kj else [])
-        report_total.add(
-            d, 0, _orders(p, [kj] if kj else []),
-            r_divisors=[kj] if kj else [],
-            cyclic=True,
-            order_check=order_match,
-            subquotient_check=sub_quotient_ok,
-            engine_exponents=engine_exps,
-            engine_agrees=closed_form_matches_engine,
-        )
-    # extension bookkeeping at degree 2p-1
-    if 2 * p - 1 <= bound:
-        row = report_total.entry(2 * p - 1)
-        k = row["r_divisors"][0] if row["r_divisors"] else 0
-        row["extension_order_check"] = (k == e + vE)  # |R/p| * |R/E'(pi)|
-    return {
-        "nabla": report_nabla,
-        "total": report_total,
-        "engine_total": engine_total,
-        "Eprime_valuation": vE,
-        "consistent": all_consistent,
-    }
+    nabla = lowering(0, lambda m: Eprime)
+    theta = lowering(1, R.scalar)
+    return {"nabla": two_term_homology(nabla, bound, R),
+            "total": cube_total_fiber([nabla, theta], bound, R),
+            "Eprime_valuation": R.val(Eprime)}
 
 
 def multiplication_matrix(series: TruncPoly, K: int) -> list:

@@ -1,8 +1,10 @@
 """Expected values and closed-form patterns for the named checks.
 
 Every target is stated by what it asserts about the computation; the check
-functions in cli.py compare computed objects against these. Keeping them in
-one module makes the coverage auditable.
+functions in cli.py compare computed objects against these. Closed forms that
+a check evaluates itself stay in that check: the polynomials of
+fgl.right-unit and fgl.b4, built from their ring's variables, and the
+homology patterns of the sen.* checks, of which only the grids live here.
 """
 
 from fractions import Fraction
@@ -10,7 +12,6 @@ from fractions import Fraction
 # --- Witt identity suite ----------------------------------------------------
 
 GABBER_PRIMES = (2, 3, 5)
-GABBER_LENGTH = 6
 
 # first components of the ghost-(1 - p^(p^(j+1)-1)) vector, small cases
 GABBER_Y_SMALL = {
@@ -28,11 +29,6 @@ FROBENIUS_PREIMAGE_FAIL_WITNESS = {"lhs_coefficient": 4, "rhs_balanced": -2,
                                    "modulus": 8}
 FROBENIUS_PREIMAGE_TEICH_POWERS = (2, 3)
 
-INT_TO_WITT_EXAMPLES = {
-    (2, 2, 3): (2, -1, -4),
-    (2, 3, 3): (3, -3, -24),
-}
-
 # --- formal group laws -------------------------------------------------------
 
 Q_IDENTITY_MAX = 20
@@ -45,28 +41,6 @@ HONDA_GRID = [
     for m in range(1, 7)
     if p ** (n * m) <= 64
 ]
-
-RIGHT_UNIT_V1 = {"v1": 1, "t1_coeff_is_p": True}
-
-# eta_R(v2) at p = 2, exact display
-RIGHT_UNIT_V2_P2 = {
-    "v2": 1,
-    "v1*t1^2": -5,
-    "v1^2*t1": -3,
-    "t2": 2,
-    "t1^3": -4,
-}
-
-# the degree-8 cobar representative at p = 2, exact display
-B4_DISPLAY = {
-    "t1^4": 5,
-    "t1^3*v1": 9,
-    "t1^2*v1^2": 7,
-    "t1*t2": -2,
-    "t1*v1^3": 2,
-    "t1*v2": -1,
-    "t2*v1": -1,
-}
 
 # --- homology patterns -------------------------------------------------------
 
@@ -101,7 +75,7 @@ PSI_TENSOR_SAMPLES = 100
 # (p, levels n, monomial bound): commutators checked for p^j with j < n
 WEYL_GRID = ((2, 4, 50), (3, 4, 50))
 
-DELTA_RING = {"p": 3, "n": 1, "B": 2, "K": 18, "N": 12}
+DELTA_RING = {"p": 3, "n": 1, "B": 2}
 
 CARTIER_SAMPLES = 50
 CARTIER_PRIMES = (2, 3)

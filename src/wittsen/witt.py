@@ -83,19 +83,14 @@ def make_witt(ctx: WittContext, comps) -> WittVector:
     return WittVector(ctx, tuple(comps))
 
 
-def ghost_polynomial(p: int, j: int, values: list):
-    """w_j evaluated on symbolic/polynomial component values."""
-    acc = values[0] ** (p**j)
-    for i in range(1, j + 1):
-        acc = acc + values[i] ** (p ** (j - i)) * p**i
-    return acc
-
-
 # ---------------------------------------------------------------------------
 # ghost transport
 
 
 def _ghost_entries(p, comps, modulus=0):
+    """Ghost components w_j = sum_(i<=j) p^i comps[i]^(p^(j-i)) for every j
+    below len(comps): of integers mod modulus when one is given, else of
+    integers or series exactly."""
     L = len(comps)
     out = []
     for j in range(L):
@@ -406,9 +401,9 @@ def cartier_character(
     gx = g_of(xt)
 
     # log g(x) = sum_m (a_m / p^m) w_m(x t)
+    ghost_x = _ghost_entries(p, xt)
     expected_log = TruncPoly.zero(ring)
-    for m in range(n):
-        wm = ghost_polynomial(p, m, xt)
+    for m, wm in enumerate(ghost_x):
         expected_log = expected_log + wm.map_coeffs(
             lambda c, m=m: Fraction(c * a[m], p**m)
         )
@@ -418,7 +413,7 @@ def cartier_character(
     if xprime_scalars is not None:
         xpt = [t * c for c in xprime_scalars]
         # Witt sum with polynomial components, through the ghost map over Q[t]
-        gs = [ghost_polynomial(p, j, xt) + ghost_polynomial(p, j, xpt) for j in range(n)]
+        gs = [w + w2 for w, w2 in zip(ghost_x, _ghost_entries(p, xpt))]
         additive_ok = g_of(_ghost_inverse_components(p, gs)) == gx * g_of(xpt)
 
     return {

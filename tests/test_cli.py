@@ -78,6 +78,19 @@ def test_nseries_additive(capsys):
     assert doc["checks"][0]["payload"]["series"] == "7*x"
 
 
+def test_honda_nseries_is_built_at_its_degree(capsys):
+    # [2](x) of the height-1 law at p = 3 is 2x + v x^3 + ...: truncated at
+    # degree 1 it is 2x, at degree 35 it is not
+    series = {}
+    for D in ("1", "35"):
+        code, out = run_main(["fgl", "nseries", "--kind", "honda", "-D", D, "--json"],
+                             capsys)
+        assert code == 0
+        series[D] = json.loads(out)["checks"][0]["payload"]["series"]
+    assert series["1"] == "2*x"
+    assert series["35"].startswith("2*x + x^3*v")
+
+
 def test_dvr_flag_parsing(capsys):
     code, out = run_main(
         ["sen", "dvr", "-p", "3", "-E", "1,0,-3", "--json"], capsys
@@ -223,7 +236,7 @@ def test_oversized_result_is_usage_error(argv, flag, capsys):
     (["cartier", "weyl", "-M", "201"], "dpops", "dp_weyl_operators"),
     (["cartier", "delta", "-K", "21"], "dpops", "delta_ring_check"),
     (["cartier", "delta", "-B", "5"], "dpops", "delta_ring_check"),
-    (["fgl", "nseries", "--kind", "honda", "-D", "121"], "fgl", "fgl_construct"),
+    (["fgl", "nseries", "--kind", "honda", "-D", "41"], "fgl", "fgl_construct"),
     (["fgl", "q-identity", "--n-max", "61"], "fgl", "fgl_construct"),
     (["sen", "bokstedt", "-D", "10001"], "senhom", "build_bokstedt"),
     (["sen", "dvr", "-E", "1," + "0," * 12 + "3"], "senhom", "build_dvr_square"),
@@ -299,8 +312,9 @@ def _zpn(rep, p, n, bound):  # only n = 3 differs, and only where no per-n check
      "degree"),
     (["sen", "zpn"], _tamper("senhom", "build_zpn_serre", _zpn), "n_dependent_degree"),
     (["sen", "dvr"],
-     _tamper("senhom", "build_dvr_square", lambda out, *a: {**out, "consistent": False}),
-     "consistent"),
+     _tamper("senhom", "build_dvr_square",
+             lambda out, *a: {**out, "total": _set_row(1, exponents=[9])(out["total"])}),
+     "k_j"),
 ])
 def test_failure_names_its_counterexample(argv, patch, key, capsys, monkeypatch):
     patch(monkeypatch)

@@ -4,7 +4,7 @@ from math import comb
 
 import pytest
 
-from wittsen.dpops import GradedLinearMap, GradedModule, psi_eigenvalues
+from wittsen.dpops import GradedLinearMap, psi_eigenvalues
 from wittsen.exactalg import InvalidInputError, PLocalOps, int_valuation, matrix_product
 from wittsen.fgl import f_derham_complex, fgl_construct, q_integer
 from wittsen.senhom import (
@@ -51,6 +51,23 @@ def test_eisenstein_basics():
     assert R.mul(pi, pi) == R.scalar(3)
 
 
+DVR_RINGS = ((3, [-3, 1]), (3, [-3, 0, 1]), (3, [-3, 0, 0, 1]), (2, [-2, 0, 1]))
+
+
+def test_eisenstein_valuation_is_additive():
+    # the facts the DVR closed form rests on: v(ab) = v(a) + v(b), v(p) = e
+    rng = random.Random(131)
+    for p, E in DVR_RINGS:
+        R = Eisenstein(p, E)
+        assert R.val(R.scalar(p)) == R.e
+        for _ in range(40):
+            a, b = (tuple(Fraction(rng.choice([0, 1, -2, 5, p, -p * p, 7 * p]))
+                          for _ in range(R.e)) for _ in range(2))
+            if R.is_zero(a) or R.is_zero(b):
+                continue
+            assert R.val(R.mul(a, b)) == R.val(a) + R.val(b), (p, E, a, b)
+
+
 def test_eisenstein_rejects_non_eisenstein():
     with pytest.raises(InvalidInputError):
         Eisenstein(3, [-9, 0, 1])   # E(0) = 9 divisible by p^2
@@ -64,7 +81,7 @@ def test_eisenstein_rejects_non_eisenstein():
 # two-term fibers
 
 def rank1_module(degree):
-    return GradedModule({degree: ["e"]})
+    return {degree: ["e"]}
 
 
 def test_two_term_zero_map():
@@ -77,7 +94,7 @@ def test_two_term_zero_map():
 
 
 def test_two_term_multiplication_by_six():
-    gm = GradedModule({2: ["a"], 0: ["b"]})
+    gm = {2: ["a"], 0: ["b"]}
     D = GradedLinearMap(gm, 2, {2: [[6]]})
     for p, torsion in ((2, [2]), (3, [3]), (5, [])):
         rep = two_term_homology(D, 10, PLocalOps(p))
@@ -86,7 +103,7 @@ def test_two_term_multiplication_by_six():
 
 
 def test_two_term_diag_2_0():
-    gm = GradedModule({2: ["a", "b"], 0: ["c", "d"]})
+    gm = {2: ["a", "b"], 0: ["c", "d"]}
     D = GradedLinearMap(gm, 2, {2: [[2, 0], [0, 0]]})
     rep = two_term_homology(D, 10, PLocalOps(2))
     assert entry(rep, 2)["free_rank"] == 1          # kernel rank 1
@@ -113,14 +130,19 @@ def test_cube_zero_operators_binomial_pattern():
         assert chi == 0 if n >= 1 else 1
 
 
-def test_cube_single_operator_matches_two_term():
-    gm = GradedModule({4: ["a"], 2: ["b"], 0: ["c"]})
+def test_cube_single_operator_hand_computed():
+    # M = Z_(p){c, b, a} in degrees 0, 2, 4 with D(a) = 2b, D(b) = 3c, shift 2.
+    # Degree d of the fiber is ker(D out of M_d) + coker(D: M_(d+1) -> M_(d-1)):
+    # c survives in degree 0, coker(3) sits in degree 1, coker(2) in degree 3,
+    # and a, the target of nothing, in degree 5.
+    gm = {4: ["a"], 2: ["b"], 0: ["c"]}
     D = GradedLinearMap(gm, 2, {4: [[2]], 2: [[3]]})
-    rep_cube = cube_total_fiber([D], 8, PLocalOps(2))
-    rep_two = two_term_homology(D, 8, PLocalOps(2))
-    for d in range(0, 8):
-        assert entry(rep_cube, d)["free_rank"] == entry(rep_two, d)["free_rank"]
-        assert entry(rep_cube, d)["torsion"] == entry(rep_two, d)["torsion"]
+    for p, want in ((2, {0: (1, []), 3: (0, [1]), 5: (1, [])}),
+                    (3, {0: (1, []), 1: (0, [1]), 5: (1, [])}),
+                    (5, {0: (1, []), 5: (1, [])})):
+        rep = cube_total_fiber([D], 8, PLocalOps(p))
+        assert {r["degree"]: (r["free_rank"], r["exponents"]) for r in rep.degrees} == want
+        assert two_term_homology(D, 8, PLocalOps(p)).degrees == rep.degrees
 
 
 def test_cube_scalar_operators_order_permutation_invariant():
@@ -143,7 +165,7 @@ def test_cube_scalar_operators_order_permutation_invariant():
 
 
 def test_cube_commutation_required():
-    gm = GradedModule({0: ["a", "b"]})
+    gm = {0: ["a", "b"]}
     M1 = GradedLinearMap(gm, 0, {0: [[0, 1], [0, 0]]})
     M2 = GradedLinearMap(gm, 0, {0: [[0, 0], [1, 0]]})
     with pytest.raises(InvalidInputError):
@@ -178,7 +200,8 @@ def test_bokstedt_jp():
     rep = build_bokstedt(3, "Jp", 30)
     assert entry(rep, 0)["free_rank"] == 1
     assert entry(rep, 5)["torsion"] == [3]      # j = 3
-    assert entry(rep, 3) == {"degree": 3, "free_rank": 0, "torsion": []}  # j = 2
+    assert entry(rep, 3) == {"degree": 3, "free_rank": 0, "torsion": [],
+                             "exponents": []}  # j = 2
     for j in range(1, 15):
         row = entry(rep, 2 * j - 1)
         expected = [] if vp(3, j) == 0 else [3 ** vp(3, j)]
@@ -271,18 +294,22 @@ def test_omega2yn_uct_consistency():
         assert entry(coh, 2 * k)["free_rank"] == 1
 
 
+def total_rows(out, degrees):
+    return {d: (out["total"].entry(d)["free_rank"], out["total"].entry(d)["exponents"])
+            for d in degrees}
+
+
 def test_dvr_unramified_matches_bokstedt_jp():
-    out = build_dvr_square(3, [-3, 1], 19)  # u - 3
+    # E = u - 3: R = Z_(3), E'(pi) = 1, and the square is the Jp line
+    out = build_dvr_square(3, [-3, 1], 19)
     assert out["Eprime_valuation"] == 0
-    assert out["consistent"]
     jp = build_bokstedt(3, "Jp", 19)
     for j in range(1, 10):
         d = 2 * j - 1
         row = out["total"].entry(d)
-        assert row["engine_agrees"]
-        assert row["torsion"] == entry(jp, d)["torsion"], d
-        eng = out["engine_total"].entry(d)
-        assert eng["torsion"] == row["torsion"]
+        assert row["free_rank"] == 0
+        assert row["torsion"] == entry(jp, d)["torsion"] == (
+            [3 ** vp(3, j)] if vp(3, j) else []), d
 
 
 def test_dvr_nabla_pattern():
@@ -298,36 +325,26 @@ def test_dvr_nabla_pattern():
 
 
 def test_dvr_ramified_total():
-    out = build_dvr_square(3, [-3, 0, 1], 13)  # u^2 - 3
-    assert out["consistent"]
-    total = out["total"]
-    # degree 1: R/E' = R/pi, order 3
-    assert total.entry(1)["r_divisors"] == [1]
-    assert total.entry(1)["torsion"] == [3]
-    # degree 3: R/2E' = R/pi
-    assert total.entry(3)["r_divisors"] == [1]
-    # degree 2p-1 = 5: R/3E' = R/pi^3, order 27 = |R/p| * |R/E'|
-    row5 = total.entry(5)
-    assert row5["r_divisors"] == [3]
-    assert row5["torsion"] == [27]
-    assert row5["extension_order_check"]
-    assert row5["order_check"]
-    # the strict engine splits there; the order agrees, the gluing does not
-    assert sum(out["engine_total"].entry(5)["exponents"]) == 3
-    assert not row5["engine_agrees"]
+    # u^2 - 3 at p = 3: e = 2 and E'(pi) = 2 pi, so v(j E'(pi)) = 2 v_3(j) + 1
+    out = build_dvr_square(3, [-3, 0, 1], 13)
+    assert out["Eprime_valuation"] == 1
+    # R/E'(pi) = R/pi in degrees 1 and 3, with order 3
+    assert total_rows(out, (1, 3)) == {1: (0, [1]), 3: (0, [1])}
+    assert out["total"].entry(1)["torsion"] == [3]
+    # degree 2p - 1 = 5: the closed form R/3E'(pi) = R/pi^3 has order 27, and
+    # the strict square splits it as R/pi + R/pi^2 of the same order
+    assert total_rows(out, (5,)) == {5: (0, [1, 2])}
+    assert out["total"].entry(5)["torsion"] == [3, 9]
 
 
 def test_dvr_cubic_total():
-    E = [-3, 0, 0, 1]  # u^3 - 3, E' = 3u^2: val 5
+    E = [-3, 0, 0, 1]  # u^3 - 3, E' = 3u^2: valuation e + 2 = 5
     out = build_dvr_square(3, E, 9)
     assert out["Eprime_valuation"] == 5
-    assert out["consistent"]
-    total = out["total"]
-    # degree 2j-1 has order exponent v(j) * e + v(E')
-    R = Eisenstein(3, E)
-    for j in range(1, 5):
-        kj = R.val(R.scalar(j)) + 5
-        assert total.entry(2 * j - 1)["r_divisors"] == [kj], j
+    # v(j E'(pi)) = 3 v_3(j) + 5: exactly for j < p, in total order at j = p
+    assert total_rows(out, (1, 3)) == {1: (0, [5]), 3: (0, [5])}
+    row5 = out["total"].entry(5)
+    assert row5["free_rank"] == 0 and sum(row5["exponents"]) == 3 * 1 + 5
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +445,7 @@ def test_double_entry_bookkeeping():
 def test_two_term_complex_type():
     # the same complex over three local rings: Z_(2), Z_(3), and
     # Z_(3)[u]/(u^2 - 3), where 6 = 2u^2 has valuation 2
-    gm = GradedModule({2: ["a"], 0: ["b"]})
+    gm = {2: ["a"], 0: ["b"]}
     D = GradedLinearMap(gm, 2, {2: [[6]]})
     assert entry(two_term_homology(D, 10, PLocalOps(2)), 1)["exponents"] == [1]
     assert entry(two_term_homology(D, 10, PLocalOps(3)), 1)["torsion"] == [3]
@@ -456,12 +473,23 @@ def counting_local_snf(monkeypatch):
 
 def test_two_term_eliminates_each_degree_once(monkeypatch):
     seen = counting_local_snf(monkeypatch)
-    gm = GradedModule({2 * k: ["e"] for k in range(8)})
+    gm = {2 * k: ["e"] for k in range(8)}
     D = GradedLinearMap(gm, 2, {2 * k: [[Fraction(3 * k)]] for k in range(1, 8)})
     rep = two_term_homology(D, 14, PLocalOps(3))
     assert len(seen) == len({id(m) for m in seen}) == 7   # degrees 2, 4, ..., 14
     assert entry(rep, 5)["torsion"] == [9]        # coker of 9 at degree 6
     assert entry(rep, 0)["free_rank"] == 1
+
+
+def test_cube_eliminates_no_zero_total(monkeypatch):
+    # D has no matrix out of degree 4, so the total differential out of
+    # degree 4 (M_4 -> M_2) is the zero map and is not built or eliminated
+    seen = counting_local_snf(monkeypatch)
+    D = GradedLinearMap({4: ["a"], 2: ["b"], 0: ["c"]}, 2, {2: [[Fraction(3)]]})
+    rep = cube_total_fiber([D], 6, PLocalOps(3))
+    assert len(seen) == 1
+    assert {r["degree"]: (r["free_rank"], r["exponents"]) for r in rep.degrees} == {
+        0: (1, []), 1: (0, [1]), 3: (1, []), 4: (1, []), 5: (1, [])}
 
 
 def test_chain_homology_eliminates_no_zero_matrix(monkeypatch):

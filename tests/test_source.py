@@ -25,12 +25,17 @@ CALLED_BY_NAME = ("cli.check_", "exactalg.truncated_exp_log")
 
 
 def _definitions(tree):
-    """(qualified name, node) of the public top-level functions and classes
-    and of the non-dunder methods of top-level classes."""
+    """(qualified name, node) of the public top-level functions, classes and
+    assigned names and of the non-dunder methods of top-level classes."""
     functions = (ast.FunctionDef, ast.AsyncFunctionDef)
     for node in tree.body:
         if isinstance(node, (*functions, ast.ClassDef)) and not node.name.startswith("_"):
             yield node.name, node
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                if isinstance(target, ast.Name) and not target.id.startswith("_"):
+                    yield target.id, node
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, functions) and not (
@@ -57,6 +62,6 @@ def test_every_public_name_has_a_caller_in_src():
                 continue
             inside = range(node.lineno, node.end_lineno + 1)
             if not any(m != module or line not in inside
-                       for m, line in uses.get(node.name, [])):
+                       for m, line in uses.get(name.rsplit(".", 1)[-1], [])):
                 unused.append(f"{label} ({module}.py:{node.lineno})")
     assert not unused, unused
