@@ -9,9 +9,12 @@ No floating point anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import bisect_right
+from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import compress
 from math import factorial
+from operator import add
 
 
 class InvalidInputError(ValueError):
@@ -85,6 +88,12 @@ class PolyRing:
     ``counted`` (coefficient-like variables are usually left uncounted).
     ``modulus`` = 0 means characteristic zero (int/Fraction coefficients).
     ``degrees`` is bookkeeping used by graded callers.
+
+    The truncation is read as one linear cap, ``weight(mono) <= cap``: the
+    weight is the exponent of the first capped variable, else the summed
+    exponent of the counted variables, and 0 (with cap 0) in a ring with no
+    cap. ``multi_cap`` marks a ring with a further cap, which ``keeps``
+    tests separately.
     """
 
     vars: tuple[str, ...]
@@ -93,6 +102,9 @@ class PolyRing:
     counted: tuple = None
     modulus: int = 0
     degrees: tuple = None
+    cap: int = field(init=False, repr=False, compare=False)
+    weighted: tuple = field(init=False, repr=False, compare=False)
+    multi_cap: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = len(self.vars)
@@ -102,18 +114,30 @@ class PolyRing:
             object.__setattr__(self, "counted", (True,) * n)
         if self.degrees is None:
             object.__setattr__(self, "degrees", (0,) * n)
+        capped = [i for i, b in enumerate(self.bounds) if b is not None]
+        if capped:
+            cap, weighted = self.bounds[capped[0]], tuple(i == capped[0] for i in range(n))
+        elif self.total_bound is not None:
+            cap, weighted = self.total_bound, self.counted
+        else:
+            cap, weighted = 0, (False,) * n
+        object.__setattr__(self, "cap", cap)
+        object.__setattr__(self, "weighted", weighted)
+        object.__setattr__(self, "multi_cap", len(capped) + (self.total_bound is not None) > 1)
 
     def index(self, name: str) -> int:
         return self.vars.index(name)
 
+    def weight(self, mono: tuple) -> int:
+        return sum(compress(mono, self.weighted))
+
     def keeps(self, mono: tuple) -> bool:
-        for e, b in zip(mono, self.bounds):
-            if b is not None and e > b:
-                return False
-        if self.total_bound is not None:
-            if sum(e for e, c in zip(mono, self.counted) if c) > self.total_bound:
-                return False
-        return True
+        if self.weight(mono) > self.cap:
+            return False
+        return not self.multi_cap or (
+            all(b is None or e <= b for e, b in zip(mono, self.bounds))
+            and (self.total_bound is None
+                 or sum(compress(mono, self.counted)) <= self.total_bound))
 
     def reduce_coeff(self, c):
         if self.modulus:
@@ -202,13 +226,18 @@ class TruncPoly:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return TruncPoly(self.ring, {m: c * other for m, c in self.terms.items()})
+        ring = self.ring
+        # weights add under multiplication, so with the right operand sorted
+        # by weight each left term's partners end where the cap is passed;
+        # the constructor's keeps() drops what a further cap excludes
+        right = sorted((ring.weight(m), m, c) for m, c in other.terms.items())
+        weights = [w for w, _, _ in right]
         out = {}
         for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = tuple(a + b for a, b in zip(m1, m2))
-                if self.ring.keeps(m):
-                    out[m] = out.get(m, 0) + c1 * c2
-        return TruncPoly(self.ring, out)
+            for _, m2, c2 in right[:bisect_right(weights, ring.cap - ring.weight(m1))]:
+                m = tuple(map(add, m1, m2))
+                out[m] = out.get(m, 0) + c1 * c2
+        return TruncPoly(ring, out)
 
     __rmul__ = __mul__
 
@@ -267,7 +296,7 @@ class TruncPoly:
                 term = power if term is None else term * power
             items = term.terms.items() if term is not None else [((0,) * len(shift), 1)]
             for m, a in items:
-                m = tuple(x + y for x, y in zip(m, shift))
+                m = tuple(map(add, m, shift))
                 if ring.keeps(m):
                     out[m] = out.get(m, 0) + c * a
         return TruncPoly(ring, out)

@@ -207,16 +207,19 @@ def formal_inverse(F: FormalGroupLaw, bound: int) -> TruncPoly:
 
 
 def n_series(F: FormalGroupLaw, m: int, bound: int = None) -> TruncPoly:
-    """[m](x), the m-fold formal sum, truncated at the law's degree."""
+    """[m](x), the m-fold formal sum, truncated at the law's degree; built by
+    doubling and adding along the binary digits of m, so O(log m) sums."""
     bound = bound or F.D
     ring, x = _series_var(F, bound)
     if m < 0:
         iota = formal_inverse(F, bound)
         pos = n_series(F, -m, bound)
         return iota.substitute({"x": pos})
-    cur = TruncPoly.zero(ring)
-    for _ in range(m):
-        cur = F.F.substitute({"X": cur, "Y": x})
+    cur = x if m else TruncPoly.zero(ring)
+    for bit in bin(m)[3:]:
+        cur = F.F.substitute({"X": cur, "Y": cur})
+        if bit == "1":
+            cur = F.F.substitute({"X": cur, "Y": x})
     return cur
 
 
@@ -262,23 +265,26 @@ def honda_p_series(p: int, n: int, bound: int) -> TruncPoly:
     return pseries
 
 
-def honda_pm_divided_series(p: int, n: int, m: int) -> dict:
-    """<p^m>(h) for the height-n law: honda_p_series raises InvalidFGLError
-    unless [p](x) = v x^(p^n) exactly, so the exponents of its m-fold
-    composite follow by recursion."""
-    bound = p ** (n * m)
-    honda_p_series(p, n, max(bound, 2 * p**n))
-    exp_v, exp_x = 0, 1
-    for _ in range(m):
-        # apply x -> v x^(p^n): v * (v^a x^b)^(p^n) = v^(a p^n + 1) x^(b p^n)
-        exp_v = exp_v * p**n + 1
-        exp_x = exp_x * p**n
-    expected_e = (p ** (n * m) - 1) // (p**n - 1)
-    return {
-        "v_exponent": exp_v,
-        "h_exponent": exp_x - 1,
-        "matches_closed_form": exp_v == expected_e and exp_x == p ** (n * m),
-    }
+def honda_pm_divided_series(p: int, n: int, ms) -> dict:
+    """<p^m>(h) for the height-n law, keyed by each m in ms: honda_p_series
+    raises InvalidFGLError unless [p](x) = v x^(p^n) exactly, and one
+    p-series at the largest bound any m needs covers them all, so the
+    exponents of each m-fold composite follow by recursion."""
+    honda_p_series(p, n, max(p ** (n * max(ms)), 2 * p**n))
+    out = {}
+    for m in ms:
+        exp_v, exp_x = 0, 1
+        for _ in range(m):
+            # apply x -> v x^(p^n): v * (v^a x^b)^(p^n) = v^(a p^n + 1) x^(b p^n)
+            exp_v = exp_v * p**n + 1
+            exp_x = exp_x * p**n
+        expected_e = (p ** (n * m) - 1) // (p**n - 1)
+        out[m] = {
+            "v_exponent": exp_v,
+            "h_exponent": exp_x - 1,
+            "matches_closed_form": exp_v == expected_e and exp_x == p ** (n * m),
+        }
+    return out
 
 
 # ---------------------------------------------------------------------------

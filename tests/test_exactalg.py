@@ -260,6 +260,54 @@ def test_exp_log_preconditions():
         t.series_log()
 
 
+def within(ring, mono):
+    """The truncation read straight from the ring's bounds: an oracle for
+    PolyRing.keeps."""
+    if any(b is not None and e > b for e, b in zip(mono, ring.bounds)):
+        return False
+    counted = sum(e for e, c in zip(mono, ring.counted) if c)
+    return ring.total_bound is None or counted <= ring.total_bound
+
+
+@pytest.mark.parametrize("ring", [
+    PolyRing(vars=("l1", "v1", "t1"), degrees=(2, 2, 2)),
+    PolyRing(vars=("x", "v"), bounds=(6, None)),
+    PolyRing(vars=("v", "x", "w"), bounds=(None, 6, None)),
+    PolyRing(vars=("X", "Y", "v"), total_bound=6, counted=(True, True, False)),
+    PolyRing(vars=("x", "y"), bounds=(5, 4)),
+    PolyRing(vars=("x", "y"), bounds=(6, 6), total_bound=8),
+    PolyRing(vars=("x", "v"), bounds=(6, None), modulus=3),
+], ids=["no-cap", "first-capped", "second-capped", "total-uncounted",
+        "two-caps", "caps-and-total", "modulus"])
+def test_mul_matches_naive_product(ring):
+    # oracle: expand every pair of terms, then drop what the bounds exclude
+    rng = random.Random(29)
+    n = len(ring.vars)
+
+    def rand_poly():
+        terms = {}
+        for _ in range(rng.randrange(1, 9)):
+            m = tuple(rng.randrange(0, 7) for _ in range(n))
+            terms[m] = Fraction(rng.randrange(-9, 10), rng.choice((1, 2, 4)))
+        return TruncPoly(ring, terms)
+
+    pairs = on_cap = 0
+    for _ in range(60):
+        a, b = rand_poly(), rand_poly()
+        out = {}
+        for m1, c1 in a.terms.items():
+            for m2, c2 in b.terms.items():
+                pairs += 1
+                m = tuple(x + y for x, y in zip(m1, m2))
+                assert ring.keeps(m) == within(ring, m)
+                if within(ring, m):
+                    out[m] = out.get(m, 0) + c1 * c2
+                    on_cap += ring.cap > 0 and ring.weight(m) == ring.cap
+        assert a * b == TruncPoly(ring, out)
+    # the cut must keep products that land exactly on the cap
+    assert pairs and (on_cap or ring.cap == 0)
+
+
 def test_truncpoly_mul_assoc_comm():
     rng = random.Random(17)
     ring = PolyRing(vars=("x", "y"), bounds=(6, 6), total_bound=8)

@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from wittsen.exactalg import PolyRing, TruncPoly
 from wittsen.fgl import (
     _bp_ring,
@@ -120,11 +122,12 @@ def test_honda_p_series_exact():
 
 
 def test_honda_divided_power_series():
-    data = honda_pm_divided_series(2, 1, 2)
+    data = honda_pm_divided_series(2, 1, [2])[2]
     assert data["matches_closed_form"]
     assert data["v_exponent"] == 3 and data["h_exponent"] == 3
-    data = honda_pm_divided_series(3, 1, 2)
-    assert data["v_exponent"] == 4 and data["h_exponent"] == 8
+    data = honda_pm_divided_series(3, 1, [1, 2])
+    assert data[1]["v_exponent"] == 1 and data[1]["h_exponent"] == 2
+    assert data[2]["v_exponent"] == 4 and data[2]["h_exponent"] == 8
 
 
 def test_honda_generic_n_series_agrees():
@@ -132,6 +135,29 @@ def test_honda_generic_n_series_agrees():
     F = fgl_construct("honda", 10, p=2, n=1)
     s = n_series(F, 2)
     assert s.terms == {(2, 1): 1}
+
+
+@pytest.mark.parametrize("law", [
+    ("additive", {}),
+    ("multiplicative", {"lam": 3}),
+    ("multiplicative", {"lam": "lam"}),
+    ("honda", {"p": 2, "n": 1}),
+    ("honda", {"p": 3, "n": 1}),
+], ids=["additive", "mult-3", "mult-lam", "honda-2", "honda-3"])
+def test_n_series_is_the_iterated_sum(law):
+    kind, params = law
+    F = fgl_construct(kind, 10, **params)
+    ring = F.series_ring("x", F.D)
+    x = TruncPoly.var(ring, "x")
+    iota = formal_inverse(F, F.D)
+    total, negative = TruncPoly.zero(ring), TruncPoly.zero(ring)
+    for m in range(1, 34):
+        total = F.F.substitute({"X": total, "Y": x})
+        assert n_series(F, m) == total, m
+        if m <= 7:
+            negative = F.F.substitute({"X": negative, "Y": iota})
+            if m in (1, 7):
+                assert n_series(F, -m) == negative, -m
 
 
 # ---------------------------------------------------------------------------
