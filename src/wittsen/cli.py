@@ -142,11 +142,11 @@ def check_frobenius_of_p(cfg: RunConfig):
     return check("witt.frobenius-of-p", bad is None, {"cases": rows}, bad)
 
 
-def _valid_ghost_tuple(rng, p, n, spread=20):
+def _valid_ghost_tuple(rng, p, n):
     a = [0] * n
-    a[n - 1] = p**n * rng.randrange(-spread, spread + 1)
+    a[n - 1] = p**n * rng.randrange(-20, 21)
     for m in range(n - 2, -1, -1):
-        a[m] = a[m + 1] + p ** (m + 1) * rng.randrange(-spread, spread + 1)
+        a[m] = a[m + 1] + p ** (m + 1) * rng.randrange(-20, 21)
     return a
 
 
@@ -229,15 +229,15 @@ def check_honda(cfg: RunConfig):
 def check_right_unit(cfg: RunConfig):
     payload = {}
     bad = None
-    for p in (2, 3):
-        eta = FG.bp_right_unit(p, 2)
+    etas = {p: FG.bp_right_unit(p, 2) for p in (2, 3)}
+    for p, eta in etas.items():
         ring = eta[1].ring
         v1 = FG.TruncPoly.var(ring, "v1")
         t1 = FG.TruncPoly.var(ring, "t1")
         payload[f"eta_v1_p{p}"] = repr(eta[1])
         if eta[1] != v1 + p * t1:
             bad = bad or {"p": p, "eta_v1": eta[1], "want": v1 + p * t1}
-    eta = FG.bp_right_unit(2, 2)
+    eta = etas[2]
     ring = eta[1].ring
     v1, v2 = FG.TruncPoly.var(ring, "v1"), FG.TruncPoly.var(ring, "v2")
     t1, t2 = FG.TruncPoly.var(ring, "t1"), FG.TruncPoly.var(ring, "t2")
@@ -269,18 +269,27 @@ def check_b4(cfg: RunConfig):
 
 
 def check_fderham(cfg: RunConfig):
+    """Each weight's divided m-series against [m]_q at q = 1 + lam*h (m for the
+    additive law, lam = 0), its Smith divisors, and the symbolic q-identity."""
     bad = None
     payload = {}
-    F = FG.fgl_construct("additive", 8)
-    rep = SH.fderham_cohomology(FG.f_derham_complex(F, 5, 6))
+    cx = FG.f_derham_complex(FG.fgl_construct("additive", 8), 5, 6)
+    Fm = FG.fgl_construct("multiplicative", 8, lam=1)
+    cxm = FG.f_derham_complex(Fm, 4, 6)
+    ring = Fm.series_ring("h", 6)  # the additive law's h-line too
+    for law, lam, weights in (("additive", 0, cx.weights),
+                              ("multiplicative_lambda_1", 1, cxm.weights)):
+        for m, series in weights.items():
+            want = FG.q_integer(m, lam, ring)
+            if series != want:
+                bad = bad or {"law": law, "weight": m, "series": series, "want": want}
+    rep = SH.fderham_cohomology(cx)
     for m in range(1, 6):
         if rep["weights"][m]["divisors"] != [m] * 6:
             bad = bad or {"law": "additive", "weight": m,
                           "divisors": rep["weights"][m]["divisors"], "want": [m] * 6}
     payload["additive"] = rep["weights"][3]
-    Fm = FG.fgl_construct("multiplicative", 8, lam=1)
-    repm = SH.fderham_cohomology(FG.f_derham_complex(Fm, 4, 6))
-    ring = Fm.series_ring("h", 6)
+    repm = SH.fderham_cohomology(cxm)
     for m in range(1, 5):
         mat = SH.multiplication_matrix(FG.q_integer(m, 1, ring), 6)
         expected = [abs(d) for d in smith_normal_form(IntMatrix.from_rows(mat)).divisors]
@@ -619,10 +628,9 @@ class Needs:
 PRIME = Ints(2, 97, prime=True)
 
 # Each maximum keeps one run of its check within about 2 s on a 2-core x86
-# (times in CHANGES.md), except fgl nseries -D, whose maximum is its default
-# 40: `--kind honda -p 2 -m -100` takes about 2.2 s there. Minimums are
-# domain limits: gabber's y has length L - 1 >= 1, solve-frobenius's p = 2
-# failure witness needs L >= 2, and delta's x = (q-1)^2 needs K >= 3.
+# (times in CHANGES.md). Minimums are domain limits: gabber's y has length
+# L - 1 >= 1, solve-frobenius's p = 2 failure witness needs L >= 2, and
+# delta's x = (q-1)^2 needs K >= 3.
 CHECKS = {
     ("witt", "gabber"): {"L": Ints(2, 6)},  # L = 7 has 4300-digit components
     ("witt", "pn-vanishing"): {},

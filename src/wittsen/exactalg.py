@@ -89,11 +89,10 @@ class PolyRing:
     ``modulus`` = 0 means characteristic zero (int/Fraction coefficients).
     ``degrees`` is bookkeeping used by graded callers.
 
-    The truncation is read as one linear cap, ``weight(mono) <= cap``: the
-    weight is the exponent of the first capped variable, else the summed
-    exponent of the counted variables, and 0 (with cap 0) in a ring with no
-    cap. ``multi_cap`` marks a ring with a further cap, which ``keeps``
-    tests separately.
+    A ring takes at most one cap, read as ``weight(mono) <= cap``: the
+    weight is the exponent of the capped variable, else the summed exponent
+    of the counted variables, and 0 (with cap 0) in a ring with no cap. A
+    second cap raises InvalidInputError.
     """
 
     vars: tuple[str, ...]
@@ -104,7 +103,6 @@ class PolyRing:
     degrees: tuple = None
     cap: int = field(init=False, repr=False, compare=False)
     weighted: tuple = field(init=False, repr=False, compare=False)
-    multi_cap: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = len(self.vars)
@@ -115,6 +113,9 @@ class PolyRing:
         if self.degrees is None:
             object.__setattr__(self, "degrees", (0,) * n)
         capped = [i for i, b in enumerate(self.bounds) if b is not None]
+        if len(capped) + (self.total_bound is not None) > 1:
+            raise InvalidInputError(f"a ring takes one cap: {self.bounds}, "
+                                    f"total_bound {self.total_bound}")
         if capped:
             cap, weighted = self.bounds[capped[0]], tuple(i == capped[0] for i in range(n))
         elif self.total_bound is not None:
@@ -123,7 +124,6 @@ class PolyRing:
             cap, weighted = 0, (False,) * n
         object.__setattr__(self, "cap", cap)
         object.__setattr__(self, "weighted", weighted)
-        object.__setattr__(self, "multi_cap", len(capped) + (self.total_bound is not None) > 1)
 
     def index(self, name: str) -> int:
         return self.vars.index(name)
@@ -132,12 +132,7 @@ class PolyRing:
         return sum(compress(mono, self.weighted))
 
     def keeps(self, mono: tuple) -> bool:
-        if self.weight(mono) > self.cap:
-            return False
-        return not self.multi_cap or (
-            all(b is None or e <= b for e, b in zip(mono, self.bounds))
-            and (self.total_bound is None
-                 or sum(compress(mono, self.counted)) <= self.total_bound))
+        return self.weight(mono) <= self.cap
 
     def reduce_coeff(self, c):
         if self.modulus:
@@ -178,9 +173,9 @@ class TruncPoly:
         return TruncPoly(ring, {(0,) * len(ring.vars): c})
 
     @staticmethod
-    def var(ring, name, exp=1):
+    def var(ring, name):
         mono = [0] * len(ring.vars)
-        mono[ring.index(name)] = exp
+        mono[ring.index(name)] = 1
         return TruncPoly(ring, {tuple(mono): 1})
 
     # -- basics ------------------------------------------------------------
@@ -198,9 +193,6 @@ class TruncPoly:
         if isinstance(other, (int, Fraction)):
             other = TruncPoly.const(self.ring, other)
         return self.ring == other.ring and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.ring, tuple(sorted(self.terms.items()))))
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -228,8 +220,7 @@ class TruncPoly:
             return TruncPoly(self.ring, {m: c * other for m, c in self.terms.items()})
         ring = self.ring
         # weights add under multiplication, so with the right operand sorted
-        # by weight each left term's partners end where the cap is passed;
-        # the constructor's keeps() drops what a further cap excludes
+        # by weight each left term's partners end where the cap is passed
         right = sorted((ring.weight(m), m, c) for m, c in other.terms.items())
         weights = [w for w, _, _ in right]
         out = {}
@@ -362,8 +353,8 @@ class TruncPoly:
         return " + ".join(bits)
 
 
-def univariate_ring(name: str, bound: int, modulus: int = 0) -> PolyRing:
-    return PolyRing(vars=(name,), bounds=(bound,), modulus=modulus)
+def univariate_ring(name: str, bound: int) -> PolyRing:
+    return PolyRing(vars=(name,), bounds=(bound,))
 
 
 def truncated_exp_log(f: TruncPoly, mode: str) -> TruncPoly:
@@ -492,7 +483,7 @@ class PLocalOps:
         return a * b
 
 
-def local_snf(ops, rows: list, ncols: int = None) -> tuple:
+def local_snf(ops, rows: list, ncols: int) -> tuple:
     """SNF over a local PID given by `ops`: the elementary divisors of a
     matrix with `ncols` columns, and no transforms.
 
@@ -503,8 +494,7 @@ def local_snf(ops, rows: list, ncols: int = None) -> tuple:
     right of the pivot, the only ones read again.
     """
     a = [list(r) for r in rows]
-    n = len(a)
-    m = ncols if ncols is not None else (len(a[0]) if a else 0)
+    n, m = len(a), ncols
     exps = []
     for s in range(min(n, m)):
         best = None

@@ -32,16 +32,14 @@ class FormalGroupLaw:
     kind: str
     params: dict
     D: int
-    ring: PolyRing
     F: TruncPoly
-    modulus: int = 0
 
     def series_ring(self, name: str, bound: int) -> PolyRing:
-        coeffs = tuple(v for v in self.ring.vars if v not in ("X", "Y"))
+        coeffs = tuple(v for v in self.F.ring.vars if v not in ("X", "Y"))
         return PolyRing(
             vars=(name,) + coeffs,
             bounds=(bound,) + (None,) * len(coeffs),
-            modulus=self.modulus,
+            modulus=self.F.ring.modulus,
         )
 
 
@@ -55,7 +53,7 @@ def _bivariate_ring(coeff_vars: tuple, D: int, modulus: int = 0) -> PolyRing:
     )
 
 
-def _axiom_failure_degree(F: TruncPoly, D: int, modulus: int):
+def _axiom_failure_degree(F: TruncPoly, D: int):
     """Smallest total degree at which an axiom fails, or None."""
     ring = F.ring
     X = TruncPoly.var(ring, "X")
@@ -83,7 +81,7 @@ def _axiom_failure_degree(F: TruncPoly, D: int, modulus: int):
         vars=("X", "Y", "Z") + coeffs,
         total_bound=D,
         counted=(True, True, True) + (False,) * len(coeffs),
-        modulus=modulus,
+        modulus=ring.modulus,
     )
     Xt, Yt, Zt = (TruncPoly.var(tri, n) for n in ("X", "Y", "Z"))
     left = F.substitute({"X": F.substitute({"X": Xt, "Y": Yt}), "Y": Zt})
@@ -95,13 +93,14 @@ def _axiom_failure_degree(F: TruncPoly, D: int, modulus: int):
     return min(fails) if fails else None
 
 
-def _compositional_inverse(f: TruncPoly, var: str, bound: int) -> TruncPoly:
-    """g with f(g(x)) = x + O(x^(bound+1)); f = x + higher (Newton).
-
-    h = 1/f'(g) is carried along by its own Newton step h <- h(2 - f'(g)h),
-    which doubles its precision as g's does; no series is inverted."""
-    ring = f.ring
-    g = TruncPoly.var(ring, var)
+def _newton(g: TruncPoly, var: str, bound: int, residual, slope) -> TruncPoly:
+    """The root of residual(g) = O(var^(bound+1)) by Newton's iteration from a
+    g right to degree 1 in the capped variable `var`, where slope(g), the
+    derivative of the residual, is 1 + O(var). Each step doubles the
+    precision, in a ring cut at the precision reached (Brent & Kung, J. ACM
+    25, 1978); h = 1/slope(g) follows by its own step h <- h(2 - slope(g)h),
+    so no series is inverted."""
+    ring = g.ring
     h = TruncPoly.const(ring, 1)
     prec = 2
     while True:
@@ -110,19 +109,25 @@ def _compositional_inverse(f: TruncPoly, var: str, bound: int) -> TruncPoly:
             bounds=tuple(prec - 1 if nm == var else b for nm, b in zip(ring.vars, ring.bounds)),
             modulus=ring.modulus,
         )
-        cut = lambda poly: TruncPoly(sub_ring, poly.terms)
-        fg = cut(f).substitute({var: cut(g)})
-        err = fg - TruncPoly.var(sub_ring, var)
+        g, h = TruncPoly(sub_ring, g.terms), TruncPoly(sub_ring, h.terms)
+        err = residual(g)
         if err.is_zero() and prec > bound:
             break
-        dfg = cut(f.derivative(var)).substitute({var: cut(g)})
-        h = cut(h)
-        h = h * (2 - dfg * h)
-        g = TruncPoly(ring, (cut(g) - err * h).terms)
+        h = h * (2 - slope(g) * h)
+        g = g - err * h
         if prec > bound:
             break
         prec = min(prec * 2, bound + 1)
-    return g
+    return TruncPoly(ring, g.terms)
+
+
+def _compositional_inverse(f: TruncPoly, var: str, bound: int) -> TruncPoly:
+    """g with f(g(x)) = x + O(x^(bound+1)); f = x + higher."""
+    df = f.derivative(var)
+    at = lambda poly, g: TruncPoly(g.ring, poly.terms).substitute({var: g})
+    return _newton(TruncPoly.var(f.ring, var), var, bound,
+                   lambda g: at(f, g) - TruncPoly.var(g.ring, var),
+                   lambda g: at(df, g))
 
 
 def _honda_log_exp(p: int, n: int, bound: int):
@@ -147,7 +152,7 @@ def fgl_construct(kind: str, D: int, lam=None, p: int = None,
     if kind == "additive":
         ring = _bivariate_ring((), D)
         F = TruncPoly.var(ring, "X") + TruncPoly.var(ring, "Y")
-        return FormalGroupLaw("additive", {}, D, ring, F)
+        return FormalGroupLaw("additive", {}, D, F)
 
     if kind == "multiplicative":
         if lam == "lam":
@@ -159,7 +164,7 @@ def fgl_construct(kind: str, D: int, lam=None, p: int = None,
             lam_poly = TruncPoly.const(ring, int(lam))
             params = {"lam": int(lam)}
         X, Y = TruncPoly.var(ring, "X"), TruncPoly.var(ring, "Y")
-        return FormalGroupLaw("multiplicative", params, D, ring, X + Y + lam_poly * X * Y)
+        return FormalGroupLaw("multiplicative", params, D, X + Y + lam_poly * X * Y)
 
     if kind == "honda":
         require_prime(p)
@@ -169,13 +174,12 @@ def fgl_construct(kind: str, D: int, lam=None, p: int = None,
         lx = logf.substitute({"x": X0})
         ly = logf.substitute({"x": Y0})
         F_rat = expf.substitute({"x": lx + ly})
-        ring = _bivariate_ring(("v",), D, modulus=p)
-        F = TruncPoly(ring, F_rat.terms)  # p-integral coefficients reduce mod p
-        fgl = FormalGroupLaw("honda", {"p": p, "n": n}, D, ring, F, modulus=p)
-        bad = _axiom_failure_degree(F, min(D, 12), p)
+        # p-integral coefficients reduce mod p
+        F = TruncPoly(_bivariate_ring(("v",), D, modulus=p), F_rat.terms)
+        bad = _axiom_failure_degree(F, min(D, 12))
         if bad is not None:
             raise InvalidFGLError(bad, f"honda law fails axioms at degree {bad}")
-        return fgl
+        return FormalGroupLaw("honda", {"p": p, "n": n}, D, F)
 
     raise InvalidInputError(f"unknown kind {kind!r}")
 
@@ -190,18 +194,13 @@ def _series_var(F: FormalGroupLaw, bound: int):
 
 
 def formal_inverse(F: FormalGroupLaw, bound: int) -> TruncPoly:
-    """iota with F(x, iota(x)) = 0, solved degree by degree."""
-    ring, x = _series_var(F, bound)
-    iota = -x
-    for d in range(2, bound + 1):
-        err = F.F.substitute({"X": x, "Y": iota})
-        # correction at degree d: F(x, iota + c x^d) = err + c x^d + higher
-        corr = TruncPoly(
-            ring,
-            {m: -c for m, c in err.terms.items() if m[ring.index("x")] == d},
-        )
-        iota = iota + corr
-    if not F.F.substitute({"X": x, "Y": iota}).is_zero():
+    """iota with F(x, iota(x)) = 0: Newton's iteration on F(x, g) from
+    g = -x, with slope F_Y(x, g)."""
+    _, x = _series_var(F, bound)
+    FY = F.F.derivative("Y")
+    at = lambda poly, g: poly.substitute({"X": TruncPoly.var(g.ring, "x"), "Y": g})
+    iota = _newton(-x, "x", bound, lambda g: at(F.F, g), lambda g: at(FY, g))
+    if not at(F.F, iota).is_zero():
         raise ArithmeticError("F(x, iota(x)) is not 0")
     return iota
 

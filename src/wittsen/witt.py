@@ -294,8 +294,8 @@ class SolveFrobeniusResult:
     side_conditions: dict = None
 
 
-def solve_frobenius(y: WittVector, guard: int = 4) -> SolveFrobeniusResult:
-    """Solve F(x) = y one component at a time, in Z/p^N with N = L + guard.
+def solve_frobenius(y: WittVector) -> SolveFrobeniusResult:
+    """Solve F(x) = y one component at a time, in Z/p^N with N = L + 4.
 
     Success returns the digits of x (x_j modulo p^(N-j)) and the side
     conditions on residues; failure returns the first unsolvable congruence
@@ -303,7 +303,7 @@ def solve_frobenius(y: WittVector, guard: int = 4) -> SolveFrobeniusResult:
     """
     p = y.ctx.p
     L = y.ctx.length
-    N = L + guard
+    N = L + 4
     if y.ctx.modulus and int_valuation(p, y.ctx.modulus) < N:
         raise PrecisionError(
             f"need components mod p^{N}, have p^{int_valuation(p, y.ctx.modulus)}"

@@ -13,6 +13,7 @@ import pytest
 import wittsen.cli as cli
 import wittsen.targets as targets
 from wittsen.cli import main
+from wittsen.exactalg import TruncPoly
 
 
 def run_main(argv, capsys):
@@ -282,6 +283,13 @@ def _fderham(rep, *args):
     return rep
 
 
+def _unit_times_series(cx, *args):
+    # a unit multiple leaves every Smith divisor as it was
+    for m, series in cx.weights.items():
+        cx.weights[m] = series * (1 + TruncPoly.var(series.ring, "h"))
+    return cx
+
+
 def _zpn(rep, p, n, bound):  # only n = 3 differs, and only where no per-n check looks
     return _set_row(0, torsion=[p])(rep) if n == targets.ZPN_NS[1] else rep
 
@@ -315,6 +323,7 @@ def _zpn(rep, p, n, bound):  # only n = 3 differs, and only where no per-n check
      _tamper("senhom", "build_dvr_square",
              lambda out, *a: {**out, "total": _set_row(1, exponents=[9])(out["total"])}),
      "k_j"),
+    (["fgl", "fderham"], _tamper("fgl", "f_derham_complex", _unit_times_series), "series"),
 ])
 def test_failure_names_its_counterexample(argv, patch, key, capsys, monkeypatch):
     patch(monkeypatch)

@@ -294,7 +294,7 @@ def test_delta_ring_delta_identity():
 
 
 def test_delta_ring_check_p3():
-    rep = delta_ring_check(3, 1, 2, K=18, N=12)
+    rep = delta_ring_check(3, 1, 2, K=18)
     assert rep["all_ok"]
     for row in rep["rows"]:
         assert row["phi_delta_divisible"]
@@ -303,7 +303,7 @@ def test_delta_ring_check_p3():
 
 
 def test_delta_ring_check_base_case_p2():
-    rep = delta_ring_check(2, 1, 1, K=10, N=8)
+    rep = delta_ring_check(2, 1, 1, K=10)
     assert rep["all_ok"]
 
 

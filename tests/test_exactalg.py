@@ -186,7 +186,7 @@ def test_smith_coker_against_enumeration():
 def test_local_snf_exponents():
     ops = PLocalOps(3)
     rows = [[Fraction(6), Fraction(9)], [Fraction(27), Fraction(3)]]
-    exps, rank = local_snf(ops, rows)
+    exps, rank = local_snf(ops, rows, 2)
     # v_3-divisors of [[6,9],[27,3]]: det = 18-243 = -225, v=2; min v entry = 1
     assert rank == 2
     assert exps == [1, 1]
@@ -274,11 +274,8 @@ def within(ring, mono):
     PolyRing(vars=("x", "v"), bounds=(6, None)),
     PolyRing(vars=("v", "x", "w"), bounds=(None, 6, None)),
     PolyRing(vars=("X", "Y", "v"), total_bound=6, counted=(True, True, False)),
-    PolyRing(vars=("x", "y"), bounds=(5, 4)),
-    PolyRing(vars=("x", "y"), bounds=(6, 6), total_bound=8),
     PolyRing(vars=("x", "v"), bounds=(6, None), modulus=3),
-], ids=["no-cap", "first-capped", "second-capped", "total-uncounted",
-        "two-caps", "caps-and-total", "modulus"])
+], ids=["no-cap", "first-capped", "second-capped", "total-uncounted", "modulus"])
 def test_mul_matches_naive_product(ring):
     # oracle: expand every pair of terms, then drop what the bounds exclude
     rng = random.Random(29)
@@ -308,9 +305,16 @@ def test_mul_matches_naive_product(ring):
     assert pairs and (on_cap or ring.cap == 0)
 
 
+@pytest.mark.parametrize("bounds, total_bound", [((5, 4), None), ((6, None), 8)],
+                         ids=["two-caps", "cap-and-total"])
+def test_ring_takes_one_cap(bounds, total_bound):
+    with pytest.raises(InvalidInputError):
+        PolyRing(vars=("x", "y"), bounds=bounds, total_bound=total_bound)
+
+
 def test_truncpoly_mul_assoc_comm():
     rng = random.Random(17)
-    ring = PolyRing(vars=("x", "y"), bounds=(6, 6), total_bound=8)
+    ring = PolyRing(vars=("x", "y"), total_bound=8)
 
     def rand_poly():
         terms = {}
@@ -445,8 +449,9 @@ def test_substitute_matches_naive_expansion():
                                 for _ in range(nterms)})
 
     src = PolyRing(vars=("x", "y", "v"))
-    # kept variable v, result ring with a cap on v and a counted total bound
-    target = PolyRing(vars=("s", "v"), bounds=(7, 3))
+    # kept variable v, and result rings with a capped variable and with a
+    # total bound that does not count v
+    target = PolyRing(vars=("s", "v"), bounds=(7, None))
     graded = PolyRing(vars=("X", "Y", "v"), total_bound=6, counted=(True, True, False))
     X, Y = TruncPoly.var(graded, "X"), TruncPoly.var(graded, "Y")
     # a power table cut short: (X*Y + X^2)^4 has degree 8 > 6

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -23,7 +24,7 @@ from wittsen.fgl import (
 
 
 def poly_of(ring, name, e=1):
-    return TruncPoly.var(ring, name, e)
+    return TruncPoly.var(ring, name) ** e
 
 
 def multiplicative_log(x, lam, bound):
@@ -59,7 +60,7 @@ def test_custom_invalid_fgl():
 
     ring = PolyRing(vars=("X", "Y"), total_bound=6)
     X, Y = poly_of(ring, "X"), poly_of(ring, "Y")
-    assert _axiom_failure_degree(X + Y + X**2, 6, 0) == 2
+    assert _axiom_failure_degree(X + Y + X**2, 6) == 2
 
 
 def test_addition_of_series_indices():
@@ -83,7 +84,7 @@ def test_constructed_laws_satisfy_axioms():
         fgl_construct("honda", 8, p=2, n=1),
         fgl_construct("honda", 10, p=3, n=1),
     ):
-        assert _axiom_failure_degree(F.F, min(F.D, 8), F.modulus) is None
+        assert _axiom_failure_degree(F.F, min(F.D, 8)) is None
 
 
 def test_formal_inverse_and_negative_series():
@@ -92,6 +93,35 @@ def test_formal_inverse_and_negative_series():
     assert F.F.substitute({"X": poly_of(iota.ring, "x"), "Y": iota}).is_zero()
     s = n_series(F, -1)
     assert s == iota
+
+
+def test_formal_inverse_closed_forms():
+    # X + Y + lam XY has inverse -x/(1 + lam x) = sum_(k>=1) (-1)^k lam^(k-1) x^k
+    F = fgl_construct("multiplicative", 40, lam="lam")
+    iota = formal_inverse(F, 40)
+    assert iota == TruncPoly(iota.ring, {(k, k - 1): (-1) ** k for k in range(1, 41)})
+    # a logarithm with only odd exponents is odd, so exp(log(-x)) = -x is the
+    # inverse: the additive law, and Honda laws with p odd
+    for F in (fgl_construct("additive", 20), fgl_construct("honda", 20, p=3, n=1),
+              fgl_construct("honda", 30, p=5, n=2)):
+        iota = formal_inverse(F, F.D)
+        assert iota == -poly_of(iota.ring, "x"), F.params
+
+
+@pytest.mark.parametrize("law", [("multiplicative", {"lam": "lam"}),
+                                 ("honda", {"p": 2, "n": 1})],
+                         ids=["mult-lam", "honda-2"])
+def test_formal_inverse_doubles_its_precision(law, monkeypatch):
+    # two substitutions per doubling of the precision and one final check,
+    # where a solve degree by degree makes one per degree
+    kind, params = law
+    F = fgl_construct(kind, 40, **params)
+    calls = []
+    substitute = TruncPoly.substitute
+    monkeypatch.setattr(TruncPoly, "substitute",
+                        lambda self, values: calls.append(1) or substitute(self, values))
+    formal_inverse(F, 40)
+    assert len(calls) <= 2 * math.ceil(math.log2(40)) + 2
 
 
 # ---------------------------------------------------------------------------

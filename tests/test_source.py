@@ -65,3 +65,62 @@ def test_every_public_name_has_a_caller_in_src():
                        for m, line in uses.get(name.rsplit(".", 1)[-1], [])):
                 unused.append(f"{label} ({module}.py:{node.lineno})")
     assert not unused, unused
+
+
+# Defaulted parameters that flags and argv set: main() passes a check's flags
+# as keywords, and main's argv comes from the console.
+SET_FROM_ARGV = ("cli.check_", "cli.main")
+
+
+def _defaulted(fn, is_method):
+    """(position in a call, or None if keyword-only; name) of each defaulted
+    parameter of fn; a method's position skips self."""
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    skip = is_method and not any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                                 for d in fn.decorator_list)
+    first = len(positional) - len(args.defaults)
+    out = [(i - skip, a.arg) for i, a in enumerate(positional) if i >= first]
+    return out + [(None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                  if d is not None]
+
+
+def _passes(call, position, name):
+    """Whether the call sets the parameter: by position, by keyword, or
+    possibly through a * or ** splat."""
+    return (any(isinstance(a, ast.Starred) for a in call.args)
+            or any(k.arg in (None, name) for k in call.keywords)
+            or position is not None and position < len(call.args))
+
+
+def test_every_defaulted_parameter_is_set_in_src():
+    # a default that no caller overrides is a constant behind a parameter
+    trees = {path.stem: ast.parse(path.read_text(), filename=str(path))
+             for path in SOURCES}
+    calls = {}  # callee name -> the calls to it; a class call reaches __init__
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = (f.id if isinstance(f, ast.Name)
+                        else f.attr if isinstance(f, ast.Attribute) else None)
+                calls.setdefault(name, []).append(node)
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    unset = []
+    for module, tree in trees.items():
+        methods = {}
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef):
+                methods.update((id(item), cls.name) for item in cls.body
+                               if isinstance(item, functions))
+        for fn in ast.walk(tree):
+            if not isinstance(fn, functions):
+                continue
+            cls = methods.get(id(fn))
+            label = f"{module}.{cls + '.' if cls else ''}{fn.name}"
+            callee = cls if fn.name == "__init__" else fn.name
+            if label.startswith(SET_FROM_ARGV):
+                continue
+            unset += [f"{label}({name})" for position, name in _defaulted(fn, cls is not None)
+                      if not any(_passes(c, position, name) for c in calls.get(callee, []))]
+    assert not unset, unset
