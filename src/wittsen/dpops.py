@@ -12,13 +12,13 @@ from math import comb, factorial, gcd, prod
 from .exactalg import (
     InvalidInputError,
     PLocalOps,
+    PolyRing,
     PrecisionError,
     TruncPoly,
     factorial_valuation,
     fraction_valuation,
     matrix_product,
     require_prime,
-    univariate_ring,
 )
 from .witt import WittContext, int_to_witt, witt_add, make_witt
 
@@ -414,7 +414,7 @@ class DeltaRingContext:
 
     def __post_init__(self):
         require_prime(self.p)
-        self.ring = univariate_ring("u", self.K - 1)
+        self.ring = PolyRing(vars=("u",), bounds=(self.K - 1,))
         u = TruncPoly.var(self.ring, "u")
         self.u = u
         # phi(u) = (1+u)^p - 1

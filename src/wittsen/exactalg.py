@@ -12,7 +12,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import compress
+from itertools import compress, product
 from math import factorial
 from operator import add
 
@@ -353,10 +353,6 @@ class TruncPoly:
         return " + ".join(bits)
 
 
-def univariate_ring(name: str, bound: int) -> PolyRing:
-    return PolyRing(vars=(name,), bounds=(bound,))
-
-
 def truncated_exp_log(f: TruncPoly, mode: str) -> TruncPoly:
     """Formal exp/log by mode name. The library calls the TruncPoly methods;
     this entry point stays because the benchmark's tracing and its tests
@@ -449,9 +445,11 @@ def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
 # ---------------------------------------------------------------------------
 # exact SNF over a local PID: the engine behind all homology computations.
 #
-# A ring is given by an ops object with the attributes zero and one and the
-# methods is_zero, val, div, add, sub and mul; val is the valuation of a
-# nonzero element and div(a, b) is exact when val(a) >= val(b).
+# A ring is given by an ops object with the attributes p, zero and one and the
+# methods is_zero, val, add, sub, mul and eliminate; val is the valuation of a
+# nonzero element, and eliminate(piv, tail, x, row) is a unit times
+# row - (x/piv)*tail, for the entries piv and x of one column with
+# val(x) >= val(piv) and the rest of their rows, tail and row.
 
 
 class PLocalOps:
@@ -470,9 +468,6 @@ class PLocalOps:
     def val(self, x) -> int:
         return fraction_valuation(self.p, x)
 
-    def div(self, a, b):
-        return Fraction(a) / Fraction(b)
-
     def add(self, a, b):
         return a + b
 
@@ -482,28 +477,35 @@ class PLocalOps:
     def mul(self, a, b):
         return a * b
 
+    def eliminate(self, piv, tail, x, row):
+        f = Fraction(x) / Fraction(piv)
+        return [y - f * t for y, t in zip(row, tail)]
+
 
 def local_snf(ops, rows: list, ncols: int) -> tuple:
     """SNF over a local PID given by `ops`: the elementary divisors of a
     matrix with `ncols` columns, and no transforms.
 
     Returns (exponents, rank): exponents are the uniformizer-valuations of the
-    nonzero diagonal, nondecreasing by minimal-valuation pivoting. The pivot
-    divides its whole row, so the column operations that would clear that row
-    touch nothing else and are skipped; row operations update only the columns
+    nonzero diagonal, nondecreasing by minimal-valuation pivoting. Every entry
+    left after a pivot has at least its valuation, so the scan for the next
+    pivot stops at the first entry that reaches it. The pivot divides its
+    whole row, so the column operations that would clear that row touch
+    nothing else and are skipped; row operations update only the columns
     right of the pivot, the only ones read again.
     """
     a = [list(r) for r in rows]
     n, m = len(a), ncols
     exps = []
     for s in range(min(n, m)):
-        best = None
-        for j in range(s, m):
-            for i in range(s, n):
-                if not ops.is_zero(a[i][j]):
-                    v = ops.val(a[i][j])
-                    if best is None or v < best[0]:
-                        best = (v, i, j)
+        best, floor = None, exps[-1] if exps else 0
+        for j, i in product(range(s, m), range(s, n)):
+            if not ops.is_zero(a[i][j]):
+                v = ops.val(a[i][j])
+                if best is None or v < best[0]:
+                    best = (v, i, j)
+                    if v == floor:
+                        break
         if best is None:
             break
         v, bi, bj = best
@@ -514,8 +516,7 @@ def local_snf(ops, rows: list, ncols: int) -> tuple:
         piv, tail = a[s][s], a[s][s + 1:]
         for i in range(s + 1, n):
             if not ops.is_zero(a[i][s]):
-                f = ops.div(a[i][s], piv)
-                a[i][s + 1:] = [ops.sub(x, ops.mul(f, y)) for x, y in zip(a[i][s + 1:], tail)]
+                a[i][s + 1:] = ops.eliminate(piv, tail, a[i][s], a[i][s + 1:])
         exps.append(v)
     return exps, len(exps)
 

@@ -2,21 +2,23 @@
 
 The engine works over one kind of ring: a local PID given by an ops object,
 either the p-local integers Z_(p) (Fraction arithmetic) or an Eisenstein
-extension Z_(p)[u]/E(u) (field inverses in Q[u]/E(u)). The homology of a
-complex goes through chain_homology: a chain complex directly, a commuting
-operator cube through its Koszul total complex, and a two-term fiber as the
-cube of one operator (omega2yn's presentation is one cokernel per degree).
-Each nonzero differential is eliminated once, by minimal-valuation
-pivoting, and torsion is reported as p-power (or uniformizer-power) cyclic
-summands per degree. The builders return the engine's reports; the closed
-forms they reproduce live in the sen.* checks. Only the fderham weights use
-integer elementary divisors (the Z-SNF).
+extension Z_(p)[u]/E(u) (integer tuples in Z[u]/E, eliminated fraction-free
+by row updates that scale by units only). The homology of a complex goes
+through chain_homology: a chain complex directly, a commuting operator cube
+through its Koszul total complex, and a two-term fiber as the cube of one
+operator (omega2yn's presentation is one cokernel per degree). Each nonzero
+differential is eliminated once, by minimal-valuation pivoting, and torsion
+is reported as p-power (or uniformizer-power) cyclic summands per degree.
+The builders return the engine's reports; the closed forms they reproduce
+live in the sen.* checks. Only the fderham weights use integer elementary
+divisors (the Z-SNF).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 
 from .exactalg import (
     IntMatrix,
@@ -24,6 +26,7 @@ from .exactalg import (
     PLocalOps as PLocal,
     TruncPoly,
     fraction_valuation,
+    int_valuation,
     local_snf,
     matrix_product,
     require_prime,
@@ -39,59 +42,52 @@ from .dpops import (
 from .fgl import FDerhamComplex, q_integer
 
 
-def _poly_divmod(num, den):
-    """Division of Fraction-coefficient polynomials (lists, low degree first)."""
-    num = list(num)
-    dd = len(den) - 1
-    while den and den[-1] == 0:
-        den = den[:-1]
-        dd -= 1
-    q = [Fraction(0)] * max(0, len(num) - dd)
-    for i in range(len(num) - 1, dd - 1, -1):
-        c = num[i] / den[dd]
-        q[i - dd] = c
-        for j in range(dd + 1):
-            num[i - dd + j] -= c * den[j]
-    return q, num[:dd]
-
-
 class Eisenstein:
-    """R = Z_(p)[u]/E(u) for Eisenstein E; elements are Fraction tuples.
+    """R = Z_(p)[u]/E(u) for Eisenstein E; elements are integer tuples in
+    Z[u]/E, low degree first.
 
     The valuation is v(sum c_i u^i) = min_i (e*v_p(c_i) + i), exact because
-    the summands have pairwise distinct valuations. Division uses the field
-    structure of Q[u]/E (E is irreducible by Eisenstein's criterion).
+    the summands have pairwise distinct valuations. Elimination is
+    fraction-free: a row update multiplies by units only, so every entry
+    stays in Z[u]/E.
     """
 
     def __init__(self, p, E):
         require_prime(p)
         self.p = p
-        self.E = [Fraction(c) for c in E]  # low degree first, monic
+        self.E = [int(c) for c in E]  # low degree first, monic
         self.e = len(E) - 1
+        if self.E != list(E):
+            raise InvalidInputError("E must have integer coefficients")
         if self.E[-1] != 1:
             raise InvalidInputError("E must be monic")
         if self.e < 1:
             raise InvalidInputError("E must have positive degree")
-        c0 = self.E[0]
-        if c0.denominator != 1 or c0.numerator % p != 0 or c0.numerator % p**2 == 0:
+        if self.E[0] % p != 0 or self.E[0] % p**2 == 0:
             raise InvalidInputError("E must be Eisenstein: p || E(0)")
-        for c in self.E[1:-1]:
-            if fraction_valuation(p, c) < 1 if c != 0 else False:
-                raise InvalidInputError("E must be Eisenstein: p | middle terms")
-        self.zero = (Fraction(0),) * self.e
-        self.one = tuple([Fraction(1)] + [Fraction(0)] * (self.e - 1))
+        if any(c % p for c in self.E[1:-1]):
+            raise InvalidInputError("E must be Eisenstein: p | middle terms")
+        self.zero = (0,) * self.e
+        self.one = self.scalar(1)
+        # u*Q(u) = -E(0) for E = E(0) + u*Q(u)
+        self._minus_Q = tuple(-c for c in self.E[1:])
+        self._pivot = self._memo = None
 
     def scalar(self, n):
-        return tuple([Fraction(n)] + [Fraction(0)] * (self.e - 1))
+        return (n,) + (0,) * (self.e - 1)
 
     def from_poly(self, coeffs):
-        """Reduce an arbitrary-degree polynomial in u modulo E."""
-        _, rem = _poly_divmod([Fraction(c) for c in coeffs], self.E)
-        rem = list(rem) + [Fraction(0)] * (self.e - len(rem))
-        return tuple(rem[: self.e])
+        """Reduce an arbitrary-degree integer polynomial in u modulo E."""
+        c, e = list(coeffs), self.e
+        for i in range(len(c) - 1, e - 1, -1):
+            q = c[i]
+            if q:
+                for j in range(e):
+                    c[i - e + j] -= q * self.E[j]
+        return tuple(c[:e]) + (0,) * (e - len(c))
 
     def is_zero(self, x):
-        return all(c == 0 for c in x)
+        return not any(x)
 
     def add(self, a, b):
         return tuple(x + y for x, y in zip(a, b))
@@ -100,52 +96,41 @@ class Eisenstein:
         return tuple(x - y for x, y in zip(a, b))
 
     def mul(self, a, b):
-        prod = [Fraction(0)] * (2 * self.e - 1)
+        prod = [0] * (2 * self.e - 1)
         for i, x in enumerate(a):
             if x:
                 for j, y in enumerate(b):
-                    if y:
-                        prod[i + j] += x * y
+                    prod[i + j] += x * y
         return self.from_poly(prod)
 
-    def inv(self, a):
-        """Inverse in Q[u]/E via the extended Euclidean algorithm."""
-        r0, r1 = list(self.E), list(a)
-        t0, t1 = [Fraction(0)], [Fraction(1)]
-        while any(c != 0 for c in r1):
-            while r1 and r1[-1] == 0:
-                r1 = r1[:-1]
-            if len(r1) == 0:
-                break
-            q, rem = _poly_divmod(r0, r1)
-            r0, r1 = r1, rem
-            qt = [Fraction(0)] * (len(q) + len(t1) - 1)
-            for i, c in enumerate(q):
-                for j, d in enumerate(t1):
-                    qt[i + j] += c * d
-            new_t = [x - y for x, y in
-                     zip(t0 + [Fraction(0)] * max(0, len(qt) - len(t0)),
-                         qt + [Fraction(0)] * max(0, len(t0) - len(qt)))]
-            t0, t1 = t1, new_t
-            while r1 and all(c == 0 for c in r1):
-                r1 = []
-        # now r0 = gcd (a unit constant since E is irreducible)
-        if len(r0) != 1 or r0[0] == 0:
-            raise InvalidInputError("element not invertible in Q[u]/E")
-        return self.from_poly([c / r0[0] for c in t0])
-
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
     def val(self, x):
-        best = None
-        for i, c in enumerate(x):
-            if c != 0:
-                v = self.e * fraction_valuation(self.p, c) + i
-                best = v if best is None else min(best, v)
-        if best is None:
+        if not any(x):
             raise InvalidInputError("valuation of 0")
-        return best
+        return min(self.e * int_valuation(self.p, c) + i for i, c in enumerate(x) if c)
+
+    def _over_pi(self, x, k):
+        """x/pi^k for the uniformizer pi = u*p/E(0): x*(-Q)/p, k times."""
+        for _ in range(k):
+            x = tuple(c // self.p for c in self.mul(x, self._minus_Q))
+        return x
+
+    def eliminate(self, piv, tail, x, row):
+        """unit*row - (x/piv)*tail, for v(x) >= v(piv): with piv = pi^v*eps,
+        eps*row - (x/pi^v)*tail. Dividing the result by the p-free part of the
+        gcd of its coefficients keeps the integers small."""
+        if piv != self._pivot:
+            v = self.val(piv)
+            self._pivot, self._memo = piv, (v, self._over_pi(piv, v))
+        v, eps = self._memo
+        q = self._over_pi(x, v)
+        out = [self.sub(self.mul(eps, r), self.mul(q, t)) if any(r) or any(t) else r
+               for r, t in zip(row, tail)]
+        g = gcd(*(c for r in out for c in r))
+        while g and g % self.p == 0:
+            g //= self.p
+        if g > 1:
+            out = [tuple(c // g for c in r) for r in out]
+        return out
 
 
 # ---------------------------------------------------------------------------

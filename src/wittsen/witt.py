@@ -13,12 +13,12 @@ from fractions import Fraction
 
 from .exactalg import (
     InvalidInputError,
+    PolyRing,
     PrecisionError,
     TruncPoly,
     int_valuation,
     is_prime,
     require_prime,
-    univariate_ring,
 )
 
 
@@ -379,7 +379,7 @@ def cartier_character(
     n = len(x_scalars)
     if len(a) < n:
         a = list(a) + [0] * (n - len(a))
-    ring = univariate_ring("t", degree_bound)
+    ring = PolyRing(vars=("t",), bounds=(degree_bound,))
     t = TruncPoly.var(ring, "t")
 
     factors = [_artin_hasse_factor(p, a, j, n, ring) for j in range(n)]
@@ -460,7 +460,7 @@ def dwork_factorization(x_seq: list, degree_bound: int) -> dict:
             )
         r[nn] = q
 
-    ring = univariate_ring("t", degree_bound)
+    ring = PolyRing(vars=("t",), bounds=(degree_bound,))
     t = TruncPoly.var(ring, "t")
     lhs = TruncPoly(ring, {(nn,): Fraction(xs[nn], nn) for nn in xs}).series_exp()
     rhs = TruncPoly.const(ring, 1)

@@ -334,6 +334,23 @@ def test_failure_names_its_counterexample(argv, patch, key, capsys, monkeypatch)
     assert key in row["counterexample"]
 
 
+@pytest.mark.parametrize("patch, named", [
+    # k = 3: the degree-6 cokernel should be Z/3, not Z/9
+    (_tamper("senhom", "omega2yn_cohomology", _set_row(6, torsion=[9])),
+     {"n": 2, "k": 3, "want": [3]}),
+    # the cohomology is right, but its UCT partner H_5 of the zpn complex is not
+    (_tamper("senhom", "build_zpn_serre", _set_row(5, torsion=[9])),
+     {"uct_mismatch_at": 3, "n": 2}),
+])
+def test_omega2yn_failure_names_its_counterexample(patch, named, capsys, monkeypatch):
+    patch(monkeypatch)
+    code, out = run_main(["sen", "omega2yn", "--json"], capsys)
+    assert code == 1
+    (row,) = json.loads(out)["checks"]
+    assert row["status"] == "fail"
+    assert {k: row["counterexample"].get(k) for k in named} == named
+
+
 def test_perfectoid_gates_on_its_valuation_identity(capsys, monkeypatch):
     monkeypatch.setattr(importlib.import_module("wittsen.senhom"),
                         "factorial_unit_identity", lambda p, gamma_values: False)

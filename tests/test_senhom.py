@@ -31,8 +31,8 @@ def entry(report, d):
 
 
 def uniformizer(R):
-    """The class of u in Z_(p)[u]/E(u), for E of degree at least 2."""
-    return tuple(Fraction(int(i == 1)) for i in range(R.e))
+    """The class of u in Z_(p)[u]/E(u)."""
+    return R.from_poly([0, 1])
 
 
 # ---------------------------------------------------------------------------
@@ -44,8 +44,7 @@ def test_eisenstein_basics():
     assert R.val(pi) == 1
     assert R.val(R.scalar(3)) == 2
     assert R.val(R.scalar(2)) == 0
-    x = R.add(R.scalar(2), pi)          # 2 + u
-    assert R.mul(x, R.inv(x)) == R.one
+    assert R.val(R.add(R.scalar(2), pi)) == 0   # 2 + u
     assert R.val(R.mul(pi, pi)) == 2
     # u^2 reduces to 3
     assert R.mul(pi, pi) == R.scalar(3)
@@ -61,7 +60,7 @@ def test_eisenstein_valuation_is_additive():
         R = Eisenstein(p, E)
         assert R.val(R.scalar(p)) == R.e
         for _ in range(40):
-            a, b = (tuple(Fraction(rng.choice([0, 1, -2, 5, p, -p * p, 7 * p]))
+            a, b = (tuple(rng.choice([0, 1, -2, 5, p, -p * p, 7 * p])
                           for _ in range(R.e)) for _ in range(2))
             if R.is_zero(a) or R.is_zero(b):
                 continue
@@ -75,6 +74,8 @@ def test_eisenstein_rejects_non_eisenstein():
         Eisenstein(3, [-3, 0, 2])   # not monic
     with pytest.raises(InvalidInputError):
         Eisenstein(3, [-3, 1, 1])   # middle term not divisible by p
+    with pytest.raises(InvalidInputError):
+        Eisenstein(3, [Fraction(-3, 2), 0, 1])   # not in Z[u]
 
 
 # ---------------------------------------------------------------------------
@@ -421,6 +422,195 @@ def test_local_snf_matches_integer_snf_p_parts():
         )
         assert rank == sum(1 for d in dec.divisors if d != 0)
         assert sorted(exps) == expected
+
+
+class FractionEisenstein:
+    """Reference ring: Z_(p)[u]/E(u) on Fraction tuples inside the field
+    Q[u]/E, with the Euclidean inverse; a row update divides by the pivot."""
+
+    def __init__(self, p, E):
+        self.p, self.e = p, len(E) - 1
+        self.E = [Fraction(c) for c in E]
+        self.zero = (Fraction(0),) * self.e
+
+    @staticmethod
+    def _divmod(num, den):
+        num = list(num)
+        while den[-1] == 0:
+            den = den[:-1]
+        dd = len(den) - 1
+        q = [Fraction(0)] * max(0, len(num) - dd)
+        for i in range(len(num) - 1, dd - 1, -1):
+            c = q[i - dd] = num[i] / den[dd]
+            for j in range(dd + 1):
+                num[i - dd + j] -= c * den[j]
+        return q, num[:dd]
+
+    def from_poly(self, coeffs):
+        _, rem = self._divmod([Fraction(c) for c in coeffs], self.E)
+        return tuple(rem + [Fraction(0)] * (self.e - len(rem)))
+
+    def is_zero(self, x):
+        return all(c == 0 for c in x)
+
+    def sub(self, a, b):
+        return tuple(x - y for x, y in zip(a, b))
+
+    def mul(self, a, b):
+        prod = [Fraction(0)] * (2 * self.e - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                prod[i + j] += x * y
+        return self.from_poly(prod)
+
+    def inv(self, a):
+        """Extended Euclid in Q[u]: s*a + t*E = 1."""
+        r0, r1 = list(self.E), list(a)
+        s0, s1 = [Fraction(0)], [Fraction(1)]
+        while any(r1):
+            while r1[-1] == 0:
+                r1 = r1[:-1]
+            q, rem = self._divmod(r0, r1)
+            qs = [Fraction(0)] * (len(q) + len(s1) - 1)
+            for i, c in enumerate(q):
+                for j, d in enumerate(s1):
+                    qs[i + j] += c * d
+            width = max(len(s0), len(qs))
+            s0, s1 = s1, [x - y for x, y in zip(s0 + [0] * (width - len(s0)),
+                                                qs + [0] * (width - len(qs)))]
+            r0, r1 = r1, rem
+        return self.from_poly([c / r0[0] for c in s0])
+
+    def val(self, x):
+        return min(self.e * (vp(self.p, c.numerator) - vp(self.p, c.denominator)) + i
+                   for i, c in enumerate(x) if c)
+
+    def eliminate(self, piv, tail, x, row):
+        f = self.mul(x, self.inv(piv))
+        return [self.sub(y, self.mul(f, t)) for y, t in zip(row, tail)]
+
+
+def random_eisenstein(rng, p, e):
+    unit = lambda: rng.choice([u for u in range(-7, 8) if u % p])
+    return [p * unit()] + [p * rng.randrange(-2, 3) for _ in range(e - 1)] + [1]
+
+
+def planted_matrix(rng, R, dense):
+    """An n x m matrix over R, both at most 8, with planted elementary
+    divisors unit*pi^k on a diagonal, mixed by elementary row and column
+    operations with ring coefficients (a few, or many for a dense matrix),
+    unit row scalings and permutations. Returns (rows, ncols, (exponents,
+    rank))."""
+    n, m = rng.randrange(1, 9), rng.randrange(1, 9)
+    elt = lambda: tuple(rng.randrange(-4, 5) for _ in range(R.e))
+    unit = lambda: (rng.choice([u for u in range(-7, 8) if u % R.p]),) + elt()[1:]
+    exps = sorted(rng.randrange(0, 5) for _ in range(rng.randrange(0, min(n, m) + 1)))
+    a = [[R.zero] * m for _ in range(n)]
+    for k, e in enumerate(exps):
+        a[k][k] = unit()
+        for _ in range(e):
+            a[k][k] = R.mul(a[k][k], uniformizer(R))
+    for _ in range(rng.randrange(2 * (n + m), 3 * (n + m)) if dense else rng.randrange(3)):
+        c, kind = elt(), rng.randrange(3)
+        if kind == 0 and n > 1:
+            i, j = rng.sample(range(n), 2)
+            a[i] = [R.add(x, R.mul(c, y)) for x, y in zip(a[i], a[j])]
+        elif kind == 1 and m > 1:
+            i, j = rng.sample(range(m), 2)
+            for row in a:
+                row[i] = R.add(row[i], R.mul(c, row[j]))
+        else:
+            i, c = rng.randrange(n), unit()
+            a[i] = [R.mul(c, x) for x in a[i]]
+    rng.shuffle(a)
+    cols = rng.sample(range(m), m)
+    return [[row[j] for j in cols] for row in a], m, (exps, len(exps))
+
+
+def test_local_snf_over_integer_eisenstein_matches_fraction_reference():
+    # 360 draws: p in {2, 3, 5}, deg E = 1..4, 15 sparse and 15 dense each
+    from wittsen.exactalg import local_snf
+
+    rng = random.Random(409)
+    for p in (2, 3, 5):
+        for e in range(1, 5):
+            for draw in range(30):
+                E = random_eisenstein(rng, p, e)
+                R, ref = Eisenstein(p, E), FractionEisenstein(p, E)
+                rows, ncols, want = planted_matrix(rng, R, dense=draw % 2)
+                got = local_snf(R, rows, ncols)
+                frac = [[tuple(map(Fraction, x)) for x in row] for row in rows]
+                assert got == local_snf(ref, frac, ncols) == want, (p, E, rows)
+
+
+def full_scan_snf(ops, rows, ncols):
+    """local_snf with a pivot scan that reads the whole remaining block."""
+    a = [list(r) for r in rows]
+    n, m = len(a), ncols
+    exps = []
+    for s in range(min(n, m)):
+        nonzero = [(ops.val(a[i][j]), j, i) for j in range(s, m) for i in range(s, n)
+                   if not ops.is_zero(a[i][j])]
+        if not nonzero:
+            break
+        v, bj, bi = min(nonzero)
+        a[s], a[bi] = a[bi], a[s]
+        for row in a:
+            row[s], row[bj] = row[bj], row[s]
+        for i in range(s + 1, n):
+            if not ops.is_zero(a[i][s]):
+                a[i][s + 1:] = ops.eliminate(a[s][s], a[s][s + 1:], a[i][s], a[i][s + 1:])
+        exps.append(v)
+    return exps, len(exps)
+
+
+class RecordingOps(PLocalOps):
+    """Z_(p) that counts val calls and logs the pivot and entry of every row
+    update."""
+
+    def __init__(self, p):
+        super().__init__(p)
+        self.vals, self.updates = 0, []
+
+    def val(self, x):
+        self.vals += 1
+        return super().val(x)
+
+    def eliminate(self, piv, tail, x, row):
+        self.updates.append((piv, x))
+        return super().eliminate(piv, tail, x, row)
+
+
+def test_pivot_scan_stops_at_the_previous_exponent():
+    # mostly units: after the first pivot almost every scan stops at once
+    from wittsen.exactalg import local_snf
+
+    rng = random.Random(419)
+    rows = [[Fraction(rng.choice([1, 2, 4, 5, 7, 3, 0])) for _ in range(10)]
+            for _ in range(10)]
+    early, full = RecordingOps(3), RecordingOps(3)
+    assert local_snf(early, rows, 10) == full_scan_snf(full, rows, 10)
+    assert early.updates == full.updates
+    assert early.vals < full.vals // 4, (early.vals, full.vals)
+
+
+def test_early_exit_picks_the_full_scan_pivots():
+    from wittsen.exactalg import local_snf
+
+    rng = random.Random(421)
+    for _ in range(60):
+        p = rng.choice([2, 3, 5])
+        n, m = rng.randrange(1, 8), rng.randrange(1, 8)
+        rows = [[Fraction(rng.choice([0, 0, 1, p, p * p, p**3]) * rng.randrange(1, 30))
+                 for _ in range(m)] for _ in range(n)]
+        early, full = RecordingOps(p), RecordingOps(p)
+        assert local_snf(early, rows, m) == full_scan_snf(full, rows, m)
+        assert early.updates == full.updates
+    for p, E in DVR_RINGS:
+        R = Eisenstein(p, E)
+        for dense in (0, 1):
+            rows, ncols, want = planted_matrix(rng, R, dense)
+            assert local_snf(R, rows, ncols) == full_scan_snf(R, rows, ncols) == want
 
 
 def test_double_entry_bookkeeping():
