@@ -315,9 +315,9 @@ def check_bokstedt(cfg: RunConfig, p=None, variant="T1", D=None):
     bad = None
     payload = {}
     for pp in [p] if p else targets.BOKSTEDT_PRIMES:
-        gen = 2 * pp if variant == "T1" else 2
+        gen, scale = (2 * pp, pp) if variant == "T1" else (2, 1)
         top = D or gen * targets.BOKSTEDT_J_MAX
-        rep = SH.build_bokstedt(pp, variant, top)
+        rep = SH.build_line_fiber(pp, gen, scale, top)
         if rep.entry(0)["free_rank"] != 1:
             bad = bad or {"p": pp, "degree": 0, "row": rep.entry(0)}
         for j in range(1, top // gen + 1):
@@ -337,7 +337,7 @@ def check_cmn(cfg: RunConfig):
     payload = {}
     for p, n in targets.CMN_GRID:
         bound = 2 * p**n * targets.CMN_K_MAX
-        rep = SH.build_serre_cmn(p, n, bound)
+        rep = SH.build_line_fiber(p, 2 * p**n, p, bound)
         if rep.entry(0)["free_rank"] != 1:
             bad = bad or {"p": p, "n": n, "degree": 0, "row": rep.entry(0)}
         for k in range(1, targets.CMN_K_MAX + 1):
@@ -516,8 +516,11 @@ def check_weyl(cfg: RunConfig, M=None):
 def check_delta(cfg: RunConfig, B=targets.DELTA_RING["B"]):
     t = targets.DELTA_RING
     rep = DP.delta_ring_check(t["p"], t["n"], B, K=cfg.K)
-    return check("cartier.delta", rep["all_ok"], rep,
-                 None if rep["all_ok"] else rep["rows"])
+    flags = ("phi_delta_divisible", "power_identity_divisible", "frobenius_identity")
+    bad = next((row for row in rep["rows"] if not all(row[f] for f in flags)), None)
+    if bad is None and (not rep["all_ok"] or len(rep["rows"]) != B + 1):
+        bad = {"all_ok": rep["all_ok"], "rows": len(rep["rows"]), "want_rows": B + 1}
+    return check("cartier.delta", bad is None, rep, bad)
 
 
 ALL_CHECKS = [

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, gcd, prod
+from math import comb, factorial, gcd
 
 from .exactalg import (
     InvalidInputError,
@@ -24,92 +24,30 @@ from .witt import WittContext, int_to_witt, witt_add, make_witt
 
 
 # ---------------------------------------------------------------------------
-# divided-power monomials gamma_a(u) * theta^b * eps^c
+# the divided-power algebra Gamma[u] (x) Q[theta] (x) Lambda[eps] inside
+# Q[u, theta, eps]/eps^2, with gamma_a(u) = u^a/a!; the product
+# gamma_i gamma_j = C(i+j, i) gamma_(i+j) is then the polynomial product
 
 
-@dataclass(frozen=True)
-class DPBasisMonomial:
-    a: int
-    b: int
-    c: int
-
-    def __post_init__(self):
-        if self.a < 0 or self.b < 0 or self.c not in (0, 1):
-            raise InvalidInputError("bad divided-power monomial")
+DP_RING = PolyRing(vars=("u", "theta", "eps"), bounds=(None, None, 1))
 
 
-def dp_multiply(i: int, j: int):
-    """gamma_i * gamma_j = C(i+j, i) gamma_(i+j)."""
-    return comb(i + j, i), i + j
+def dp_monomial(mono: tuple, coeff) -> TruncPoly:
+    """coeff * gamma_a(u) theta^b eps^c for the label mono = (a, b, c)."""
+    return TruncPoly(DP_RING, {mono: Fraction(coeff, factorial(mono[0]))})
 
 
-class DPElement:
-    """Finite combination of DPBasisMonomials with Fraction coefficients."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = {}
-        for mono, c in (terms or {}).items():
-            if c:
-                self.terms[mono] = self.terms.get(mono, 0) + c
-        self.terms = {m: c for m, c in self.terms.items() if c}
-
-    @staticmethod
-    def monomial(a=0, b=0, c=0, coeff=1):
-        return DPElement({DPBasisMonomial(a, b, c): coeff})
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out.get(m, 0) + c
-        return DPElement(out)
-
-    def __sub__(self, other):
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out.get(m, 0) - c
-        return DPElement(out)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return DPElement({m: c * other for m, c in self.terms.items()})
-        out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                if m1.c + m2.c > 1:
-                    continue  # eps^2 = 0
-                coeff, a = dp_multiply(m1.a, m2.a)
-                mono = DPBasisMonomial(a, m1.b + m2.b, m1.c + m2.c)
-                out[mono] = out.get(mono, 0) + c1 * c2 * coeff
-        return DPElement(out)
-
-    __rmul__ = __mul__
-
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        return self.terms == other.terms
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for m, c in sorted(self.terms.items(), key=lambda kv: (kv[0].a, kv[0].b, kv[0].c)):
-            s = f"{c}*g{m.a}"
-            if m.b:
-                s += f"*th^{m.b}"
-            if m.c:
-                s += "*eps"
-            bits.append(s)
-        return " + ".join(bits)
+def gamma_coefficients(f: TruncPoly) -> dict:
+    """The coefficients of f in the basis gamma_a(u) theta^b eps^c, by label
+    (a, b, c)."""
+    return {mono: c * factorial(mono[0]) for mono, c in f.terms.items()}
 
 
 @dataclass
 class DPModule:
     """Graded basis of gamma_a theta^b eps^c monomials up to a degree bound,
-    with deg gamma_1 = 2, deg theta = 2p and deg eps = 2p - 1."""
+    labelled (a, b, c), with deg gamma_1 = 2, deg theta = 2p and
+    deg eps = 2p - 1."""
 
     p: int
     bound: int
@@ -122,7 +60,7 @@ class DPModule:
             for b in range(0, self.bound // wb + 1):
                 rem_b = self.bound - wb * b - wc * c
                 for a in range(0, rem_b // 2 + 1):
-                    self.bases[2 * a + wb * b + wc * c].append(DPBasisMonomial(a, b, c))
+                    self.bases[2 * a + wb * b + wc * c].append((a, b, c))
         self.index = {
             d: {m: i for i, m in enumerate(basis)} for d, basis in self.bases.items()
         }
@@ -154,57 +92,32 @@ def base_p_digits(m: int, p: int):
     return out
 
 
-def gamma_factorization_unit(p: int, m: int) -> Fraction:
-    """c_m = m! / prod_k (p^k!)^(m_k); a p-adic unit by Legendre."""
-    den = prod(factorial(p**k) ** mk for k, mk in enumerate(base_p_digits(m, p)))
-    return Fraction(factorial(m), den)
-
-
 class PDerivation:
-    """Derivation on the divided-power module determined by its values on the
-    generators gamma_(p^k)(u) and theta, extended through the factorization
-    gamma_m = c_m * prod gamma_(p^k)^(m_k)."""
+    """Derivation on the divided-power algebra with D(eps) = 0, determined by
+    its values on the generators gamma_(p^k)(u) and theta (a generator with
+    no value maps to 0), and extended through the factorization
+    a! gamma_a = prod_k ((p^k)! gamma_(p^k))^(m_k) over the base-p digits
+    m_k of a."""
 
-    def __init__(self, p: int, gamma_values: dict, theta_value: DPElement):
+    def __init__(self, p: int, gamma_values: dict, theta_value: TruncPoly):
         self.p = p
-        self.gamma_values = dict(gamma_values)
+        self.gamma_values = gamma_values
         self.theta_value = theta_value
-        self._cache = {}
 
-    def d_gamma(self, a: int) -> DPElement:
-        if a in self._cache:
-            return self._cache[a]
-        p = self.p
-        digits = base_p_digits(a, p)
-        total = DPElement()
-        for k, mk in enumerate(digits):
-            if mk == 0:
-                continue
-            gen_val = self.gamma_values.get(k)
-            if gen_val is None or gen_val.is_zero():
-                continue
-            rest = DPElement.monomial(0)
-            for k2, mk2 in enumerate(digits):
-                e = mk2 - (1 if k2 == k else 0)
-                for _ in range(e):
-                    rest = rest * DPElement.monomial(p**k2)
-            total = total + mk * (rest * gen_val)
-        out = total * Fraction(1, gamma_factorization_unit(p, a)) if a else DPElement()
-        self._cache[a] = out
-        return out
-
-    def apply_monomial(self, mono: DPBasisMonomial) -> DPElement:
-        if mono.c == 1:
-            return DPElement()  # target already carries eps; eps^2 = 0
-        out = DPElement()
-        ga = DPElement.monomial(mono.a)
-        th = DPElement.monomial(0, mono.b)
-        da = self.d_gamma(mono.a)
-        if not da.is_zero():
-            out = out + da * th
-        if mono.b:
-            dth = mono.b * (DPElement.monomial(mono.a, mono.b - 1) * self.theta_value)
-            out = out + dth
+    def apply_monomial(self, mono: tuple) -> TruncPoly:
+        """D(gamma_a theta^b eps^c)
+        = (D(gamma_a) theta^b + b gamma_a theta^(b-1) D(theta)) eps^c, where
+        the Leibniz rule on the factorization gives
+        D(gamma_a) = sum_k m_k (p^k)!/a! u^(a-p^k) D(gamma_(p^k))."""
+        a, b, c = mono
+        out = TruncPoly.zero(DP_RING)
+        for k, mk in enumerate(base_p_digits(a, self.p)):
+            if mk and k in self.gamma_values:
+                q = self.p**k
+                lower = {(a - q, b, c): Fraction(mk * factorial(q), factorial(a))}
+                out = out + TruncPoly(DP_RING, lower) * self.gamma_values[k]
+        if b:
+            out = out + dp_monomial((a, b - 1, c), b) * self.theta_value
         return out
 
 
@@ -219,15 +132,13 @@ def derivation_matrices(module: DPModule, der: PDerivation) -> GradedLinearMap:
         mat = [[Fraction(0)] * len(basis) for _ in range(len(target))]
         nonzero = False
         for j, mono in enumerate(basis):
-            img = der.apply_monomial(mono)
-            for m2, c in img.terms.items():
-                if m2 in idx:
-                    mat[idx[m2]][j] = c
-                    nonzero = True
-                elif c:
+            for m2, c in gamma_coefficients(der.apply_monomial(mono)).items():
+                if m2 not in idx:
                     raise InvalidInputError(
                         f"derivation leaves the module at degree {d}"
                     )
+                mat[idx[m2]][j] = c
+                nonzero = True
         if nonzero:
             matrices[d] = mat
     return GradedLinearMap(module.bases, 1, matrices)
@@ -242,11 +153,11 @@ def perfectoid_gamma_values(p: int, bound: int) -> dict:
     and these are the unique unit choices for which the extension satisfies
     the Leibniz rule through the relations gamma_(p^k)^p = p*unit*gamma_(p^(k+1)).
     """
-    values = {0: DPElement()}
+    values = {}
     k = 1
     while p**k <= bound:
         coeff = Fraction(factorial(p - 1) * factorial(p**k - p), factorial(p**k - 1))
-        values[k] = DPElement.monomial(p**k - p, 0, 1, coeff=coeff)
+        values[k] = dp_monomial((p**k - p, 0, 1), coeff)
         k += 1
     return values
 
@@ -256,7 +167,7 @@ def theta_perfectoid(p: int, bound: int) -> GradedLinearMap:
     gamma_p(u) -> eps exactly), theta -> p*eps; extended as a derivation."""
     module = DPModule(p, bound)
     gamma_values = perfectoid_gamma_values(p, bound)
-    theta_value = DPElement.monomial(0, 0, 1, coeff=p)
+    theta_value = dp_monomial((0, 0, 1), p)
     return derivation_matrices(module, PDerivation(p, gamma_values, theta_value))
 
 
@@ -264,15 +175,13 @@ def factorial_unit_identity(p: int, gamma_values: dict) -> bool:
     """v_p((p^k-p)!/(p^k-1)!) = 0 = v_p(generator-value coefficient), and the
     underlying Legendre identity v_p((p^k-1)!) = sum_{j<k}(p^j-1)."""
     for k, val in gamma_values.items():
-        if k == 0 or val.is_zero():
-            continue
         ratio_val = factorial_valuation(p, p**k - p) - factorial_valuation(p, p**k - 1)
         if ratio_val != 0:
             return False
         legendre = factorial_valuation(p, p**k - 1)
         if legendre != sum(p**j - 1 for j in range(1, k)):
             return False
-        coeff = next(iter(val.terms.values()))
+        coeff = next(iter(gamma_coefficients(val).values()))
         if fraction_valuation(p, coeff) != 0:
             return False
     return True
@@ -295,7 +204,7 @@ def theta_zpn(p: int, n: int, bound: int) -> GradedLinearMap:
     module = DPModule(p, bound)
     gamma_values = {k: v * p ** (n - 2 + k)
                     for k, v in perfectoid_gamma_values(p, bound).items()}
-    theta_value = DPElement.monomial(0, 0, 1, coeff=p)
+    theta_value = dp_monomial((0, 0, 1), p)
     return derivation_matrices(module, PDerivation(p, gamma_values, theta_value))
 
 

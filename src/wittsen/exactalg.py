@@ -482,17 +482,17 @@ class PLocalOps:
         return [y - f * t for y, t in zip(row, tail)]
 
 
-def local_snf(ops, rows: list, ncols: int) -> tuple:
+def local_snf(ops, rows: list, ncols: int) -> list:
     """SNF over a local PID given by `ops`: the elementary divisors of a
     matrix with `ncols` columns, and no transforms.
 
-    Returns (exponents, rank): exponents are the uniformizer-valuations of the
-    nonzero diagonal, nondecreasing by minimal-valuation pivoting. Every entry
-    left after a pivot has at least its valuation, so the scan for the next
-    pivot stops at the first entry that reaches it. The pivot divides its
-    whole row, so the column operations that would clear that row touch
-    nothing else and are skipped; row operations update only the columns
-    right of the pivot, the only ones read again.
+    Returns the exponents: the uniformizer-valuations of the nonzero
+    diagonal, nondecreasing by minimal-valuation pivoting; the rank is their
+    count. Every entry left after a pivot has at least its valuation, so the
+    scan for the next pivot stops at the first entry that reaches it. The
+    pivot divides its whole row, so the column operations that would clear
+    that row touch nothing else and are skipped; row operations update only
+    the columns right of the pivot, the only ones read again.
     """
     a = [list(r) for r in rows]
     n, m = len(a), ncols
@@ -518,7 +518,7 @@ def local_snf(ops, rows: list, ncols: int) -> tuple:
             if not ops.is_zero(a[i][s]):
                 a[i][s + 1:] = ops.eliminate(piv, tail, a[i][s], a[i][s + 1:])
         exps.append(v)
-    return exps, len(exps)
+    return exps
 
 
 def matrix_product(ops, P, Q, ncols: int) -> list:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import factorial, gcd
 
 from .exactalg import (
     IntMatrix,
@@ -172,8 +172,8 @@ def _eliminate(ops, rows, ncols):
     rows or no columns is the zero map and is not eliminated."""
     if not rows or not ncols:
         return 0, []
-    exps, rank = local_snf(ops, rows, ncols)
-    return rank, [e for e in exps if e > 0]
+    exps = local_snf(ops, rows, ncols)
+    return len(exps), [e for e in exps if e > 0]
 
 
 def _report(homology, p):
@@ -291,48 +291,18 @@ def two_term_homology(D: GradedLinearMap, bound: int, ops) -> HomologyReport:
 # named builders
 
 
-def build_bokstedt(p: int, variant: str, bound: int) -> HomologyReport:
-    """Fiber of the operator on a single polynomial line.
+def build_line_fiber(p: int, gen: int, scale: int, bound: int) -> HomologyReport:
+    """Fiber of theta^j -> j*scale*theta^(j-1) on the polynomial line with its
+    generator theta in degree gen; the degree-(gen*j - 1) homology is cyclic
+    of order p^v_p(j*scale).
 
-    T1: generator in degree 2p, theta^j -> j*p*theta^(j-1), shift 2p; the
-    degree-(2pj-1) homology is cyclic of order p^(v_p(j)+1).
-    Jp: generator in degree 2, x^j -> j*x^(j-1), shift 2; degree 2j-1 gets
-    p^(v_p(j))."""
-    require_prime(p)
-    if variant == "T1":
-        gen, scale = 2 * p, p
-    elif variant == "Jp":
-        gen, scale = 2, 1
-    else:
-        raise InvalidInputError(f"unknown variant {variant!r}")
+    Bokstedt's T1 line is (gen, scale) = (2p, p) and the Jp line (2, 1). The
+    Serre complex Z_p[x, y]/x^2 with |y| = 2p^n, |x| = 2p^n - 1 and
+    y^m -> m p y^(m-1) x is the cone of the (2p^n, p) line."""
     j_max = (bound + gen + 1) // gen
     bases = {gen * j: [j] for j in range(j_max + 1)}
     matrices = {gen * j: [[Fraction(j * scale)]] for j in range(1, j_max + 1)}
     return two_term_homology(GradedLinearMap(bases, gen, matrices), bound, PLocal(p))
-
-
-def build_serre_cmn(p: int, n: int, bound: int) -> HomologyReport:
-    """Homology of Z_p[x, y]/x^2 with |x| = 2p^n - 1, |y| = 2p^n and
-    differential y^m -> m p y^(m-1) x."""
-    require_prime(p)
-    dy, dx = 2 * p**n, 2 * p**n - 1
-    top = bound + dy + 2
-    bases = {}
-    for m in range(top // dy + 2):
-        if m * dy <= top:
-            bases.setdefault(m * dy, []).append(("y", m))
-        if m * dy + dx <= top:
-            bases.setdefault(m * dy + dx, []).append(("yx", m))
-    mats = {}
-    for m in range(1, top // dy + 2):
-        d = m * dy
-        if d in bases and (d - 1) in bases:
-            src = bases[d]
-            tgt = bases[d - 1]
-            mat = [[Fraction(0)] * len(src) for _ in range(len(tgt))]
-            mat[tgt.index(("yx", m - 1))][src.index(("y", m))] = Fraction(m * p)
-            mats[d] = mat
-    return graded_map_chain_homology(GradedLinearMap(bases, 1, mats), bound, PLocal(p))[0]
 
 
 def build_perfectoid_serre(p: int, bound: int) -> dict:
@@ -368,12 +338,8 @@ def omega2yn_cohomology(p: int, n: int, bound: int) -> HomologyReport:
     ops = PLocal(p)
     rep = HomologyReport()
     # basis-change integrality and unitriangularity
-    fact = [1]
-    for i in range(1, bound // 2 + 2):
-        fact.append(fact[-1] * i)
     for i in range(0, bound // 2 + 1):
-        coeff = Fraction(p ** (i * (n - 1)), fact[i])
-        if fraction_valuation(p, coeff) < 0 if coeff != 0 else False:
+        if fraction_valuation(p, Fraction(p ** (i * (n - 1)), factorial(i))) < 0:
             raise InvalidInputError("basis change is not p-integral")
     for k in range(0, bound // 2 + 1):
         # degree 2k basis gamma_j(x) c^(k-j), j = 0..k; relation submodule is

@@ -239,7 +239,7 @@ def test_oversized_result_is_usage_error(argv, flag, capsys):
     (["cartier", "delta", "-B", "5"], "dpops", "delta_ring_check"),
     (["fgl", "nseries", "--kind", "honda", "-D", "41"], "fgl", "fgl_construct"),
     (["fgl", "q-identity", "--n-max", "61"], "fgl", "fgl_construct"),
-    (["sen", "bokstedt", "-D", "10001"], "senhom", "build_bokstedt"),
+    (["sen", "bokstedt", "-D", "10001"], "senhom", "build_line_fiber"),
     (["sen", "dvr", "-E", "1," + "0," * 12 + "3"], "senhom", "build_dvr_square"),
     (["report", "-K", "21"], "witt", "check_gabber_identity"),
 ])
@@ -290,6 +290,21 @@ def _unit_times_series(cx, *args):
     return cx
 
 
+def _weyl(rep, *args):
+    rep["commutators"][1] = False
+    return rep
+
+
+def _delta_flag(rep, *args):  # all_ok still claims success
+    rep["rows"][-1]["frobenius_identity"] = False
+    return rep
+
+
+def _delta_drop_row(rep, *args):
+    rep["rows"].pop()
+    return rep
+
+
 def _zpn(rep, p, n, bound):  # only n = 3 differs, and only where no per-n check looks
     return _set_row(0, torsion=[p])(rep) if n == targets.ZPN_NS[1] else rep
 
@@ -314,9 +329,9 @@ def _zpn(rep, p, n, bound):  # only n = 3 differs, and only where no per-n check
      "eta_v2_p2"),
     (["fgl", "b4"], _tamper("fgl", "b4_cobar_class", lambda b4: -b4), "polynomial"),
     (["fgl", "fderham"], _tamper("senhom", "fderham_cohomology", _fderham), "weight"),
-    (["sen", "bokstedt"], _tamper("senhom", "build_bokstedt", _set_row(0, free_rank=0)),
+    (["sen", "bokstedt"], _tamper("senhom", "build_line_fiber", _set_row(0, free_rank=0)),
      "degree"),
-    (["sen", "cmn"], _tamper("senhom", "build_serre_cmn", _set_row(0, free_rank=0)),
+    (["sen", "cmn"], _tamper("senhom", "build_line_fiber", _set_row(0, free_rank=0)),
      "degree"),
     (["sen", "zpn"], _tamper("senhom", "build_zpn_serre", _zpn), "n_dependent_degree"),
     (["sen", "dvr"],
@@ -324,6 +339,11 @@ def _zpn(rep, p, n, bound):  # only n = 3 differs, and only where no per-n check
              lambda out, *a: {**out, "total": _set_row(1, exponents=[9])(out["total"])}),
      "k_j"),
     (["fgl", "fderham"], _tamper("fgl", "f_derham_complex", _unit_times_series), "series"),
+    (["cartier", "weyl"], _tamper("dpops", "dp_weyl_operators", _weyl), "commutators_at"),
+    (["cartier", "delta"], _tamper("dpops", "delta_ring_check", _delta_flag),
+     "frobenius_identity"),
+    (["cartier", "delta"], _tamper("dpops", "delta_ring_check", _delta_drop_row),
+     "want_rows"),
 ])
 def test_failure_names_its_counterexample(argv, patch, key, capsys, monkeypatch):
     patch(monkeypatch)

@@ -14,20 +14,19 @@ from wittsen.exactalg import (
     matrix_product,
 )
 from wittsen.dpops import (
+    DP_RING,
     DeltaRingContext,
     ZpLattice,
     _coeff_vector,
     _envelope_lattice,
-    DPBasisMonomial,
-    DPElement,
     DPModule,
     PDerivation,
     delta_ring_check,
     derivation_matrices,
-    dp_multiply,
+    dp_monomial,
     dp_weyl_operators,
     factorial_unit_identity,
-    gamma_factorization_unit,
+    gamma_coefficients,
     perfectoid_gamma_values,
     psi_eigenvalues,
     psi_tensor_check,
@@ -39,23 +38,18 @@ from wittsen.dpops import (
 # ---------------------------------------------------------------------------
 # divided-power arithmetic
 
-def test_dp_multiply_examples():
-    assert dp_multiply(2, 3) == (10, 5)
-    # gamma_1^j = j! gamma_j
-    elt = DPElement.monomial(1)
-    acc = DPElement.monomial(0)
-    for _ in range(4):
-        acc = acc * elt
-    assert acc.terms == {DPBasisMonomial(4, 0, 0): 24}
-
-
-def test_gamma_square_unit_factorization():
-    # p=2: gamma_2^2 = 6 gamma_4 and 6 = 2 * 3 with 3 the 2-adic unit part
-    sq = DPElement.monomial(2) * DPElement.monomial(2)
-    assert sq.terms == {DPBasisMonomial(4, 0, 0): 6}
-    assert gamma_factorization_unit(2, 4) == 1  # 4 = 2^2 alone
-    assert gamma_factorization_unit(2, 3) == 3  # 3!/2! = 3
-    assert fraction_valuation(2, gamma_factorization_unit(2, 3)) == 0
+def test_gamma_products_and_round_trip():
+    # gamma_i gamma_j = C(i+j, i) gamma_(i+j) is the product in Q[u, theta, eps]
+    for i in range(30):
+        for j in range(30):
+            prod = dp_monomial((i, 0, 0), 1) * dp_monomial((j, 0, 0), 1)
+            assert gamma_coefficients(prod) == {(i + j, 0, 0): comb(i + j, i)}, (i, j)
+    eps = dp_monomial((0, 0, 1), 1)
+    assert (eps * eps).is_zero()
+    assert (dp_monomial((3, 1, 1), 5) * eps).is_zero()
+    for mono in ((0, 0, 0), (7, 0, 1), (12, 3, 0), (29, 2, 1)):
+        for coeff in (1, -4, Fraction(3, 7)):
+            assert gamma_coefficients(dp_monomial(mono, coeff)) == {mono: coeff}
 
 
 def test_unit_lemma_full_range():
@@ -71,20 +65,15 @@ def test_unit_lemma_full_range():
             assert total == 0, (p, m)
 
 
-def test_unit_lemma_matches_explicit_factorials():
-    rng = random.Random(71)
-    for p in (2, 3, 5):
-        for _ in range(30):
-            m = rng.randrange(1, 2000)
-            assert fraction_valuation(p, gamma_factorization_unit(p, m)) == 0
-
-
 # ---------------------------------------------------------------------------
 # derivation extension
 
+ZERO = TruncPoly.zero(DP_RING)
+
+
 def test_zero_values_give_zero_map():
     module = DPModule(3, 20)
-    D = derivation_matrices(module, PDerivation(3, {0: DPElement()}, DPElement()))
+    D = derivation_matrices(module, PDerivation(3, {0: ZERO}, ZERO))
     assert not D.matrices
 
 
@@ -92,43 +81,43 @@ def test_first_gamma_only_pattern():
     # D(gamma_(p^k)) = 0 for k >= 1, D(gamma_1) = 1: then D(gamma_m) is a unit
     # multiple of gamma_(m-1) whenever m is not 0 mod p
     p = 3
-    der = PDerivation(p, {0: DPElement.monomial(0)}, DPElement())
+    der = PDerivation(p, {0: dp_monomial((0, 0, 0), 1)}, ZERO)
     for m in range(1, 30):
-        img = der.d_gamma(m)
+        img = gamma_coefficients(der.apply_monomial((m, 0, 0)))
         if m % p == 0:
-            assert img.is_zero()
+            assert not img
         else:
-            assert len(img.terms) == 1
-            mono, c = next(iter(img.terms.items()))
-            assert mono == DPBasisMonomial(m - 1, 0, 0)
+            assert len(img) == 1
+            mono, c = next(iter(img.items()))
+            assert mono == (m - 1, 0, 0)
             assert fraction_valuation(p, c) == 0
 
 
 def test_theta_action_on_theta_powers():
     # D(theta) = p on Z_p[theta]: D(theta^j) = j p theta^(j-1)
     p = 3
-    der = PDerivation(p, {}, DPElement.monomial(0, 0, 0, coeff=p))
+    der = PDerivation(p, {}, dp_monomial((0, 0, 0), p))
     for j in range(1, 6):
-        img = der.apply_monomial(DPBasisMonomial(0, j, 0))
-        assert img.terms == {DPBasisMonomial(0, j - 1, 0): j * p}
+        img = der.apply_monomial((0, j, 0))
+        assert gamma_coefficients(img) == {(0, j - 1, 0): j * p}
 
 
 def test_perfectoid_generator_values():
     vals = perfectoid_gamma_values(3, 60)
     # gamma_p -> eps exactly (empty product, normalization)
-    assert vals[1].terms == {DPBasisMonomial(0, 0, 1): 1}
+    assert gamma_coefficients(vals[1]) == {(0, 0, 1): 1}
     # gamma_(p^2) -> unit * gamma_(p^2-p) eps, and the unit differs from the
     # expanded product gamma_3^(p-1) = C(6,3) gamma_6 by a p-adic unit only
-    mono, c = next(iter(vals[2].terms.items()))
-    assert mono == DPBasisMonomial(6, 0, 1)
+    mono, c = next(iter(gamma_coefficients(vals[2]).items()))
+    assert mono == (6, 0, 1)
     assert fraction_valuation(3, c) == 0
     assert fraction_valuation(3, c / comb(6, 3)) == 0
 
 
 def apply(der, elt):
     """The derivation on a combination of monomials, term by term."""
-    out = DPElement()
-    for mono, c in elt.terms.items():
+    out = ZERO
+    for mono, c in gamma_coefficients(elt).items():
         out = out + c * der.apply_monomial(mono)
     return out
 
@@ -138,31 +127,27 @@ def test_perfectoid_leibniz():
     # a digit-0 carry passes through the gamma_1-power relation, where the
     # degree-forced value D(gamma_1) = 0 admits no compatible unit.
     for p in (2, 3):
-        der = PDerivation(p, perfectoid_gamma_values(p, 60),
-                          DPElement.monomial(0, 0, 1, coeff=p))
+        der = PDerivation(p, perfectoid_gamma_values(p, 60), dp_monomial((0, 0, 1), p))
         rng = random.Random(73)
         for _ in range(60):
-            a = DPBasisMonomial(rng.randrange(0, 12), rng.randrange(0, 3), 0)
-            b = DPBasisMonomial(rng.randrange(0, 12), rng.randrange(0, 3), 0)
-            ab = DPElement({a: 1}) * DPElement({b: 1})
-            lhs = apply(der, ab)
-            rhs = der.apply_monomial(a) * DPElement({b: 1}) \
-                + DPElement({a: 1}) * der.apply_monomial(b)
-            if a.a % p + b.a % p < p:
+            a = (rng.randrange(0, 12), rng.randrange(0, 3), 0)
+            b = (rng.randrange(0, 12), rng.randrange(0, 3), 0)
+            ga, gb = dp_monomial(a, 1), dp_monomial(b, 1)
+            lhs = apply(der, ga * gb)
+            rhs = der.apply_monomial(a) * gb + ga * der.apply_monomial(b)
+            if a[0] % p + b[0] % p < p:
                 assert lhs == rhs, (p, a, b)
 
 
 def test_perfectoid_leibniz_failure_locus_is_digit_zero():
     p = 2
-    der = PDerivation(p, perfectoid_gamma_values(p, 60),
-                      DPElement.monomial(0, 0, 1, coeff=p))
+    der = PDerivation(p, perfectoid_gamma_values(p, 60), dp_monomial((0, 0, 1), p))
     for i in range(12):
         for j in range(12):
-            a, b = DPBasisMonomial(i, 0, 0), DPBasisMonomial(j, 0, 0)
-            ab = DPElement({a: 1}) * DPElement({b: 1})
-            lhs = apply(der, ab)
-            rhs = der.apply_monomial(a) * DPElement({b: 1}) \
-                + DPElement({a: 1}) * der.apply_monomial(b)
+            a, b = (i, 0, 0), (j, 0, 0)
+            ga, gb = dp_monomial(a, 1), dp_monomial(b, 1)
+            lhs = apply(der, ga * gb)
+            rhs = der.apply_monomial(a) * gb + ga * der.apply_monomial(b)
             assert (lhs == rhs) == (i % p + j % p < p), (i, j)
 
 
@@ -173,8 +158,8 @@ def test_theta_perfectoid_structure():
     module = DPModule(2, 20)
     src = module.bases[8]
     tgt = module.bases[7]
-    j = src.index(DPBasisMonomial(0, 2, 0))
-    i = tgt.index(DPBasisMonomial(0, 1, 1))
+    j = src.index((0, 2, 0))
+    i = tgt.index((0, 1, 1))
     assert D.matrices[8][i][j] == 4
     # gamma_1(u) = u maps to zero (no target below)
     assert 2 not in D.matrices
@@ -190,9 +175,9 @@ def test_theta_zpn_scaling():
     module = DPModule(3, 12)
     src = module.bases[6]
     tgt = module.bases[5]
-    jg = src.index(DPBasisMonomial(3, 0, 0))
-    jt = src.index(DPBasisMonomial(0, 1, 0))
-    i = tgt.index(DPBasisMonomial(0, 0, 1))
+    jg = src.index((3, 0, 0))
+    jt = src.index((0, 1, 0))
+    i = tgt.index((0, 0, 1))
     assert D.matrices[6][i][jg] == 3   # gamma_p(u) -> p^(n-1) eps, n=2
     assert D.matrices[6][i][jt] == 3   # theta -> p eps
 

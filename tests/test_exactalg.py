@@ -185,9 +185,8 @@ def test_smith_coker_against_enumeration():
 def test_local_snf_exponents():
     ops = PLocalOps(3)
     rows = [[Fraction(6), Fraction(9)], [Fraction(27), Fraction(3)]]
-    exps, rank = local_snf(ops, rows, 2)
+    exps = local_snf(ops, rows, 2)
     # v_3-divisors of [[6,9],[27,3]]: det = 18-243 = -225, v=2; min v entry = 1
-    assert rank == 2
     assert exps == [1, 1]
 
 
@@ -215,8 +214,8 @@ def test_snf_against_sympy_invariant_factors():
         got = smith_normal_form(IntMatrix.from_rows(rows)).divisors
         assert [abs(d) for d in got] == want, rows
         for p in (2, 3, 5):
-            exps, rank = local_snf(PLocalOps(p), rows, len(rows[0]))
-            assert rank == sum(1 for d in want if d), (p, rows)
+            exps = local_snf(PLocalOps(p), rows, len(rows[0]))
+            assert len(exps) == sum(1 for d in want if d), (p, rows)
             assert exps == sorted(int_valuation(p, d) for d in want if d), (p, rows)
 
 

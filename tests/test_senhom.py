@@ -9,10 +9,9 @@ from wittsen.exactalg import InvalidInputError, PLocalOps, int_valuation, matrix
 from wittsen.fgl import f_derham_complex, fgl_construct, q_integer
 from wittsen.senhom import (
     Eisenstein,
-    build_bokstedt,
     build_dvr_square,
+    build_line_fiber,
     build_perfectoid_serre,
-    build_serre_cmn,
     build_zpn_serre,
     chain_homology,
     cube_total_fiber,
@@ -178,7 +177,7 @@ def test_cube_commutation_required():
 
 def test_bokstedt_t1():
     for p in (2, 3):
-        rep = build_bokstedt(p, "T1", 2 * p * 10)
+        rep = build_line_fiber(p, 2 * p, p, 2 * p * 10)
         assert entry(rep, 0)["free_rank"] == 1
         for j in range(1, 11):
             d = 2 * p * j - 1
@@ -192,13 +191,13 @@ def test_bokstedt_t1():
 
 
 def test_bokstedt_t1_p3_examples():
-    rep = build_bokstedt(3, "T1", 40)
+    rep = build_line_fiber(3, 6, 3, 40)
     assert entry(rep, 5)["torsion"] == [3]
     assert entry(rep, 17)["torsion"] == [9]
 
 
 def test_bokstedt_jp():
-    rep = build_bokstedt(3, "Jp", 30)
+    rep = build_line_fiber(3, 2, 1, 30)
     assert entry(rep, 0)["free_rank"] == 1
     assert entry(rep, 5)["torsion"] == [3]      # j = 3
     assert entry(rep, 3) == {"degree": 3, "free_rank": 0, "torsion": [],
@@ -210,11 +209,11 @@ def test_bokstedt_jp():
 
 
 def test_serre_cmn_patterns():
-    rep = build_serre_cmn(2, 1, 24)
+    rep = build_line_fiber(2, 4, 2, 24)
     assert entry(rep, 3)["torsion"] == [2]
     assert entry(rep, 7)["torsion"] == [4]
     assert entry(rep, 11)["torsion"] == [2]
-    rep32 = build_serre_cmn(3, 2, 40)
+    rep32 = build_line_fiber(3, 18, 3, 40)
     assert entry(rep32, 17)["torsion"] == [3]
     for row in rep32.degrees:
         if row["degree"] > 0 and row["degree"] % 2 == 0:
@@ -224,11 +223,44 @@ def test_serre_cmn_patterns():
 def test_serre_cmn_general_formula():
     for p, n in ((2, 1), (2, 2), (3, 1)):
         bound = 2 * p**n * 8
-        rep = build_serre_cmn(p, n, bound)
+        rep = build_line_fiber(p, 2 * p**n, p, bound)
         assert entry(rep, 0)["free_rank"] == 1
         for k in range(1, 8):
             d = 2 * k * p**n - 1
             assert entry(rep, d)["torsion"] == [p ** (vp(p, p * k))], (p, n, k)
+
+
+def serre_cmn_homology(p, n, bound):
+    """Z_p[x, y]/x^2 with |y| = 2p^n, |x| = 2p^n - 1 and y^m -> m p y^(m-1) x,
+    built label by label: degree -> (free rank, exponents)."""
+    dy = 2 * p**n
+    bases = {}
+    for m in range((bound + 1) // dy + 2):
+        bases.setdefault(m * dy, []).append(("y", m))
+        bases.setdefault(m * dy + dy - 1, []).append(("yx", m))
+    dims = {d: len(b) for d, b in bases.items()}
+    mats = {}
+    for d, src in bases.items():
+        tgt = bases.get(d - 1, [])
+        mat = [[Fraction(0)] * len(src) for _ in tgt]
+        for col, (kind, m) in enumerate(src):
+            if kind == "y" and m:
+                mat[tgt.index(("yx", m - 1))][col] = Fraction(m * p)
+        if tgt:
+            mats[d] = mat
+    return chain_homology(dims, mats, bound, PLocalOps(p))[0]
+
+
+def test_serre_cmn_complex_is_the_line_fiber():
+    for p, n in ((2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1)):
+        gen = 2 * p**n
+        for bound in (1, gen - 1, gen, 3 * gen + 1, 8 * gen):
+            rep = build_line_fiber(p, gen, p, bound)
+            want = serre_cmn_homology(p, n, bound)
+            for d in range(bound + 1):
+                row = entry(rep, d)
+                assert (row["free_rank"], row["exponents"]) == want.get(d, (0, [])), \
+                    (p, n, bound, d)
 
 
 def test_perfectoid_pattern():
@@ -304,7 +336,7 @@ def test_dvr_unramified_matches_bokstedt_jp():
     # E = u - 3: R = Z_(3), E'(pi) = 1, and the square is the Jp line
     out = build_dvr_square(3, [-3, 1], 19)
     assert out["Eprime_valuation"] == 0
-    jp = build_bokstedt(3, "Jp", 19)
+    jp = build_line_fiber(3, 2, 1, 19)
     for j in range(1, 10):
         d = 2 * j - 1
         row = out["total"].entry(d)
@@ -417,10 +449,8 @@ def test_local_snf_matches_integer_snf_p_parts():
         expected = sorted(
             int_valuation(p, d) for d in dec.divisors if d != 0
         )
-        exps, rank = local_snf(
-            PLocalOps(p), [[Fraction(x) for x in r] for r in rows], m
-        )
-        assert rank == sum(1 for d in dec.divisors if d != 0)
+        exps = local_snf(PLocalOps(p), [[Fraction(x) for x in r] for r in rows], m)
+        assert len(exps) == sum(1 for d in dec.divisors if d != 0)
         assert sorted(exps) == expected
 
 
@@ -499,8 +529,7 @@ def planted_matrix(rng, R, dense):
     """An n x m matrix over R, both at most 8, with planted elementary
     divisors unit*pi^k on a diagonal, mixed by elementary row and column
     operations with ring coefficients (a few, or many for a dense matrix),
-    unit row scalings and permutations. Returns (rows, ncols, (exponents,
-    rank))."""
+    unit row scalings and permutations. Returns (rows, ncols, exponents)."""
     n, m = rng.randrange(1, 9), rng.randrange(1, 9)
     elt = lambda: tuple(rng.randrange(-4, 5) for _ in range(R.e))
     unit = lambda: (rng.choice([u for u in range(-7, 8) if u % R.p]),) + elt()[1:]
@@ -524,7 +553,7 @@ def planted_matrix(rng, R, dense):
             a[i] = [R.mul(c, x) for x in a[i]]
     rng.shuffle(a)
     cols = rng.sample(range(m), m)
-    return [[row[j] for j in cols] for row in a], m, (exps, len(exps))
+    return [[row[j] for j in cols] for row in a], m, exps
 
 
 def test_local_snf_over_integer_eisenstein_matches_fraction_reference():
@@ -561,7 +590,7 @@ def full_scan_snf(ops, rows, ncols):
             if not ops.is_zero(a[i][s]):
                 a[i][s + 1:] = ops.eliminate(a[s][s], a[s][s + 1:], a[i][s], a[i][s + 1:])
         exps.append(v)
-    return exps, len(exps)
+    return exps
 
 
 class RecordingOps(PLocalOps):
@@ -625,8 +654,8 @@ def test_double_entry_bookkeeping():
         B = [[Fraction(rng.randrange(-9, 10)) for _ in range(dim1)]
              for _ in range(dim0)]
         homology, elim = chain_homology({0: dim0, 1: dim1}, {1: B}, 1, ops)
-        exps, rank = local_snf(ops, B, dim1)
-        torsion = [e for e in exps if e > 0]
+        exps = local_snf(ops, B, dim1)
+        rank, torsion = len(exps), [e for e in exps if e > 0]
         assert elim[1] == (rank, torsion)
         assert homology.get(0, (0, [])) == (dim0 - rank, torsion)
         assert homology.get(1, (0, [])) == (dim1 - rank, [])
