@@ -97,7 +97,8 @@ def check_gabber(cfg: RunConfig):
 def check_pn_vanishing(cfg: RunConfig):
     rows = [W.check_pn_vanishing(p, n, targets.PN_VANISHING_LENGTH)
             for p, n in targets.PN_VANISHING_GRID]
-    bad = next((r for r in rows if not r["holds"]), None)
+    flags = ("holds_v", "holds_vfv", "ghost_ok", "holds")
+    bad = next((r for r in rows if not all(r[f] for f in flags)), None)
     return check("witt.pn-vanishing", bad is None, {"cases": rows}, bad)
 
 
@@ -483,6 +484,11 @@ def check_psi(cfg: RunConfig, m=None, p=3, n=3):
                 bad = bad or {"p": pp, "m": mm, "component": 1}
             elif Fraction(psi[2]) != targets.psi2_display(pp, mm):
                 bad = bad or {"p": pp, "m": mm, "component": 2}
+            else:  # the defining property: every ghost component of psi is m
+                ghost = W.ghost_map(W.make_witt(W.WittContext(pp, len(psi)), psi)).entries
+                j = next((j for j, w in enumerate(ghost) if w != mm), None)
+                if j is not None:
+                    bad = bad or {"p": pp, "m": mm, "ghost_component": j}
     return check("cartier.psi", bad is None,
                  {"m_max": targets.PSI_M_MAX, "j_max": targets.PSI_J_MAX}, bad)
 

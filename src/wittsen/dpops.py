@@ -97,12 +97,13 @@ class PDerivation:
     its values on the generators gamma_(p^k)(u) and theta (a generator with
     no value maps to 0), and extended through the factorization
     a! gamma_a = prod_k ((p^k)! gamma_(p^k))^(m_k) over the base-p digits
-    m_k of a."""
+    m_k of a. The image of each eps-free monomial is computed once."""
 
     def __init__(self, p: int, gamma_values: dict, theta_value: TruncPoly):
         self.p = p
         self.gamma_values = gamma_values
         self.theta_value = theta_value
+        self.images = {}
 
     def apply_monomial(self, mono: tuple) -> TruncPoly:
         """D(gamma_a theta^b eps^c)
@@ -110,14 +111,19 @@ class PDerivation:
         the Leibniz rule on the factorization gives
         D(gamma_a) = sum_k m_k (p^k)!/a! u^(a-p^k) D(gamma_(p^k))."""
         a, b, c = mono
+        if c:
+            return self.apply_monomial((a, b, 0)) * dp_monomial((0, 0, 1), 1)
+        if (a, b) in self.images:
+            return self.images[a, b]
         out = TruncPoly.zero(DP_RING)
         for k, mk in enumerate(base_p_digits(a, self.p)):
             if mk and k in self.gamma_values:
                 q = self.p**k
-                lower = {(a - q, b, c): Fraction(mk * factorial(q), factorial(a))}
+                lower = {(a - q, b, 0): Fraction(mk * factorial(q), factorial(a))}
                 out = out + TruncPoly(DP_RING, lower) * self.gamma_values[k]
         if b:
-            out = out + dp_monomial((a, b - 1, c), b) * self.theta_value
+            out = out + dp_monomial((a, b - 1, 0), b) * self.theta_value
+        self.images[a, b] = out
         return out
 
 
@@ -482,23 +488,27 @@ def _envelope_lattice(ctx: DeltaRingContext, iters, K: int) -> ZpLattice:
 
     Each iterate is converted once to integers over a power of p; monomials
     are truncated integer products with the p-exponents added, and common
-    factors of p cancelled so that the exponents are the true ones."""
+    factors of p cancelled so that the exponents are the true ones. The
+    empty monomial's shifts, the unit vectors, span Z_(p)^K, so of the other
+    monomials only those with a p in the denominator are generators."""
     factors = [_integer_vector(ctx.p, f, K) for f in iters]
-    vectors = []
+    vectors = [([0] * j + [1] + [0] * (K - 1 - j), 0) for j in range(K)]
     _envelope_monomials(ctx.p, factors, K, 0, [1] + [0] * (K - 1), 0, vectors)
     return ZpLattice(ctx.p, K, vectors)
 
 
 def _envelope_monomials(p, factors, K, i, N, s, out):
-    """Append to out the monomials (N/p^s) * prod_(k >= i) F_k^(e_k), for the
-    (F_k, s_k) in factors, with every shift by u^j that truncation keeps.
+    """Append to out the monomials (N/p^s) * prod_(k >= i) F_k^(e_k) with
+    s > 0, for the (F_k, s_k) in factors, with every shift by u^j that
+    truncation keeps.
 
     A module-level function rather than a closure: a nested function that
     calls itself is a reference cycle, which would keep `out` (thousands of
     generators) alive after the lattice is built, until a cyclic collection."""
     if i == len(factors):
-        lead = next(j for j, x in enumerate(N) if x)
-        out.extend(([0] * j + N[:K - j], s) for j in range(K - lead))
+        if s:
+            lead = next(j for j, x in enumerate(N) if x)
+            out.extend(([0] * j + N[:K - j], s) for j in range(K - lead))
         return
     F, sf = factors[i]
     while any(N):

@@ -238,8 +238,9 @@ class TruncPoly:
         while e:
             if e & 1:
                 result = result * base
-            base = base * base
             e >>= 1
+            if e:  # the square after the top bit would be discarded
+                base = base * base
         return result
 
     def map_coeffs(self, f):
@@ -479,7 +480,7 @@ class PLocalOps:
 
     def eliminate(self, piv, tail, x, row):
         f = Fraction(x) / Fraction(piv)
-        return [y - f * t for y, t in zip(row, tail)]
+        return [y - f * t if t else y for y, t in zip(row, tail)]
 
 
 def local_snf(ops, rows: list, ncols: int) -> list:

@@ -305,6 +305,13 @@ def _delta_drop_row(rep, *args):
     return rep
 
 
+def _psi_component(j, when=lambda m: True):
+    """psi_eigenvalues with component j off by one for the m where when(m)."""
+    def change(psi, p, n, m):
+        return psi[:j] + (psi[j] + 1,) + psi[j + 1:] if when(m) else psi
+    return change
+
+
 def _zpn(rep, p, n, bound):  # only n = 3 differs, and only where no per-n check looks
     return _set_row(0, torsion=[p])(rep) if n == targets.ZPN_NS[1] else rep
 
@@ -344,6 +351,29 @@ def _zpn(rep, p, n, bound):  # only n = 3 differs, and only where no per-n check
      "frobenius_identity"),
     (["cartier", "delta"], _tamper("dpops", "delta_ring_check", _delta_drop_row),
      "want_rows"),
+    (["witt", "gabber"],
+     _tamper("witt", "check_gabber_identity", lambda r, *a: {**r, "holds": False}),
+     "holds"),
+    (["witt", "gabber"],
+     lambda mp: mp.setitem(targets.GABBER_Y_SMALL, (3, 2), (-8, -2017)),
+     "small_values"),
+    # holds still claims success
+    (["witt", "pn-vanishing"],
+     _tamper("witt", "check_pn_vanishing", lambda r, *a: {**r, "holds_vfv": False}),
+     "holds_vfv"),
+    (["witt", "cartier"],
+     _tamper("witt", "cartier_character", lambda r, *a: {**r, "additivity": False}),
+     "report"),
+    (["fgl", "q-identity"],
+     _tamper("fgl", "divided_n_series", lambda s, F, m: s + 1 if m == 7 else s), "m"),
+    (["cartier", "psi"], _tamper("dpops", "psi_eigenvalues", _psi_component(2)),
+     "component"),
+    # components 0, 3 and 4 are pinned only by the ghost identity
+    (["cartier", "psi"], _tamper("dpops", "psi_eigenvalues", _psi_component(3)),
+     "ghost_component"),
+    # a wrong tuple for negative weights breaks additivity across signs
+    (["cartier", "psi-tensor"],
+     _tamper("dpops", "psi_eigenvalues", _psi_component(1, lambda m: m < 0)), "a"),
 ])
 def test_failure_names_its_counterexample(argv, patch, key, capsys, monkeypatch):
     patch(monkeypatch)

@@ -1,7 +1,9 @@
 import gc
 import random
 from fractions import Fraction
-from math import comb
+from functools import reduce
+from math import comb, factorial
+from operator import mul
 
 import pytest
 
@@ -13,6 +15,7 @@ from wittsen.exactalg import (
     fraction_valuation,
     matrix_product,
 )
+from wittsen import dpops
 from wittsen.dpops import (
     DP_RING,
     DeltaRingContext,
@@ -21,6 +24,7 @@ from wittsen.dpops import (
     _envelope_lattice,
     DPModule,
     PDerivation,
+    base_p_digits,
     delta_ring_check,
     derivation_matrices,
     dp_monomial,
@@ -180,6 +184,72 @@ def test_theta_zpn_scaling():
     i = tgt.index((0, 0, 1))
     assert D.matrices[6][i][jg] == 3   # gamma_p(u) -> p^(n-1) eps, n=2
     assert D.matrices[6][i][jt] == 3   # theta -> p eps
+
+
+def leibniz_reference(der, mono):
+    """D(gamma_a theta^b eps^c) by the Leibniz rule on the factors of
+    a! gamma_a theta^b eps^c = prod_k ((p^k)! gamma_(p^k))^(m_k) theta^b eps^c,
+    eps among them with D(eps) = 0: every label takes the full sum."""
+    a, b, c = mono
+    factors = [(dp_monomial((der.p**k, 0, 0), factorial(der.p**k)), mk,
+                factorial(der.p**k) * der.gamma_values.get(k, ZERO))
+               for k, mk in enumerate(base_p_digits(a, der.p)) if mk]
+    factors += [(dp_monomial((0, 1, 0), 1), b, der.theta_value),
+                (dp_monomial((0, 0, 1), 1), c, ZERO)]
+    out = ZERO
+    for i, (f, m, df) in enumerate(factors):
+        if m:
+            rest = reduce(mul, (g**e for j, (g, e, _) in enumerate(factors) if j != i),
+                          f ** (m - 1))
+            out = out + m * rest * df
+    return out * Fraction(1, factorial(a))
+
+
+def reference_matrices(module, der):
+    """The nonzero degree-(-1) matrices of leibniz_reference, as Fractions."""
+    out = {}
+    for d, basis in module.bases.items():
+        cols = [gamma_coefficients(leibniz_reference(der, mono)) for mono in basis]
+        target = module.bases.get(d - 1, [])
+        assert all(set(col) <= set(target) for col in cols), d
+        if any(cols):
+            out[d] = [[Fraction(col.get(m2, 0)) for col in cols] for m2 in target]
+    return out
+
+
+@pytest.mark.parametrize("build, args", [
+    (theta_perfectoid, (2, 42)), (theta_perfectoid, (3, 62)),
+    (theta_perfectoid, (5, 102)), (theta_zpn, (3, 2, 32)), (theta_zpn, (3, 3, 32)),
+])
+def test_operator_matrices_match_leibniz_reference(build, args, monkeypatch):
+    # each eps-label's image is built from its eps-free partner's; the
+    # reference runs the Leibniz sum on every label
+    made = []
+    real = dpops.derivation_matrices
+    monkeypatch.setattr(dpops, "derivation_matrices",
+                        lambda module, der: made.append((module, der)) or real(module, der))
+    D = build(*args)
+    ((module, der),) = made
+    got = {d: [[Fraction(x) for x in row] for row in mat] for d, mat in D.matrices.items()}
+    assert got == reference_matrices(module, der)
+    assert D.bases == module.bases
+
+
+def test_eps_label_image_is_eps_times_eps_free_image():
+    # generator values without eps: D(x eps) = D(x) eps is nonzero, so the
+    # eps rule is not "eps-labels map to 0"
+    p = 3
+    one = dp_monomial((0, 0, 0), 1)
+    values = {k: one for k in range(4)}
+    eps = dp_monomial((0, 0, 1), 1)
+    der = PDerivation(p, values, one)
+    labels = [(a, b) for a in range(30) for b in range(4) if a or b]
+    eps_images = {(a, b): der.apply_monomial((a, b, 1)) for a, b in labels}
+    for a, b in labels:
+        free = leibniz_reference(der, (a, b, 0))
+        assert not free.is_zero(), (a, b)
+        assert eps_images[a, b] == free * eps == leibniz_reference(der, (a, b, 1)), (a, b)
+        assert der.apply_monomial((a, b, 0)) == free, (a, b)
 
 
 def test_theta_zpn_rejects_two():
@@ -450,7 +520,7 @@ def test_zp_lattice_requires_certificate():
         ZpLattice(3, 2, [])
 
 
-@pytest.mark.parametrize("p, K, B", [(2, 10, 1), (3, 12, 2)])
+@pytest.mark.parametrize("p, K, B", [(2, 10, 1), (3, 12, 2), (5, 18, 2)])
 def test_zp_lattice_matches_fraction_oracle(p, K, B):
     ctx = DeltaRingContext(p, K)
     iters = [ctx.u ** (p - 1) * ctx.d_inv]
@@ -478,3 +548,26 @@ def test_zp_lattice_matches_fraction_oracle(p, K, B):
     assert got == [oracle.contains(v) for v in queries]
     assert all(got[:len(quotients)])
     assert not all(got)
+
+
+@pytest.mark.parametrize("p, removed", [(3, 10776), (5, 836)])
+def test_envelope_generators_are_unit_vectors_and_fractional_monomials(
+        p, removed, monkeypatch):
+    # the empty monomial's shifts, the unit vectors, span Z_(p)^K, so they
+    # are put in directly and the recursion leaves out every monomial with
+    # s = 0: `removed` of the reference oracle's full enumeration
+    K, B = 18, 2  # the iterates delta_ring_check(p, 1, B) builds
+    ctx = DeltaRingContext(p, K)
+    iters = [ctx.u ** (p - 1) * ctx.d_inv]
+    for _ in range(B + 3):
+        iters.append(ctx.delta(iters[-1]))
+    made = []
+    real = dpops.ZpLattice
+    monkeypatch.setattr(dpops, "ZpLattice",
+                        lambda p, K, vectors: made.append(vectors) or real(p, K, vectors))
+    _envelope_lattice(ctx, iters, K)
+    (vectors,) = made
+    units = [([int(i == j) for i in range(K)], 0) for j in range(K)]
+    assert [v for v in vectors if v[1] == 0] == units
+    assert all(s > 0 for _, s in vectors[K:])
+    assert len(vectors) + removed == len(fraction_envelope(ctx, iters, K)) + K

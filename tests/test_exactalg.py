@@ -468,6 +468,32 @@ def test_substitute_matches_naive_expansion():
             assert f.substitute(assignment) == naive_substitute(f, assignment), assignment
 
 
+def test_pow_squares_only_while_bits_remain(monkeypatch):
+    # f ** e by binary powering: at most bit_length(e) - 1 squarings and
+    # popcount(e) multiplies, and no product above degree e * deg f (a square
+    # after the top bit would be discarded, and in an uncapped ring it is the
+    # largest product of the chain)
+    ring = PolyRing(vars=("x", "y"))
+    x, y = TruncPoly.var(ring, "x"), TruncPoly.var(ring, "y")
+    f = 1 + 2 * x - x * y
+    powers = [TruncPoly.const(ring, 1)]
+    for _ in range(40):
+        powers.append(powers[-1] * f)
+    degrees = []
+    real_mul = TruncPoly.__mul__
+
+    def recording_mul(self, other):
+        out = real_mul(self, other)
+        degrees.append(max(map(sum, out.terms), default=0))
+        return out
+    monkeypatch.setattr(TruncPoly, "__mul__", recording_mul)
+    for e in range(41):
+        degrees.clear()
+        assert f**e == powers[e], e
+        assert len(degrees) <= max(e.bit_length() - 1, 0) + bin(e).count("1"), e
+        assert max(degrees, default=0) <= 2 * e, e
+
+
 def test_substitute_builds_powers_without_pow(monkeypatch):
     ring = PolyRing(vars=("x", "y", "v"))
     x, y, v = (TruncPoly.var(ring, n) for n in ("x", "y", "v"))
