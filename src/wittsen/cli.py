@@ -471,8 +471,20 @@ def check_dvr(cfg: RunConfig, E=None, p=3):
 # cartier (operator calculus) checks
 
 
+def _psi_prints(p, n, m):
+    """Whether the Witt components of m print within str()'s digit limit: the
+    last is the largest, m^P/p^(n-1) to about one part in p^(p-1)."""
+    limit, P = sys.get_int_max_str_digits(), p ** (n - 1)
+    if not limit or abs(m) < 2:
+        return True
+    bound = 10**limit * P
+    return P * (abs(m).bit_length() - 1) < bound.bit_length() and abs(m) ** P < bound
+
+
 def check_psi(cfg: RunConfig, m=None, p=3, n=3):
     if m is not None:
+        if not _psi_prints(p, n, m):
+            raise InvalidInputError(_too_long(("cartier", "psi")))
         return check("cartier.psi", True, {"psi": list(DP.psi_eigenvalues(p, n, m))})
     bad = None
     for pp in targets.PSI_PRIMES:
@@ -717,6 +729,12 @@ def _parser():
     return parser
 
 
+def _too_long(key):
+    lower = ", ".join(_option(f) for f, spec in CHECKS[key].items()
+                      if not isinstance(spec, Choice))
+    return f"the result has integers too long to print; lower {lower}"
+
+
 def _read_config_file(path, flags):
     out = {}
     with open(path) as fh:
@@ -803,9 +821,7 @@ def main(argv=None) -> int:
     try:
         return _emit(doc, cfg)
     except ValueError:  # an integer past str()'s digit limit
-        lower = ", ".join(_option(f) for f, spec in table.items()
-                          if not isinstance(spec, Choice))
-        parser.error(f"the result has integers too long to print; lower {lower}")
+        parser.error(_too_long(key))
     except OSError as exc:
         parser.error(str(exc))
 

@@ -135,7 +135,7 @@ def derivation_matrices(module: DPModule, der: PDerivation) -> GradedLinearMap:
         if not basis or not target:
             continue
         idx = module.index[d - 1]
-        mat = [[Fraction(0)] * len(basis) for _ in range(len(target))]
+        mat = [[0] * len(basis) for _ in range(len(target))]
         nonzero = False
         for j, mono in enumerate(basis):
             for m2, c in gamma_coefficients(der.apply_monomial(mono)).items():
@@ -274,17 +274,13 @@ def dp_weyl_operators(p: int, n: int, M: int) -> dict:
                 ok = False
         # matrix identity away from the top-degree truncation row
         D, X = report["del"][k], x_mat
-        bracket = [
-            [a - b for a, b in zip(ra, rb)]
-            for ra, rb in zip(matrix_product(ops, D, X, M + 1),
-                              matrix_product(ops, X, D, M + 1))
-        ]
+        DX, XD = matrix_product(ops, D, X), matrix_product(ops, X, D)
         target = del_k_matrix(k - 1) if k > 1 else [
             [1 if i == j2 else 0 for j2 in range(M + 1)] for i in range(M + 1)
         ]
-        for m in range(0, M):  # column m safe: x*x^m stays in the span
-            for r in range(M + 1):
-                if bracket[r][m] != target[r][m]:
+        for r, (ra, rb) in enumerate(zip(DX, XD)):
+            for m in range(0, M):  # column m safe: x*x^m stays in the span
+                if ra.get(m, 0) - rb.get(m, 0) != target[r][m]:
                     ok = False
         report["commutators"][k] = ok
 
@@ -340,9 +336,17 @@ class DeltaRingContext:
             terms[(mono[0] - 1,)] = c
         self.d = TruncPoly(self.ring, terms)
         self.d_inv = self.d.series_inverse()
+        # phi is Z_(p)-linear: its matrix is the coefficients of phi(u)^j, j < K
+        self._phi_columns = [TruncPoly.const(self.ring, 1)]
+        while len(self._phi_columns) < self.K:
+            self._phi_columns.append(self._phi_columns[-1] * self.phi_u)
 
     def phi(self, f: TruncPoly) -> TruncPoly:
-        return f.substitute({"u": self.phi_u})
+        out = {}
+        for (j,), c in f.terms.items():
+            for mono, a in self._phi_columns[j].terms.items():
+                out[mono] = out.get(mono, 0) + c * a
+        return TruncPoly(self.ring, out)
 
     def delta(self, f: TruncPoly) -> TruncPoly:
         return (self.phi(f) - f**self.p).map_coeffs(lambda c: Fraction(c, self.p))

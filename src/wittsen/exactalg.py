@@ -12,7 +12,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import compress, product
+from itertools import compress
 from math import factorial
 from operator import add
 
@@ -446,11 +446,13 @@ def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
 # ---------------------------------------------------------------------------
 # exact SNF over a local PID: the engine behind all homology computations.
 #
-# A ring is given by an ops object with the attributes p, zero and one and the
-# methods is_zero, val, add, sub, mul and eliminate; val is the valuation of a
-# nonzero element, and eliminate(piv, tail, x, row) is a unit times
-# row - (x/piv)*tail, for the entries piv and x of one column with
-# val(x) >= val(piv) and the rest of their rows, tail and row.
+# A ring is given by an ops object with the attributes p and zero and the
+# methods is_zero, val, add, sub, mul and eliminate. Matrices come in as dense
+# rows; zero is the ring's one representation of 0, and each row is read once
+# into a {column: entry} dict of the entries not equal to it. val is the
+# valuation of a nonzero element, and eliminate(piv, tail, x, row) is a unit
+# times row - (x/piv)*tail as such a dict, for the entries piv and x of one
+# column with val(x) >= val(piv) and the dicts of the rest of their rows.
 
 
 class PLocalOps:
@@ -460,8 +462,7 @@ class PLocalOps:
         require_prime(p)
         self.p = p
 
-    zero = Fraction(0)
-    one = Fraction(1)
+    zero = 0
 
     def is_zero(self, x) -> bool:
         return x == 0
@@ -480,57 +481,64 @@ class PLocalOps:
 
     def eliminate(self, piv, tail, x, row):
         f = Fraction(x) / Fraction(piv)
-        return [y - f * t if t else y for y, t in zip(row, tail)]
+        out = dict(row)
+        for j, t in tail.items():
+            out[j] = out.get(j, 0) - f * t
+        return {j: y for j, y in out.items() if y}
+
+
+def _nonzeros(zero, rows) -> list:
+    """Each dense row as a {column: entry} dict of its nonzero entries."""
+    return [{j: x for j, x in enumerate(row) if x != zero} for row in rows]
 
 
 def local_snf(ops, rows: list, ncols: int) -> list:
     """SNF over a local PID given by `ops`: the elementary divisors of a
-    matrix with `ncols` columns, and no transforms.
+    matrix of dense rows with `ncols` columns, and no transforms.
 
     Returns the exponents: the uniformizer-valuations of the nonzero
     diagonal, nondecreasing by minimal-valuation pivoting; the rank is their
-    count. Every entry left after a pivot has at least its valuation, so the
-    scan for the next pivot stops at the first entry that reaches it. The
-    pivot divides its whole row, so the column operations that would clear
-    that row touch nothing else and are skipped; row operations update only
-    the columns right of the pivot, the only ones read again.
+    count. The pivot is the first entry of least valuation, rows in order and
+    each row by column. Every entry left after a pivot has at least its
+    valuation, so the scan for the next pivot stops after the first row that
+    reaches it. The pivot row is removed; it divides its whole row, so the
+    column operations that would clear it touch nothing else and are
+    skipped. Only the rows holding the pivot column are updated, and a row
+    that becomes zero is dropped.
     """
-    a = [list(r) for r in rows]
-    n, m = len(a), ncols
+    if any(len(row) != ncols for row in rows):
+        raise InvalidInputError(f"rows must have {ncols} entries")
+    a = [row for row in _nonzeros(ops.zero, rows) if row]
     exps = []
-    for s in range(min(n, m)):
-        best, floor = None, exps[-1] if exps else 0
-        for j, i in product(range(s, m), range(s, n)):
-            if not ops.is_zero(a[i][j]):
-                v = ops.val(a[i][j])
-                if best is None or v < best[0]:
-                    best = (v, i, j)
-                    if v == floor:
-                        break
-        if best is None:
-            break
+    while a:
+        floor, best = exps[-1] if exps else 0, None
+        for i, row in enumerate(a):
+            for j, x in row.items():
+                if best and best[0] == floor and j > best[2]:
+                    continue  # no entry right of a least-valuation one wins
+                key = (ops.val(x), i, j)
+                best = min(best, key) if best else key
+            if best[0] == floor:
+                break
         v, bi, bj = best
-        a[s], a[bi] = a[bi], a[s]
-        if bj != s:
-            for row in a:
-                row[s], row[bj] = row[bj], row[s]
-        piv, tail = a[s][s], a[s][s + 1:]
-        for i in range(s + 1, n):
-            if not ops.is_zero(a[i][s]):
-                a[i][s + 1:] = ops.eliminate(piv, tail, a[i][s], a[i][s + 1:])
+        tail = a.pop(bi)
+        piv = tail.pop(bj)
+        updated = (ops.eliminate(piv, tail, row.pop(bj), row) if bj in row else row
+                   for row in a)
+        a = [row for row in updated if row]
         exps.append(v)
     return exps
 
 
-def matrix_product(ops, P, Q, ncols: int) -> list:
-    """P*Q over the ops ring: len(P) rows of ncols entries; zeros are skipped."""
-    out = []
-    for row in P:
-        acc = [ops.zero] * ncols
-        for x, qrow in zip(row, Q):
-            if not ops.is_zero(x):
-                for j, y in enumerate(qrow):
-                    if not ops.is_zero(y):
-                        acc[j] = ops.add(acc[j], ops.mul(x, y))
-        out.append(acc)
-    return out
+def matrix_product(ops, P, Q):
+    """The rows of P*Q over the ops ring, for P and Q of dense rows, one at a
+    time and each as a {column: entry} dict of its nonzero entries; only the
+    nonzero entries of P and Q are read."""
+    Q = _nonzeros(ops.zero, Q)
+    for row in _nonzeros(ops.zero, P):
+        acc = {}
+        for k, x in row.items():
+            for j, y in Q[k].items():
+                xy = ops.mul(x, y)
+                acc[j] = ops.add(acc[j], xy) if j in acc else xy
+        yield {j: z for j, z in acc.items() if not ops.is_zero(z)}

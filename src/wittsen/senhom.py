@@ -68,7 +68,6 @@ class Eisenstein:
         if any(c % p for c in self.E[1:-1]):
             raise InvalidInputError("E must be Eisenstein: p | middle terms")
         self.zero = (0,) * self.e
-        self.one = self.scalar(1)
         # u*Q(u) = -E(0) for E = E(0) + u*Q(u)
         self._minus_Q = tuple(-c for c in self.E[1:])
         self._pivot = self._memo = None
@@ -123,13 +122,15 @@ class Eisenstein:
             self._pivot, self._memo = piv, (v, self._over_pi(piv, v))
         v, eps = self._memo
         q = self._over_pi(x, v)
-        out = [self.sub(self.mul(eps, r), self.mul(q, t)) if any(r) or any(t) else r
-               for r, t in zip(row, tail)]
-        g = gcd(*(c for r in out for c in r))
+        out = {j: self.mul(eps, r) for j, r in row.items()}
+        for j, t in tail.items():
+            out[j] = self.sub(out.get(j, self.zero), self.mul(q, t))
+        out = {j: r for j, r in out.items() if any(r)}
+        g = gcd(*(c for r in out.values() for c in r))
         while g and g % self.p == 0:
             g //= self.p
         if g > 1:
-            out = [tuple(c // g for c in r) for r in out]
+            out = {j: tuple(c // g for c in r) for j, r in out.items()}
         return out
 
 
@@ -205,8 +206,7 @@ def chain_homology(dims: dict, mats: dict, bound: int, ops) -> tuple:
         if d > bound + 1:
             break
         m, below = mats.get(d, []), mats.get(d - 1, [])
-        if m and below and any(not ops.is_zero(x) for row in
-                               matrix_product(ops, below, m, dims[d]) for x in row):
+        if m and below and any(matrix_product(ops, below, m)):
             raise InvalidInputError("maps do not compose to zero")
         elim[d] = _eliminate(ops, m, dims[d])
     homology = {}
@@ -260,14 +260,13 @@ def cube_total_fiber(operators, bound: int, ops) -> HomologyReport:
                     continue
                 if M is None:
                     M = [[ops.zero] * n_src for _ in range(n_tgt)]
+                # no other (S, i) block overlaps this one: copy, do not add
                 r0, c0 = off_tgt[S | 1 << i], off_src[S]
                 negate = bin(S & ((1 << i) - 1)).count("1") % 2
                 for r, row in enumerate(mat):
-                    for c, x in enumerate(row):
-                        if not ops.is_zero(x):
-                            if negate:
-                                x = ops.sub(ops.zero, x)
-                            M[r0 + r][c0 + c] = ops.add(M[r0 + r][c0 + c], x)
+                    M[r0 + r][c0:c0 + len(row)] = [
+                        ops.sub(ops.zero, x) if x != ops.zero else x
+                        for x in row] if negate else row
         return M, n_src
 
     lo = min(bases) - n if bases else 0
@@ -346,12 +345,12 @@ def omega2yn_cohomology(p: int, n: int, bound: int) -> HomologyReport:
         # (x - p^(n-1) c) * degree 2(k-1)
         src = k  # j = 0..k-1 in degree 2(k-1)
         tgt = k + 1
-        mat = [[Fraction(0)] * src for _ in range(tgt)]
+        mat = [[0] * src for _ in range(tgt)]
         for j in range(k):
             # x * gamma_j c^(k-1-j) = (j+1) gamma_(j+1) c^(k-1-j)
-            mat[j + 1][j] += Fraction(j + 1)
+            mat[j + 1][j] = j + 1
             # -p^(n-1) c * gamma_j c^(k-1-j)
-            mat[j][j] -= Fraction(p ** (n - 1))
+            mat[j][j] = -p ** (n - 1)
         rank, torsion = _eliminate(ops, mat, src)
         free = tgt - rank
         rep.add(2 * k, free, torsion, p)

@@ -232,6 +232,36 @@ def test_oversized_result_is_usage_error(argv, flag, capsys):
     assert out == "" and flag in err and "Traceback" not in err
 
 
+# the largest |m| whose psi components print within str()'s 4300-digit
+# limit, for the (p, n) where it is below the flag's maximum of 1000
+PSI_PRINTABLE = {(5, 6): 23, (7, 5): 61, (7, 6): 1, (11, 5): 1, (11, 6): 1}
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+@pytest.mark.parametrize("n", range(1, 7))
+def test_psi_digit_bound_is_checked_before_computing(p, n, capsys, monkeypatch):
+    top = PSI_PRINTABLE.get((p, n), 1000)
+    argv = lambda m: ["cartier", "psi", "-p", str(p), "-n", str(n), "-m", str(m), "--json"]
+    for m in (top, -top):
+        code, out = run_main(argv(m), capsys)
+        assert code == 0 and len(json.loads(out)["checks"][0]["payload"]["psi"]) == n
+    if top == 1000:
+        return
+
+    def unreachable(*args):
+        raise AssertionError("psi_eigenvalues was called")
+
+    monkeypatch.setattr(importlib.import_module("wittsen.dpops"), "psi_eigenvalues",
+                        unreachable)
+    for m in (top + 1, -top - 1):
+        with pytest.raises(SystemExit) as e:
+            main(argv(m))
+        assert e.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.endswith(
+            "the result has integers too long to print; lower -m, -p, -n\n")
+
+
 @pytest.mark.parametrize("argv, module, name", [
     (["witt", "solve-frobenius", "-L", "9"], "witt", "solve_frobenius"),
     (["cartier", "weyl", "-M", "201"], "dpops", "dp_weyl_operators"),

@@ -188,6 +188,8 @@ def test_local_snf_exponents():
     exps = local_snf(ops, rows, 2)
     # v_3-divisors of [[6,9],[27,3]]: det = 18-243 = -225, v=2; min v entry = 1
     assert exps == [1, 1]
+    with pytest.raises(InvalidInputError, match="2 entries"):
+        local_snf(ops, [[Fraction(6), Fraction(9)], [Fraction(27)]], 2)
 
 
 def test_snf_against_sympy_invariant_factors():

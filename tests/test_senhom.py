@@ -517,7 +517,10 @@ class FractionEisenstein:
 
     def eliminate(self, piv, tail, x, row):
         f = self.mul(x, self.inv(piv))
-        return [self.sub(y, self.mul(f, t)) for y, t in zip(row, tail)]
+        out = dict(row)
+        for j, t in tail.items():
+            out[j] = self.sub(out.get(j, self.zero), self.mul(f, t))
+        return {j: y for j, y in out.items() if not self.is_zero(y)}
 
 
 def random_eisenstein(rng, p, e):
@@ -556,39 +559,73 @@ def planted_matrix(rng, R, dense):
     return [[row[j] for j in cols] for row in a], m, exps
 
 
+def very_sparse_planted_matrix(rng, R):
+    """A matrix over R of 10..14 rows and columns with at least 90% zeros:
+    up to four planted divisors unit*pi^k at distinct rows and columns, then
+    one ring multiple of a row added to another and one of a column added to
+    another. Returns (rows, ncols, exponents)."""
+    n, m = rng.randrange(10, 15), rng.randrange(10, 15)
+    elt = lambda: tuple(rng.randrange(-4, 5) for _ in range(R.e))
+    unit = lambda: (rng.choice([u for u in range(-7, 8) if u % R.p]),) + elt()[1:]
+    exps = sorted(rng.randrange(0, 5) for _ in range(rng.randrange(0, 5)))
+    a = [[R.zero] * m for _ in range(n)]
+    for e, i, j in zip(exps, rng.sample(range(n), len(exps)), rng.sample(range(m), len(exps))):
+        a[i][j] = unit()
+        for _ in range(e):
+            a[i][j] = R.mul(a[i][j], uniformizer(R))
+    i, j = rng.sample(range(n), 2)
+    c = elt()
+    a[i] = [R.add(x, R.mul(c, y)) for x, y in zip(a[i], a[j])]
+    i, j = rng.sample(range(m), 2)
+    c = elt()
+    for row in a:
+        row[i] = R.add(row[i], R.mul(c, row[j]))
+    return a, m, exps
+
+
 def test_local_snf_over_integer_eisenstein_matches_fraction_reference():
-    # 360 draws: p in {2, 3, 5}, deg E = 1..4, 15 sparse and 15 dense each
+    # 360 draws: p in {2, 3, 5}, deg E = 1..4, 15 sparse and 15 dense each;
+    # then 120 draws with at least 90% zeros and some zero rows and columns
     from wittsen.exactalg import local_snf
+
+    def check(p, E, rows, ncols, want):
+        R, ref = Eisenstein(p, E), FractionEisenstein(p, E)
+        got = local_snf(R, rows, ncols)
+        frac = [[tuple(map(Fraction, x)) for x in row] for row in rows]
+        assert got == local_snf(ref, frac, ncols) == want, (p, E, rows)
 
     rng = random.Random(409)
     for p in (2, 3, 5):
         for e in range(1, 5):
             for draw in range(30):
                 E = random_eisenstein(rng, p, e)
-                R, ref = Eisenstein(p, E), FractionEisenstein(p, E)
-                rows, ncols, want = planted_matrix(rng, R, dense=draw % 2)
-                got = local_snf(R, rows, ncols)
-                frac = [[tuple(map(Fraction, x)) for x in row] for row in rows]
-                assert got == local_snf(ref, frac, ncols) == want, (p, E, rows)
+                check(p, E, *planted_matrix(rng, Eisenstein(p, E), dense=draw % 2))
+    for p in (2, 3, 5):
+        for e in range(1, 5):
+            for _ in range(10):
+                E = random_eisenstein(rng, p, e)
+                R = Eisenstein(p, E)
+                rows, ncols, want = very_sparse_planted_matrix(rng, R)
+                zero = [[R.is_zero(x) for x in row] for row in rows]
+                assert sum(map(sum, zero)) >= 0.9 * len(rows) * ncols
+                assert any(map(all, zero)) and any(map(all, zip(*zero)))
+                check(p, E, rows, ncols, want)
 
 
 def full_scan_snf(ops, rows, ncols):
-    """local_snf with a pivot scan that reads the whole remaining block."""
-    a = [list(r) for r in rows]
-    n, m = len(a), ncols
+    """local_snf with a pivot scan that reads every remaining entry: the pivot
+    is the least (valuation, row, column), its row is removed, and every other
+    row holding its column is updated. Zero rows are kept."""
+    a = [{j: x for j, x in enumerate(r) if not ops.is_zero(x)} for r in rows]
     exps = []
-    for s in range(min(n, m)):
-        nonzero = [(ops.val(a[i][j]), j, i) for j in range(s, m) for i in range(s, n)
-                   if not ops.is_zero(a[i][j])]
-        if not nonzero:
-            break
-        v, bj, bi = min(nonzero)
-        a[s], a[bi] = a[bi], a[s]
-        for row in a:
-            row[s], row[bj] = row[bj], row[s]
-        for i in range(s + 1, n):
-            if not ops.is_zero(a[i][s]):
-                a[i][s + 1:] = ops.eliminate(a[s][s], a[s][s + 1:], a[i][s], a[i][s + 1:])
+    while any(a):
+        v, bi, bj = min((ops.val(x), i, j) for i, row in enumerate(a)
+                        for j, x in row.items())
+        tail = a.pop(bi)
+        piv = tail.pop(bj)
+        for i, row in enumerate(a):
+            if bj in row:
+                a[i] = ops.eliminate(piv, tail, row.pop(bj), row)
         exps.append(v)
     return exps
 
@@ -640,6 +677,32 @@ def test_early_exit_picks_the_full_scan_pivots():
         for dense in (0, 1):
             rows, ncols, want = planted_matrix(rng, R, dense)
             assert local_snf(R, rows, ncols) == full_scan_snf(R, rows, ncols) == want
+
+
+def test_engine_reads_only_nonzero_entries(monkeypatch):
+    # the DVR square's matrices are mostly zeros (3,263 of the 3,518 entries
+    # eliminated in this call): the engine tests a product entry for zero
+    # about once per row update, and never asks for the valuation of a zero
+    calls, zeros_valued = {"is_zero": 0, "val": 0}, []
+    real_is_zero, real_val = Eisenstein.is_zero, Eisenstein.val
+
+    def is_zero(self, x):
+        calls["is_zero"] += 1
+        return real_is_zero(self, x)
+
+    def val(self, x):
+        calls["val"] += 1
+        if not any(x):
+            zeros_valued.append(x)
+        return real_val(self, x)
+
+    monkeypatch.setattr(Eisenstein, "is_zero", is_zero)
+    monkeypatch.setattr(Eisenstein, "val", val)
+    out = build_dvr_square(3, [6, 3, 1], 19)
+    assert calls["is_zero"] < 200 and calls["val"] > 0, calls
+    assert not zeros_valued
+    assert total_rows(out, (1, 5, 17)) == {1: (0, [1]), 5: (0, [1, 2]),
+                                           17: (0, [1, 1, 1, 4])}
 
 
 def test_double_entry_bookkeeping():
@@ -724,6 +787,11 @@ def test_chain_homology_eliminates_no_zero_matrix(monkeypatch):
 # ---------------------------------------------------------------------------
 # engine oracle: planted homology, Koszul closed forms, square-zero check
 
+def dense_product(ops, P, Q, ncols):
+    """P*Q as dense rows of ncols entries."""
+    return [[row.get(j, ops.zero) for j in range(ncols)] for row in matrix_product(ops, P, Q)]
+
+
 def unimodular(rng, n):
     """A random integer matrix of determinant 1 and its inverse, built from
     elementary row operations."""
@@ -764,7 +832,7 @@ def planted_complex(rng, ops, lift, pi, top):
         _, Vinv = change[d]
         U = [[lift(x) for x in row] for row in U]
         Vinv = [[lift(x) for x in row] for row in Vinv]
-        mats[d] = matrix_product(ops, matrix_product(ops, U, m, dims[d]), Vinv, dims[d])
+        mats[d] = dense_product(ops, dense_product(ops, U, m, dims[d]), Vinv, dims[d])
     homology = {}
     for d in range(top + 1):
         torsion = sorted(e for e in pieces[d + 1] if e > 0)
