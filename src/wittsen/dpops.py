@@ -378,62 +378,79 @@ def _integer_vector(p: int, poly: TruncPoly, K: int):
 
 
 class ZpLattice:
-    """Z_(p)-span L of the vectors N/p^s in Q^K, with exact membership tests.
+    """The Z_(p)[u]-subalgebra L of Q[u]/u^K generated by the given elements,
+    with exact membership tests: the smallest Z_(p)-module that contains
+    Z_(p)^K and is closed under truncated multiplication by each generator.
 
-    `vectors` is a list of generators, each a pair (N, s): a list of K
-    integers N over p^s. Scaling by p^a, with a the largest s, puts
-    M = p^a*L inside Z_(p)^K.
+    `generators` is a list of pairs (N, s): a list of K integers N over p^s,
+    the coefficients at u^0..u^(K-1). A constant term outside Z_(p) would
+    give L unbounded denominators and raises InvalidInputError; otherwise
+    every generator is in Z_(p) plus a nilpotent, and L is a lattice.
 
-    Certificate: before anything is reduced, the constructor proves
-    p^c*Z_(p)^K <= M from the generators alone. The certificate is a
-    full-rank diagonal sub-determinant: for every coordinate i, a generator
-    whose only nonzero entry sits at i. With c_i the least valuation of such
-    a scaled entry at i, M contains p^(c_i)*e_i for every i, so
-    c = max_i c_i works. A coordinate without such a generator raises
-    InvalidInputError.
+    Modulus: the constructor finds the least A with M = p^A*L inside
+    Z_(p)^K and keeps `scale` = A. Since p^A*Z_(p)^K <= M <= Z_(p)^K, M is
+    the preimage of its image in (Z/p^A)^K, so echelon and membership run
+    exactly on integers mod p^A, the Hermite normal form modulo D of Cohen,
+    GTM 138, 2.4.
 
-    Modulus: since p^c*Z_(p)^K <= M <= Z_(p)^K, M is the preimage of its
-    image in (Z/p^c)^K, so echelon and membership run exactly on integers
-    mod p^c, the Hermite normal form modulo D of Cohen, GTM 138, 2.4.
-    For the delta-envelope the unit vectors u^0..u^(K-1) are generators
-    with s = 0, giving c = a.
+    Closure: the echelon is seeded with the shifts p^(A-s)*u^j*N of every
+    generator and then closed: each basis row b is multiplied by each
+    generator, divided by p^s and inserted, until every nonzero row has
+    been multiplied. Working modulo p^A*Z_(p)^K is sound: a row is an
+    integer representative b = m + p^A*z of an element m of M, and for
+    integral z, p^A*z*N/p^s is in the span of the seeded shifts, so b*N/p^s
+    lies in M exactly when m*N/p^s does. A starts at the largest s. A
+    product that p^s does not divide is an element of M outside Z_(p)^K;
+    A then rises by its p-deficit, a lower bound for the least A, and the
+    rows are multiplied by that power of p in place. So A ends at its
+    least value.
 
     Echelon: row r of `basis` vanishes before column r and is p^(v_r) at r;
-    it starts as p^c*e_r, a zero row mod p^c. Inserting a vector clears each entry whose
-    valuation is at least v_r with row r. An entry of smaller valuation,
-    scaled by the inverse of its unit part, becomes the new row r; the old
-    row, reduced by it to vanish at r, is inserted from column r+1. This
-    reinsertion keeps p^(c-v_r) times row r in the span of the later rows
-    (the Howell property), so reducing a query row by row decides
-    membership. The rank is K by the certificate.
+    it starts as p^A*e_r, a zero row mod p^A. Inserting a vector clears each
+    entry whose valuation is at least v_r with row r. An entry of smaller
+    valuation, scaled by the inverse of its unit part, becomes the new row
+    r; the old row, reduced by it to vanish at r, is inserted from column
+    r+1. This reinsertion keeps p^(A-v_r) times row r in the span of the
+    later rows (the Howell property), so reducing a query row by row
+    decides membership.
     """
 
-    def __init__(self, p: int, K: int, vectors):
+    def __init__(self, p: int, K: int, generators):
         self.p = p
         self.K = K
-        self.scale = max((s for _, s in vectors), default=0)
-        c = self._certified_exponent(vectors)
-        self.modulus = q = p**c
-        self.valuations = [c] * K
+        for N, s in generators:
+            if N[0] % p**s:
+                raise InvalidInputError(
+                    f"generator constant term {N[0]}/{p}^{s} is not in Z_({p})")
+        self.scale = a = max((s for _, s in generators), default=0)
+        self.modulus = q = p**a
+        self.valuations = [a] * K
         self.basis = [[0] * K for _ in range(K)]
-        for N, s in vectors:
-            f = p ** (self.scale - s)
-            self._insert([x * f % q for x in N])
-
-    def _certified_exponent(self, vectors) -> int:
-        best = [None] * self.K
-        for N, s in vectors:
-            if N.count(0) != self.K - 1:
-                continue
-            i = next(j for j, x in enumerate(N) if x)
-            v = self.scale - s + _split_p(self.p, N[i])[0]
-            if best[i] is None or v < best[i]:
-                best[i] = v
-        if None in best:
-            raise InvalidInputError(
-                f"no certificate p^c*Z_(p)^K <= L: no generator on coordinate "
-                f"{best.index(None)} alone")
-        return max(best)
+        for N, s in generators:
+            N = [x * p ** (a - s) % q for x in N]
+            for j in range(K):
+                self._insert([0] * j + N[:K - j])
+        done = set()  # the rows already multiplied by every generator
+        while True:
+            row = next((b for b in self.basis if any(b) and tuple(b) not in done),
+                       None)
+            if row is None:
+                return
+            for N, s in generators:
+                prod = _mul_trunc(row, N, K)
+                g = gcd(*prod)
+                if g % p**s:
+                    d = s - _split_p(p, g)[0]
+                    f = p**d
+                    self.scale += d
+                    self.modulus *= f
+                    self.valuations = [v + d for v in self.valuations]
+                    self.basis = [[x * f for x in b] for b in self.basis]
+                    done = {tuple(x * f for x in b) for b in done}
+                    break
+                self._insert([x // p**s % self.modulus for x in prod])
+            else:
+                done.add(tuple(row))
 
     def _insert(self, v):
         p, q = self.p, self.modulus
@@ -486,43 +503,6 @@ def _mul_trunc(a, b, K: int):
     return out
 
 
-def _envelope_lattice(ctx: DeltaRingContext, iters, K: int) -> ZpLattice:
-    """Z_(p)-lattice spanned, to truncation, by the monomials
-    u^j * prod_i delta^i(t)^(e_i): the image of the delta-envelope.
-
-    Each iterate is converted once to integers over a power of p; monomials
-    are truncated integer products with the p-exponents added, and common
-    factors of p cancelled so that the exponents are the true ones. The
-    empty monomial's shifts, the unit vectors, span Z_(p)^K, so of the other
-    monomials only those with a p in the denominator are generators."""
-    factors = [_integer_vector(ctx.p, f, K) for f in iters]
-    vectors = [([0] * j + [1] + [0] * (K - 1 - j), 0) for j in range(K)]
-    _envelope_monomials(ctx.p, factors, K, 0, [1] + [0] * (K - 1), 0, vectors)
-    return ZpLattice(ctx.p, K, vectors)
-
-
-def _envelope_monomials(p, factors, K, i, N, s, out):
-    """Append to out the monomials (N/p^s) * prod_(k >= i) F_k^(e_k) with
-    s > 0, for the (F_k, s_k) in factors, with every shift by u^j that
-    truncation keeps.
-
-    A module-level function rather than a closure: a nested function that
-    calls itself is a reference cycle, which would keep `out` (thousands of
-    generators) alive after the lattice is built, until a cyclic collection."""
-    if i == len(factors):
-        if s:
-            lead = next(j for j, x in enumerate(N) if x)
-            out.extend(([0] * j + N[:K - j], s) for j in range(K - lead))
-        return
-    F, sf = factors[i]
-    while any(N):
-        e = min(s, _split_p(p, gcd(*N))[0])
-        if e:
-            N, s = [x // p**e for x in N], s - e
-        _envelope_monomials(p, factors, K, i + 1, N, s, out)
-        N, s = _mul_trunc(N, F, K), s + sf
-
-
 def delta_ring_check(p: int, n: int, B: int, K: int = 18) -> dict:
     """With x = (q-1)^(n(p-1)) and t = x/[p]_q, check that phi(delta^k(t)) and
     delta^k(t)^p + p*delta^(k+1)(t) are divisible by [p]_q for k <= B.
@@ -530,7 +510,8 @@ def delta_ring_check(p: int, n: int, B: int, K: int = 18) -> dict:
     The quotient after exact division in the p-inverted truncated ring must
     be p-integral as an element of the delta-envelope of t, i.e. a
     p-integrally-weighted combination of the monomials in t, delta(t), ...;
-    this is decided by an exact lattice-membership certificate.
+    this is decided exactly by membership in the lattice of the Z_(p)[u]-
+    algebra that t, ..., delta^(B+3)(t) generate (`ZpLattice`).
     """
     ctx = DeltaRingContext(p, K)
     if n * (p - 1) >= K:
@@ -540,7 +521,7 @@ def delta_ring_check(p: int, n: int, B: int, K: int = 18) -> dict:
     iters = [t]
     for _ in range(B + 3):
         iters.append(ctx.delta(iters[-1]))
-    lattice = _envelope_lattice(ctx, iters, K)
+    lattice = ZpLattice(p, K, [_integer_vector(p, f, K) for f in iters])
     rows = []
     all_ok = True
     for k in range(B + 1):

@@ -21,7 +21,7 @@ from wittsen.dpops import (
     DeltaRingContext,
     ZpLattice,
     _coeff_vector,
-    _envelope_lattice,
+    _integer_vector,
     DPModule,
     PDerivation,
     base_p_digits,
@@ -362,16 +362,14 @@ def test_delta_ring_check_base_case_p2():
 
 
 def test_envelope_lattice_leaves_no_reference_cycles():
-    # the envelope generators must be freed with the lattice, not held by a
-    # reference cycle until the next cyclic collection
-    ctx = DeltaRingContext(3, 12)
-    iters = [ctx.u ** 2 * ctx.d_inv]
-    for _ in range(3):
-        iters.append(ctx.delta(iters[-1]))
+    # the closure's working state must be freed with the lattice, not held
+    # by a reference cycle until the next cyclic collection
+    _, _, generators = envelope(3, 1, 0, 12)
     gc.collect()
     gc.disable()
     try:
-        lattice = _envelope_lattice(ctx, iters, 12)
+        lattice = ZpLattice(3, 12, generators)
+        assert lattice.scale > max(s for _, s in generators)  # took the raise path
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -464,68 +462,99 @@ def fraction_envelope(ctx, iters, K):
 F = Fraction
 
 
+def envelope(p, n, B, K):
+    """The iterates delta_ring_check(p, n, B, K) builds, with their
+    integer vectors."""
+    ctx = DeltaRingContext(p, K)
+    iters = [ctx.u ** (n * (p - 1)) * ctx.d_inv]
+    for _ in range(B + 3):
+        iters.append(ctx.delta(iters[-1]))
+    return ctx, iters, [_integer_vector(p, f, K) for f in iters]
+
+
 def test_zp_lattice_hand_built():
-    # L = Z_(3)^2 + Z_(3)*(1/3, 1/3)
-    lat = ZpLattice(3, 2, [([1, 0], 0), ([0, 1], 0), ([1, 1], 1)])
-    assert len(lat.basis) == 2
-    for v in [(0, 0), (1, -5), (F(1, 3), F(1, 3)), (F(2, 3), F(-1, 3))]:
+    # F = u^2/3 + u^3/9 with F^2 = 0 in Q[u]/u^4:
+    # L = Z_(3)^4 + Z_(3)*(0, 0, 1/3, 1/9) + Z_(3)*(0, 0, 0, 1/3), the last one u*F
+    lat = ZpLattice(3, 4, [([0, 0, 3, 1], 2)])
+    assert len(lat.basis) == 4
+    assert lat.valuations == [2, 2, 1, 1]
+    for v in [(0, 0, 0, 0), (1, -5, 0, 0), (0, 0, F(1, 3), F(1, 9)),
+              (0, 0, F(2, 3), F(-1, 9)), (0, 0, 0, F(1, 3))]:
         assert lat.contains(v), v
-    for v in [(F(1, 3), 0), (F(1, 3), F(2, 3)), (0, F(-1, 3))]:
+    for v in [(0, 0, F(1, 3), 0), (0, 0, F(1, 3), F(2, 9)), (0, 0, 0, F(-1, 9)),
+              (F(1, 3), 0, 0, 0)]:
         assert not lat.contains(v), v
 
 
 def test_zp_lattice_pivot_with_unit_part():
-    # L = Z_(3)^2 + Z_(3)*(2/3, 1/3); the pivot 2 is scaled to 1 mod 3
-    lat = ZpLattice(3, 2, [([1, 0], 0), ([0, 1], 0), ([2, 1], 1)])
-    assert lat.contains((F(2, 3), F(1, 3)))
-    assert lat.contains((F(1, 3), F(2, 3)))
-    assert not lat.contains((F(1, 3), F(1, 3)))
+    # F = 2u^2/3 + u^3/9; the pivot 6 = 3*2 mod 9 is scaled to 3
+    lat = ZpLattice(3, 4, [([0, 0, 6, 1], 2)])
+    assert lat.contains((0, 0, F(2, 3), F(1, 9)))
+    assert lat.contains((0, 0, F(1, 3), F(2, 9)))
+    assert not lat.contains((0, 0, F(1, 3), F(1, 9)))
 
 
 def test_zp_lattice_mixed_denominator():
     # 2 and 7 are units in Z_(3), so only the 3-part of a denominator counts
-    lat = ZpLattice(3, 2, [([1, 0], 0), ([0, 1], 0), ([1, 1], 1)])
-    assert lat.contains((F(1, 6), F(1, 6)))
-    assert lat.contains((F(1, 2), F(5, 7)))
-    assert lat.contains((F(5, 2 * 3), F(-1, 2 * 7 * 3)))
-    assert not lat.contains((F(1, 6), F(1, 3)))
-    assert not lat.contains((F(1, 2 * 3), 0))
+    lat = ZpLattice(3, 4, [([0, 0, 3, 1], 2)])
+    assert lat.contains((0, 0, F(1, 6), F(1, 18)))
+    assert lat.contains((F(1, 2), F(5, 7), 0, 0))
+    assert lat.contains((0, 0, F(5, 2 * 3), F(-1, 2 * 7 * 9)))
+    assert not lat.contains((0, 0, F(1, 6), F(1, 9)))
+    assert not lat.contains((0, 0, 0, F(1, 2 * 9)))
 
 
 def test_zp_lattice_denominator_deeper_than_generators():
-    lat = ZpLattice(3, 2, [([1, 0], 0), ([0, 1], 0), ([1, 1], 1)])
-    assert lat.scale == 1
-    assert not lat.contains((F(1, 9), 0))
-    assert not lat.contains((F(1, 18), F(1, 18)))
-    assert not lat.contains((0, F(1, 3**12)))
+    lat = ZpLattice(3, 4, [([0, 0, 3, 1], 2)])
+    assert lat.scale == 2
+    assert not lat.contains((0, 0, F(1, 27), 0))
+    assert not lat.contains((0, 0, F(1, 54), F(1, 54)))
+    assert not lat.contains((0, 0, 0, F(1, 3**12)))
 
 
 def test_zp_lattice_reinserts_replaced_pivot():
-    # L = span{(9,0), (0,9), (3,1)} contains 3*(3,1) - (9,0) = (0,3); finding
-    # it needs the old pivot row 9*e_0, reduced by (3,1), inserted again
-    lat = ZpLattice(3, 2, [([9, 0], 0), ([0, 9], 0), ([3, 1], 0)])
-    assert lat.valuations == [1, 1]
-    assert lat.contains((0, 3))
-    assert lat.contains((6, 2 + 9))
-    assert not lat.contains((0, 1))
-    assert not lat.contains((1, 0))
+    # F = u^2/3 + u^3/27 with F^2 = 0 and u*F = u^3/3: L contains
+    # 3F - u^2 = u^3/9, which no product or shift gives; finding it needs the
+    # old pivot row 27*e_2, reduced by 27*F, inserted again
+    lat = ZpLattice(3, 4, [([0, 0, 9, 1], 3)])
+    assert lat.valuations == [3, 3, 2, 1]
+    assert lat.contains((0, 0, 0, F(1, 9)))
+    assert lat.contains((0, 0, F(1, 3), F(1, 27) + 5))
+    assert not lat.contains((0, 0, 0, F(1, 27)))
+    assert not lat.contains((0, 0, F(1, 3), 0))
 
 
-def test_zp_lattice_requires_certificate():
-    # full rank over Z_(3), but no generator lies on coordinate 0 alone
-    with pytest.raises(InvalidInputError, match="certificate"):
-        ZpLattice(3, 2, [([1, 1], 0), ([0, 1], 0)])
-    with pytest.raises(InvalidInputError, match="certificate"):
-        ZpLattice(3, 2, [])
+def test_zp_lattice_is_closed_under_its_generators():
+    # u/3 squares to u^2/9, so the scale rises past the generator's s = 1
+    lat = ZpLattice(3, 3, [([0, 1, 0], 1)])
+    assert (lat.scale, lat.valuations) == (2, [2, 1, 0])
+    assert lat.contains((0, F(1, 3), F(1, 9)))
+    assert not lat.contains((0, 0, F(1, 27)))
+    # no generators: Z_(3)^K itself
+    lat = ZpLattice(3, 2, [])
+    assert lat.scale == 0
+    assert lat.contains((F(1, 2), -7))
+    assert not lat.contains((F(1, 3), 0))
 
 
-@pytest.mark.parametrize("p, K, B", [(2, 10, 1), (3, 12, 2), (5, 18, 2)])
-def test_zp_lattice_matches_fraction_oracle(p, K, B):
-    ctx = DeltaRingContext(p, K)
-    iters = [ctx.u ** (p - 1) * ctx.d_inv]
-    for _ in range(B + 3):
-        iters.append(ctx.delta(iters[-1]))
-    lattice = _envelope_lattice(ctx, iters, K)
+def test_zp_lattice_rejects_fractional_constant_term():
+    # (1 + u)/3 has powers (1 + k*u)/3^k: no scale puts L inside Z_(3)^K
+    with pytest.raises(InvalidInputError, match="constant term"):
+        ZpLattice(3, 2, [([1, 1], 1)])
+    # an integral constant term is fine: 1 + u/3 generates the same L as u/3
+    assert ZpLattice(3, 2, [([3, 1], 1)]).valuations == [1, 0]
+
+
+ORACLE_CASES = [(2, 10, 1, 1), (3, 12, 2, 1), (5, 18, 2, 1), (7, 18, 2, 1),
+                (2, 12, 0, 1), (2, 10, 2, 2), (3, 12, 2, 2), (5, 18, 2, 2),
+                (7, 20, 2, 2)]
+
+
+@pytest.mark.parametrize("p, K, B, n", ORACLE_CASES, ids=[
+    f"{p}-{K}-{B}" + (f"-n{n}" if n > 1 else "") for p, K, B, n in ORACLE_CASES])
+def test_zp_lattice_matches_fraction_oracle(p, K, B, n):
+    ctx, iters, generators = envelope(p, n, B, K)
+    lattice = ZpLattice(p, K, generators)
     oracle = FractionLattice(p, K, fraction_envelope(ctx, iters, K))
     assert len(lattice.basis) == len(oracle.basis) == K
     quotients = []
@@ -549,24 +578,31 @@ def test_zp_lattice_matches_fraction_oracle(p, K, B):
     assert not all(got)
 
 
-@pytest.mark.parametrize("p, removed", [(3, 10776), (5, 836)])
-def test_envelope_generators_are_unit_vectors_and_fractional_monomials(
-        p, removed, monkeypatch):
-    # the empty monomial's shifts, the unit vectors, span Z_(p)^K, so they
-    # are put in directly and the recursion leaves out every monomial with
-    # s = 0: `removed` of the reference oracle's full enumeration
-    K, B = 18, 2  # the iterates delta_ring_check(p, 1, B) builds
-    ctx = DeltaRingContext(p, K)
-    iters = [ctx.u ** (p - 1) * ctx.d_inv]
-    for _ in range(B + 3):
-        iters.append(ctx.delta(iters[-1]))
-    made = []
-    real = dpops.ZpLattice
-    monkeypatch.setattr(dpops, "ZpLattice",
-                        lambda p, K, vectors: made.append(vectors) or real(p, K, vectors))
-    _envelope_lattice(ctx, iters, K)
-    (vectors,) = made
-    units = [([int(i == j) for i in range(K)], 0) for j in range(K)]
-    assert [v for v in vectors if v[1] == 0] == units
-    assert all(s > 0 for _, s in vectors[K:])
-    assert len(vectors) + removed == len(fraction_envelope(ctx, iters, K)) + K
+@pytest.mark.parametrize("p, K, B, scale, largest_s", [
+    (3, 12, 2, 6, 5), (2, 12, 0, 19, 15)])
+def test_zp_lattice_raises_scale_past_generators(p, K, B, scale, largest_s):
+    # products of iterates have deeper denominators than any iterate, so the
+    # closure raises its modulus past max s_k; the oracle test runs the same
+    # (p, K, B) and checks membership against FractionLattice
+    ctx, iters, generators = envelope(p, 1, B, K)
+    lattice = ZpLattice(p, K, generators)
+    assert max(s for _, s in generators) == largest_s
+    assert lattice.scale == scale > largest_s
+    assert min(lattice.valuations) == 0  # no smaller scale would do
+    for f in iters:
+        for g in iters:
+            assert lattice.contains(_coeff_vector(f * g * g, K))
+
+
+def test_envelope_closure_makes_few_products(monkeypatch):
+    # the closure multiplies each distinct basis row by each iterate once;
+    # walking every monomial of the envelope took 5,004 products here
+    calls = []
+    real = dpops._mul_trunc
+    monkeypatch.setattr(dpops, "_mul_trunc", lambda *a: calls.append(1) or real(*a))
+    assert delta_ring_check(3, 1, 2)["all_ok"]
+    assert len(calls) <= 300
+    # p = 2 has no pruning to lose: the walk took about 21 s here
+    calls.clear()
+    assert delta_ring_check(2, 1, 3, K=18)["all_ok"]
+    assert len(calls) <= 300
