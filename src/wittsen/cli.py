@@ -497,7 +497,7 @@ def check_psi(cfg: RunConfig, m=None, p=3, n=3):
             elif Fraction(psi[2]) != targets.psi2_display(pp, mm):
                 bad = bad or {"p": pp, "m": mm, "component": 2}
             else:  # the defining property: every ghost component of psi is m
-                ghost = W.ghost_map(W.make_witt(W.WittContext(pp, len(psi)), psi)).entries
+                ghost = W.ghost_map(W.WittVector(W.WittContext(pp, len(psi)), psi))
                 j = next((j for j, w in enumerate(ghost) if w != mm), None)
                 if j is not None:
                     bad = bad or {"p": pp, "m": mm, "ghost_component": j}

@@ -20,7 +20,7 @@ from .exactalg import (
     matrix_product,
     require_prime,
 )
-from .witt import WittContext, int_to_witt, witt_add, make_witt
+from .witt import WittContext, WittVector, int_to_witt, witt_add
 
 
 # ---------------------------------------------------------------------------
@@ -229,8 +229,8 @@ def psi_tensor_check(p: int, n: int, a: int, b: int) -> bool:
     of a+b is the Witt sum of the tuples of a and b."""
     ctx = WittContext(p, n)
     lhs = int_to_witt(a + b, ctx)
-    rhs = witt_add(make_witt(ctx, psi_eigenvalues(p, n, a)),
-                   make_witt(ctx, psi_eigenvalues(p, n, b)))
+    rhs = witt_add(WittVector(ctx, psi_eigenvalues(p, n, a)),
+                   WittVector(ctx, psi_eigenvalues(p, n, b)))
     return lhs == rhs
 
 

@@ -337,14 +337,11 @@ class TruncPoly:
         vals = [fraction_valuation(p, c) for c in self.terms.values()]
         return min(vals) if vals else None
 
-    def sorted_terms(self):
-        return sorted(self.terms.items())
-
     def __repr__(self):
         if not self.terms:
             return "0"
         bits = []
-        for m, c in self.sorted_terms():
+        for m, c in sorted(self.terms.items()):
             vs = "*".join(
                 f"{n}^{e}" if e > 1 else n
                 for n, e in zip(self.ring.vars, m)

@@ -8,6 +8,7 @@ lengths the identity suite needs).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -62,25 +63,16 @@ class WittContext:
 
 @dataclass(frozen=True)
 class WittVector:
+    """Components (any iterable) over the base ring of ctx, reduced on entry."""
+
     ctx: WittContext
     components: tuple
 
     def __post_init__(self):
-        if len(self.components) != self.ctx.length:
+        comps = tuple(map(self.ctx.reduce, self.components))
+        if len(comps) != self.ctx.length:
             raise InvalidInputError("component count != context length")
-        object.__setattr__(
-            self, "components", tuple(self.ctx.reduce(c) for c in self.components)
-        )
-
-
-@dataclass(frozen=True)
-class GhostVector:
-    ctx: WittContext
-    entries: tuple
-
-
-def make_witt(ctx: WittContext, comps) -> WittVector:
-    return WittVector(ctx, tuple(comps))
+        object.__setattr__(self, "components", comps)
 
 
 # ---------------------------------------------------------------------------
@@ -107,8 +99,8 @@ def _ghost_entries(p, comps, modulus=0):
     return out
 
 
-def ghost_map(x: WittVector) -> GhostVector:
-    return GhostVector(x.ctx, tuple(_ghost_entries(x.ctx.p, x.components, x.ctx.modulus)))
+def ghost_map(x: WittVector) -> tuple:
+    return tuple(_ghost_entries(x.ctx.p, x.components, x.ctx.modulus))
 
 
 def _ghost_inverse_components(p, entries):
@@ -130,48 +122,40 @@ def _ghost_inverse_components(p, entries):
     return comps
 
 
-def _lift_binary(op_name, x: WittVector, y: WittVector) -> WittVector:
+def _lift_binary(op, x: WittVector, y: WittVector) -> WittVector:
+    """Apply op to the ghost components and solve back for Witt components."""
     if x.ctx != y.ctx:
         raise InvalidInputError("Witt context mismatch")
-    ctx = x.ctx
-    p = ctx.p
-    gx = _ghost_entries(p, list(x.components))
-    gy = _ghost_entries(p, list(y.components))
-    if op_name == "add":
-        g = [a + b for a, b in zip(gx, gy)]
-    elif op_name == "mul":
-        g = [a * b for a, b in zip(gx, gy)]
-    else:  # sub
-        g = [a - b for a, b in zip(gx, gy)]
-    comps = _ghost_inverse_components(p, g)
-    return make_witt(ctx, comps)
+    p = x.ctx.p
+    g = map(op, _ghost_entries(p, x.components), _ghost_entries(p, y.components))
+    return WittVector(x.ctx, _ghost_inverse_components(p, g))
 
 
 def witt_add(x, y):
-    return _lift_binary("add", x, y)
+    return _lift_binary(operator.add, x, y)
 
 
 def witt_sub(x, y):
-    return _lift_binary("sub", x, y)
+    return _lift_binary(operator.sub, x, y)
 
 
 def witt_mul(x, y):
-    return _lift_binary("mul", x, y)
+    return _lift_binary(operator.mul, x, y)
 
 
 def teichmuller(a, ctx: WittContext) -> WittVector:
-    return make_witt(ctx, (a,) + (0,) * (ctx.length - 1))
+    return WittVector(ctx, (a,) + (0,) * (ctx.length - 1))
 
 
 def int_to_witt(m: int, ctx: WittContext) -> WittVector:
     """The image of the integer m: constant ghost (m, m, ...)."""
     comps = _ghost_inverse_components(ctx.p, [m] * ctx.length)
-    return make_witt(ctx, comps)
+    return WittVector(ctx, comps)
 
 
 def verschiebung(x: WittVector) -> WittVector:
     ctx = x.ctx.resized(x.ctx.length + 1)
-    return make_witt(ctx, (0,) + x.components)
+    return WittVector(ctx, (0,) + x.components)
 
 
 def frobenius(x: WittVector) -> WittVector:
@@ -179,28 +163,9 @@ def frobenius(x: WittVector) -> WittVector:
     if x.ctx.length < 2:
         raise InvalidInputError("frobenius needs length >= 2")
     p = x.ctx.p
-    g = _ghost_entries(p, list(x.components))
+    g = _ghost_entries(p, x.components)
     comps = _ghost_inverse_components(p, g[1:])
-    return make_witt(x.ctx.resized(x.ctx.length - 1), comps)
-
-
-def delta(x: WittVector) -> WittVector:
-    """delta(x) = (F(x) - x^p)/p over Z; phi = F is the Frobenius lift."""
-    if x.ctx.modulus:
-        raise InvalidInputError("delta needs the torsion-free base Z")
-    if x.ctx.length < 2:
-        raise InvalidInputError("delta needs length >= 2")
-    p = x.ctx.p
-    g = _ghost_entries(p, list(x.components))
-    dg = []
-    for j in range(x.ctx.length - 1):
-        num = g[j + 1] - g[j] ** p
-        q, r = divmod(num, p)
-        if r:
-            raise ArithmeticError("F(x) = x^p mod p fails")
-        dg.append(q)
-    comps = _ghost_inverse_components(p, dg)
-    return make_witt(x.ctx.resized(x.ctx.length - 1), comps)
+    return WittVector(x.ctx.resized(x.ctx.length - 1), comps)
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +176,7 @@ def gabber_y(p: int, L: int) -> WittVector:
     """Witt vector with ghost coordinates (1 - p^(p^(j+1)-1))_j over Z."""
     ctx = WittContext(p, L)
     entries = [1 - p ** (p ** (j + 1) - 1) for j in range(L)]
-    return make_witt(ctx, _ghost_inverse_components(p, entries))
+    return WittVector(ctx, _ghost_inverse_components(p, entries))
 
 
 def check_gabber_identity(p: int, L: int) -> dict:
@@ -245,8 +210,8 @@ def check_pn_vanishing(p: int, n: int, L: int) -> dict:
         int_to_witt(p**n, ctx_z),
         verschiebung(int_to_witt(p ** (n - 1), ctx_z.resized(L - 1))),
     )
-    ghost = list(ghost_map(diff).entries)
-    ghost_ok = ghost == [p**n] + [0] * (L - 1)
+    ghost = ghost_map(diff)
+    ghost_ok = ghost == (p**n,) + (0,) * (L - 1)
     return {
         "p": p,
         "n": n,
@@ -385,7 +350,7 @@ def cartier_character(
     factors = [_artin_hasse_factor(p, a, j, n, ring) for j in range(n)]
     f = factors[0]
     first_bad = None
-    for mono, c in f.sorted_terms():
+    for mono, c in sorted(f.terms.items()):
         if isinstance(c, Fraction) and c.denominator % p == 0:
             first_bad = {"monomial": f"t^{mono[0]}", "coefficient": str(c)}
             break

@@ -44,16 +44,30 @@ def _definitions(tree):
 
 
 def test_every_public_name_has_a_caller_in_src():
+    # A top-level name is used by a bare name in its own module, by a relative
+    # import from its module, or as M.name where `from . import module as M`
+    # binds M; a method, whose receiver's type is not known statically, by
+    # any name or attribute of the same spelling.
     trees = {path.stem: ast.parse(path.read_text(), filename=str(path))
              for path in SOURCES}
-    # name -> (module, line) of every ast.Name or ast.Attribute that uses it
-    uses = {}
+    uses = {}  # name -> (module, line, whether bare) of each ast.Name or ast.Attribute
+    imported = set()  # (module, name) reached through an import from another module
     for module, tree in trees.items():
+        bound = {}  # local name -> the library module it is bound to
         for node in ast.walk(tree):
-            name = (node.id if isinstance(node, ast.Name)
-                    else node.attr if isinstance(node, ast.Attribute) else None)
-            if name:
-                uses.setdefault(name, []).append((module, node.lineno))
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    if node.module is None and alias.name in trees:
+                        bound[alias.asname or alias.name] = alias.name
+                    else:
+                        imported.add((node.module or "__init__", alias.name))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                uses.setdefault(node.id, []).append((module, node.lineno, True))
+            elif isinstance(node, ast.Attribute):
+                uses.setdefault(node.attr, []).append((module, node.lineno, False))
+                if isinstance(node.value, ast.Name) and node.value.id in bound:
+                    imported.add((bound[node.value.id], node.attr))
     unused = []
     for module, tree in trees.items():
         for name, node in _definitions(tree):
@@ -61,8 +75,14 @@ def test_every_public_name_has_a_caller_in_src():
             if label.startswith(CALLED_BY_NAME):
                 continue
             inside = range(node.lineno, node.end_lineno + 1)
-            if not any(m != module or line not in inside
-                       for m, line in uses.get(name.rsplit(".", 1)[-1], [])):
+            if "." in name:
+                used = any(m != module or line not in inside
+                           for m, line, _ in uses.get(name.rsplit(".", 1)[-1], []))
+            else:
+                used = (module, name) in imported or any(
+                    bare and m == module and line not in inside
+                    for m, line, bare in uses.get(name, []))
+            if not used:
                 unused.append(f"{label} ({module}.py:{node.lineno})")
     assert not unused, unused
 

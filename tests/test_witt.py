@@ -6,19 +6,18 @@ from wittsen.exactalg import InvalidInputError, PolyRing, PrecisionError, TruncP
 from wittsen.witt import (
     NotAWittVectorError,
     WittContext,
+    WittVector,
     _ghost_entries,
     _ghost_inverse_components,
     cartier_character,
     check_gabber_identity,
     check_pn_vanishing,
-    delta,
     dwork_factorization,
     frobenius,
     frobenius_of_p_identity,
     gabber_y,
     ghost_map,
     int_to_witt,
-    make_witt,
     solve_frobenius,
     teichmuller,
     verschiebung,
@@ -29,7 +28,7 @@ from wittsen.witt import (
 
 
 def rand_vector(rng, ctx, lo=-9, hi=9):
-    return make_witt(ctx, [rng.randrange(lo, hi + 1) for _ in range(ctx.length)])
+    return WittVector(ctx, [rng.randrange(lo, hi + 1) for _ in range(ctx.length)])
 
 
 # ---------------------------------------------------------------------------
@@ -116,9 +115,9 @@ def test_ring_operations_match_structure_polynomials(p, L):
             ys = [rng.randrange(-30, 31) for _ in range(L)]
             point = {**{f"X{i}": v for i, v in enumerate(xs)},
                      **{f"Y{i}": v for i, v in enumerate(ys)}}
-            x, y = make_witt(ctx, xs), make_witt(ctx, ys)
+            x, y = WittVector(ctx, xs), WittVector(ctx, ys)
             for op, polys in ((witt_add, S), (witt_mul, P)):
-                want = make_witt(ctx, [f.substitute(point).constant_term() for f in polys])
+                want = WittVector(ctx, [f.substitute(point).constant_term() for f in polys])
                 assert op(x, y) == want, (op.__name__, modulus, xs, ys)
 
 
@@ -127,8 +126,7 @@ def test_ring_operations_match_structure_polynomials(p, L):
 
 def test_ghost_of_teichmuller():
     ctx = WittContext(3, 4)
-    g = ghost_map(teichmuller(5, ctx))
-    assert g.entries == (5, 5**3, 5**9, 5**27)
+    assert ghost_map(teichmuller(5, ctx)) == (5, 5**3, 5**9, 5**27)
 
 
 def test_ghost_of_integer_two():
@@ -136,15 +134,15 @@ def test_ghost_of_integer_two():
     ctx = WittContext(2, 3)
     x = int_to_witt(2, ctx)
     assert x.components == (2, -1, -4)
-    assert ghost_map(x).entries == (2, 2, 2)
+    assert ghost_map(x) == (2, 2, 2)
 
 
 def test_ghost_of_verschiebung():
     ctx = WittContext(3, 2)
     y = gabber_y(3, 2)
     gv = ghost_map(verschiebung(y))
-    assert gv.entries[0] == 0
-    assert gv.entries[1] == 3 * (-8)
+    assert gv[0] == 0
+    assert gv[1] == 3 * (-8)
 
 
 def test_ghost_inverse_examples():
@@ -164,7 +162,7 @@ def test_unit_laws():
     for p in (2, 3):
         ctx = WittContext(p, 3)
         x = rand_vector(rng, ctx)
-        assert witt_add(x, make_witt(ctx, [0] * ctx.length)) == x
+        assert witt_add(x, WittVector(ctx, [0] * ctx.length)) == x
         assert witt_mul(x, teichmuller(1, ctx)) == x
 
 
@@ -186,10 +184,10 @@ def test_ghost_equivariance_random():
         for L in (2, 3, 5):
             ctx = WittContext(p, L)
             x, y = rand_vector(rng, ctx), rand_vector(rng, ctx)
-            gx, gy = ghost_map(x).entries, ghost_map(y).entries
-            assert ghost_map(witt_add(x, y)).entries == tuple(a + b for a, b in zip(gx, gy))
-            assert ghost_map(witt_mul(x, y)).entries == tuple(a * b for a, b in zip(gx, gy))
-            assert ghost_map(witt_sub(x, y)).entries == tuple(a - b for a, b in zip(gx, gy))
+            gx, gy = ghost_map(x), ghost_map(y)
+            assert ghost_map(witt_add(x, y)) == tuple(a + b for a, b in zip(gx, gy))
+            assert ghost_map(witt_mul(x, y)) == tuple(a * b for a, b in zip(gx, gy))
+            assert ghost_map(witt_sub(x, y)) == tuple(a - b for a, b in zip(gx, gy))
 
 
 def test_mod_pN_reduction_compatibility():
@@ -199,11 +197,33 @@ def test_mod_pN_reduction_compatibility():
         ctxM = WittContext(p, 4, p**N)
         for _ in range(20):
             x, y = rand_vector(rng, ctxZ, -50, 50), rand_vector(rng, ctxZ, -50, 50)
-            xm = make_witt(ctxM, x.components)
-            ym = make_witt(ctxM, y.components)
+            xm = WittVector(ctxM, x.components)
+            ym = WittVector(ctxM, y.components)
             for op in (witt_add, witt_mul):
                 over_z = op(x, y)
-                assert make_witt(ctxM, over_z.components) == op(xm, ym)
+                assert WittVector(ctxM, over_z.components) == op(xm, ym)
+
+
+@pytest.mark.parametrize("other", [WittContext(3, 3), WittContext(2, 2), WittContext(2, 3, 2**4)],
+                         ids=["p", "length", "modulus"])
+def test_ring_operations_reject_mismatched_contexts(other):
+    x = int_to_witt(5, WittContext(2, 3))
+    y = int_to_witt(5, other)
+    for op in (witt_add, witt_sub, witt_mul):
+        with pytest.raises(InvalidInputError, match="context mismatch"):
+            op(x, y)
+        with pytest.raises(InvalidInputError, match="context mismatch"):
+            op(y, x)
+
+
+def test_witt_vector_takes_any_iterable_of_the_context_length():
+    ctx = WittContext(3, 3, 3**2)
+    x = WittVector(ctx, [1, 10, -1])
+    assert x.components == (1, 1, 8)  # a tuple, reduced mod 9
+    assert x == WittVector(ctx, (c for c in (1, 10, -1)))
+    for comps in ([1, 2], [1, 2, 3, 4], ()):
+        with pytest.raises(InvalidInputError, match="context length"):
+            WittVector(ctx, comps)
 
 
 def test_teichmuller_multiplicative():
@@ -212,11 +232,11 @@ def test_teichmuller_multiplicative():
 
 
 # ---------------------------------------------------------------------------
-# V, F, delta
+# V, F
 
 def test_v_f_basics():
     ctx = WittContext(3, 3)
-    assert verschiebung(make_witt(ctx, [0] * 3)) == make_witt(ctx.resized(4), [0] * 4)
+    assert verschiebung(WittVector(ctx, [0] * 3)) == WittVector(ctx.resized(4), [0] * 4)
     assert frobenius(teichmuller(2, ctx)) == teichmuller(2**3, ctx.resized(2))
 
 
@@ -250,30 +270,6 @@ def test_projection_formula():
         lhs = witt_mul(x, verschiebung(y))
         rhs = verschiebung(witt_mul(frobenius(x), y))
         assert lhs == rhs
-
-
-def test_delta():
-    ctx = WittContext(2, 2)
-    assert delta(teichmuller(7, ctx)) == make_witt(ctx.resized(1), [0])
-    assert delta(int_to_witt(2, ctx)).components == (-1,)
-    rng = random.Random(53)
-    for p in (2, 3):
-        ctx = WittContext(p, 4)
-        x = rand_vector(rng, ctx)
-        # phi(x) = x^p + p*delta(x) in W_{L-1}
-        fx = frobenius(x)
-        xp = x
-        for _ in range(p - 1):
-            xp = witt_mul(xp, x)
-        xp_small = make_witt(ctx.resized(3), xp.components[:3])
-        dx = delta(x)
-        assert fx == witt_add(xp_small, witt_mul(int_to_witt(p, dx.ctx), dx))
-
-
-def test_delta_requires_torsion_free():
-    ctx = WittContext(2, 2, 4)
-    with pytest.raises(InvalidInputError):
-        delta(make_witt(ctx, (1, 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +351,7 @@ def test_solve_frobenius_random_solvable():
 def test_solve_frobenius_precision_guard():
     ctx = WittContext(3, 4, 3**2)
     with pytest.raises(PrecisionError):
-        solve_frobenius(make_witt(ctx, (1, 2, 3, 4)))
+        solve_frobenius(WittVector(ctx, (1, 2, 3, 4)))
 
 
 # ---------------------------------------------------------------------------
