@@ -131,17 +131,41 @@ def _compositional_inverse(f: TruncPoly, var: str, bound: int) -> TruncPoly:
 
 
 def _honda_log_exp(p: int, n: int, bound: int):
-    """(log, exp) of the height-n Honda law over Q[v], in x up to x^bound:
-    log(x) = sum_i v^((p^(ni)-1)/(p^n-1)) x^(p^(ni)) / p^i."""
+    """(log, exp) of the height-n Honda law over Z[w], v = p w, in x up to
+    x^bound, with int coefficients in the ring ("x", "v") whose "v" holds w.
+    log(x) = sum_i v^(e_i) x^(p^(ni)) / p^i with e_i = (p^(ni)-1)/(p^n-1) >= i
+    is x + sum_(i>0) p^(e_i - i) w^(e_i) x^(p^(ni)), so _newton's ring
+    operations keep its reversion integral (Hazewinkel, Formal Groups and
+    Applications, sections 2-5)."""
+    require_prime(p)
     if n < 1:
         raise InvalidInputError("height n must be >= 1")
     terms = {}
     i = 0
     while p ** (n * i) <= bound:
-        terms[(p ** (n * i), (p ** (n * i) - 1) // (p**n - 1))] = Fraction(1, p**i)
+        e = (p ** (n * i) - 1) // (p**n - 1)
+        terms[(p ** (n * i), e)] = p ** (e - i)
         i += 1
-    logf = TruncPoly(PolyRing(vars=("x", "v"), bounds=(bound, None)), terms)
-    return logf, _compositional_inverse(logf, "x", bound)
+    logw = TruncPoly(PolyRing(vars=("x", "v"), bounds=(bound, None)), terms)
+    return logw, _compositional_inverse(logw, "x", bound)
+
+
+def _unscale(series: TruncPoly, p: int, n: int, ring: PolyRing) -> TruncPoly:
+    """A Honda result over Z[w] in `ring` (over F_p[v]): c w^k -> (c/p^k) v^k.
+    Raises InvalidFGLError unless each term x^d w^k has degree 1 for x of
+    degree 1 and v of degree 1 - p^n, and p^k divides c."""
+    iv = series.ring.index("v")
+    out = {}
+    for mono, c in series.terms.items():
+        k = mono[iv]
+        d = sum(mono) - k
+        if d - 1 != k * (p**n - 1):
+            raise InvalidFGLError(d, f"honda term of degree {d} carries v^{k}")
+        c, r = divmod(c, p**k)
+        if r:
+            raise InvalidFGLError(d, f"honda coefficient of degree {d} is not p-integral")
+        out[mono] = c
+    return TruncPoly(ring, out)
 
 
 def fgl_construct(kind: str, D: int, lam=None, p: int = None,
@@ -167,15 +191,11 @@ def fgl_construct(kind: str, D: int, lam=None, p: int = None,
         return FormalGroupLaw("multiplicative", params, D, X + Y + lam_poly * X * Y)
 
     if kind == "honda":
-        require_prime(p)
-        logf, expf = _honda_log_exp(p, n, D)
+        logw, expw = _honda_log_exp(p, n, D)
         ring0 = _bivariate_ring(("v",), D)
-        X0, Y0 = TruncPoly.var(ring0, "X"), TruncPoly.var(ring0, "Y")
-        lx = logf.substitute({"x": X0})
-        ly = logf.substitute({"x": Y0})
-        F_rat = expf.substitute({"x": lx + ly})
-        # p-integral coefficients reduce mod p
-        F = TruncPoly(_bivariate_ring(("v",), D, modulus=p), F_rat.terms)
+        lx, ly = (logw.substitute({"x": TruncPoly.var(ring0, nm)}) for nm in ("X", "Y"))
+        F = _unscale(expw.substitute({"x": lx + ly}), p, n,
+                     _bivariate_ring(("v",), D, modulus=p))
         bad = _axiom_failure_degree(F, min(D, 12))
         if bad is not None:
             raise InvalidFGLError(bad, f"honda law fails axioms at degree {bad}")
@@ -252,12 +272,13 @@ def q_integer(nval: int, lam, ring: PolyRing) -> TruncPoly:
 
 
 def honda_p_series(p: int, n: int, bound: int) -> TruncPoly:
-    """[p](x) over F_p[v], computed from the integral logarithm and verified
-    to be exactly v x^(p^n)."""
-    logf, expf = _honda_log_exp(p, n, bound)
-    pseries_rat = expf.substitute({"x": logf * p})
+    """[p](x) = exp(p log x) over F_p[v], computed over Z[w] and verified to
+    be exactly v x^(p^n)."""
+    if bound < p**n:
+        raise InvalidInputError(f"bound {bound} is below p^n = {p**n}")
+    logw, expw = _honda_log_exp(p, n, bound)
     mod_ring = PolyRing(vars=("x", "v"), bounds=(bound, None), modulus=p)
-    pseries = TruncPoly(mod_ring, pseries_rat.terms)
+    pseries = _unscale(expw.substitute({"x": logw * p}), p, n, mod_ring)
     expected = TruncPoly(mod_ring, {(p**n, 1): 1})
     if pseries != expected:
         raise InvalidFGLError(None, "honda p-series is not v*x^(p^n)")

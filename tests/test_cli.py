@@ -217,6 +217,28 @@ def test_honda_raising_p_series_is_a_fail_row(capsys, monkeypatch):
         "error": "honda p-series is not v*x^(p^n)"}
 
 
+@pytest.mark.parametrize("term, error", [((3, 0), "carries v^"), ((3, 2), "not p-integral")],
+                         ids=["off-grade", "not-p-integral"])
+def test_wrong_honda_coefficient_is_a_fail_row(capsys, monkeypatch, term, error):
+    # a term x^3 added to the Z[w] logarithm breaks the grading (x of degree
+    # 1, v of degree 1 - p^n), and x^3 w^2 at p = 2 gives [p](x) the term
+    # 2 x^3 w^2 = v^2 x^3 / 2: each is a failed check, not a usage error
+    import wittsen.fgl as fgl
+
+    real = fgl._honda_log_exp
+
+    def perturbed(p, n, bound):
+        logw, expw = real(p, n, bound)
+        return logw + TruncPoly(logw.ring, {term: 1}), expw
+
+    monkeypatch.setattr(fgl, "_honda_log_exp", perturbed)
+    code, out = run_main(["fgl", "honda", "--json"], capsys)
+    assert code == 1
+    row = json.loads(out)["checks"][0]
+    assert row["name"] == "fgl.honda" and row["status"] == "fail"
+    assert row["counterexample"]["p"] == 2 and error in row["counterexample"]["error"]
+
+
 @pytest.mark.parametrize("argv, flag", [
     (["witt", "gabber", "-L", "7"], "-L"),
     (["cartier", "psi", "-p", "3", "-n", "9", "-m", "10"], "-n"),

@@ -406,6 +406,17 @@ def test_series_kernel_against_sympy():
         f, g = both(0, Fraction(1))
         assert_same(_compositional_inverse(f, "t", N), rs_series_reversion(g, s, N + 1, y), y)
 
+    # x + integer terms, the shape of the Honda logarithm over Z[w]: Newton's
+    # ring operations keep the reversion's coefficients ints
+    for _ in range(12):
+        N = rng.randrange(2, 11)
+        c = [0, 1] + [rng.randrange(-9, 10) for _ in range(N - 1)]
+        f = TruncPoly(PolyRing(vars=("t",), bounds=(N,)), {(k,): x for k, x in enumerate(c)})
+        g = sum((x * s**k for k, x in enumerate(c)), R(0))
+        rev = _compositional_inverse(f, "t", N)
+        assert all(type(x) is int for x in rev.terms.values())
+        assert_same(rev, rs_series_reversion(g, s, N + 1, y), y)
+
 
 def naive_substitute(f, assignment):
     """Term-by-term expansion with no truncation until the end: each monomial

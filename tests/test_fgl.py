@@ -4,10 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from wittsen.exactalg import PolyRing, TruncPoly
+from wittsen.exactalg import InvalidInputError, PolyRing, TruncPoly
 from wittsen.fgl import (
     _bp_ring,
     _compositional_inverse,
+    _honda_log_exp,
     _l_in_terms_of_v,
     b4_cobar_class,
     bp_right_unit,
@@ -149,6 +150,58 @@ def test_honda_p_series_exact():
     assert s.terms == {(3, 1): 1}
     s = honda_p_series(2, 2, 12)
     assert s.terms == {(4, 1): 1}
+
+
+def honda_log_over_q(p, n, bound):
+    """The Honda logarithm sum_i v^((p^(ni)-1)/(p^n-1)) x^(p^(ni)) / p^i over
+    Q[v] with Fraction coefficients, the reference for the Z[w] series."""
+    terms, i = {}, 0
+    while p ** (n * i) <= bound:
+        terms[(p ** (n * i), (p ** (n * i) - 1) // (p**n - 1))] = Fraction(1, p**i)
+        i += 1
+    return TruncPoly(PolyRing(vars=("x", "v"), bounds=(bound, None)), terms)
+
+
+def over_q(series, p):
+    """A series over Z[w] (w held by "v") mapped into Q[v] by v = p w."""
+    iv = series.ring.index("v")
+    return TruncPoly(series.ring, {m: Fraction(c, p ** m[iv]) for m, c in series.terms.items()})
+
+
+@pytest.mark.parametrize("p, n, bound", [(2, 1, 32), (3, 1, 27), (5, 1, 25), (2, 2, 16)])
+def test_honda_series_over_zw_match_the_fraction_reversion(p, n, bound):
+    logw, expw = _honda_log_exp(p, n, bound)
+    assert all(type(c) is int for c in [*logw.terms.values(), *expw.terms.values()])
+    logq = honda_log_over_q(p, n, bound)
+    expq = _compositional_inverse(logq, "x", bound)
+    assert over_q(logw, p) == logq
+    assert over_q(expw, p) == expq
+    pseries_q = expq.substitute({"x": logq * p})
+    assert over_q(expw.substitute({"x": logw * p}), p) == pseries_q
+    mod_ring = PolyRing(vars=("x", "v"), bounds=(bound, None), modulus=p)
+    assert honda_p_series(p, n, bound) == TruncPoly(mod_ring, pseries_q.terms)
+
+
+@pytest.mark.parametrize("p, n", [(2, 1), (3, 1), (2, 2)])
+def test_honda_law_over_zw_matches_the_fraction_construction(p, n):
+    D = 12
+    logq = honda_log_over_q(p, n, D)
+    expq = _compositional_inverse(logq, "x", D)
+    ring = PolyRing(vars=("X", "Y", "v"), total_bound=D, counted=(True, True, False))
+    lx, ly = (logq.substitute({"x": poly_of(ring, nm)}) for nm in ("X", "Y"))
+    law_q = expq.substitute({"x": lx + ly})
+    F = fgl_construct("honda", D, p=p, n=n)
+    assert F.F == TruncPoly(F.F.ring, law_q.terms)
+
+
+@pytest.mark.parametrize("p, n, bound", [(3, 1, 2), (4, 1, 16), (1, 1, 8)],
+                         ids=["bound-below-p^n", "p-not-prime", "p-is-1"])
+def test_honda_bad_inputs_are_rejected(p, n, bound):
+    with pytest.raises(InvalidInputError):
+        honda_p_series(p, n, bound)
+    if bound >= p**n:
+        with pytest.raises(InvalidInputError):
+            fgl_construct("honda", bound, p=p, n=n)
 
 
 def test_honda_divided_power_series():
