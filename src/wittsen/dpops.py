@@ -72,7 +72,8 @@ class GradedLinearMap:
     bases (degree -> ordered basis labels); one matrix per degree, a missing
     one being the zero map.
 
-    matrices[d] has len(bases[d-shift]) rows and len(bases[d]) columns.
+    matrices[d] has len(bases[d-shift]) rows, each a {column: nonzero entry}
+    dict with columns in range(len(bases[d])).
     """
 
     bases: dict
@@ -135,8 +136,7 @@ def derivation_matrices(module: DPModule, der: PDerivation) -> GradedLinearMap:
         if not basis or not target:
             continue
         idx = module.index[d - 1]
-        mat = [[0] * len(basis) for _ in range(len(target))]
-        nonzero = False
+        mat = [{} for _ in target]
         for j, mono in enumerate(basis):
             for m2, c in gamma_coefficients(der.apply_monomial(mono)).items():
                 if m2 not in idx:
@@ -144,8 +144,7 @@ def derivation_matrices(module: DPModule, der: PDerivation) -> GradedLinearMap:
                         f"derivation leaves the module at degree {d}"
                     )
                 mat[idx[m2]][j] = c
-                nonzero = True
-        if nonzero:
+        if any(mat):
             matrices[d] = mat
     return GradedLinearMap(module.bases, 1, matrices)
 
@@ -248,14 +247,12 @@ def dp_weyl_operators(p: int, n: int, M: int) -> dict:
     ops = PLocalOps(p)
 
     def del_k_matrix(k):
-        mat = [[0] * (M + 1) for _ in range(M + 1)]
+        mat = [{} for _ in range(M + 1)]
         for m in range(k, M + 1):
             mat[m - k][m] = comb(m, k)
         return mat
 
-    x_mat = [[0] * (M + 1) for _ in range(M + 1)]
-    for m in range(M):
-        x_mat[m + 1][m] = 1
+    x_mat = [{m - 1: 1} if m else {} for m in range(M + 1)]
 
     report = {
         "x": x_mat,
@@ -275,12 +272,10 @@ def dp_weyl_operators(p: int, n: int, M: int) -> dict:
         # matrix identity away from the top-degree truncation row
         D, X = report["del"][k], x_mat
         DX, XD = matrix_product(ops, D, X), matrix_product(ops, X, D)
-        target = del_k_matrix(k - 1) if k > 1 else [
-            [1 if i == j2 else 0 for j2 in range(M + 1)] for i in range(M + 1)
-        ]
+        target = del_k_matrix(k - 1)  # the identity for k = 1
         for r, (ra, rb) in enumerate(zip(DX, XD)):
             for m in range(0, M):  # column m safe: x*x^m stays in the span
-                if ra.get(m, 0) - rb.get(m, 0) != target[r][m]:
+                if ra.get(m, 0) - rb.get(m, 0) != target[r].get(m, 0):
                     ok = False
         report["commutators"][k] = ok
 

@@ -444,9 +444,10 @@ def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
 # exact SNF over a local PID: the engine behind all homology computations.
 #
 # A ring is given by an ops object with the attributes p and zero and the
-# methods is_zero, val, add, sub, mul and eliminate. Matrices come in as dense
-# rows; zero is the ring's one representation of 0, and each row is read once
-# into a {column: entry} dict of the entries not equal to it. val is the
+# methods is_zero, val, add, sub, mul and eliminate. A matrix is a list of
+# rows, one per target basis element, each a {column: entry} dict of its
+# nonzero entries, with the column count ncols passed beside it; zero is the
+# ring's one representation of 0 and never appears in a row. val is the
 # valuation of a nonzero element, and eliminate(piv, tail, x, row) is a unit
 # times row - (x/piv)*tail as such a dict, for the entries piv and x of one
 # column with val(x) >= val(piv) and the dicts of the rest of their rows.
@@ -484,14 +485,10 @@ class PLocalOps:
         return {j: y for j, y in out.items() if y}
 
 
-def _nonzeros(zero, rows) -> list:
-    """Each dense row as a {column: entry} dict of its nonzero entries."""
-    return [{j: x for j, x in enumerate(row) if x != zero} for row in rows]
-
-
 def local_snf(ops, rows: list, ncols: int) -> list:
     """SNF over a local PID given by `ops`: the elementary divisors of a
-    matrix of dense rows with `ncols` columns, and no transforms.
+    matrix of {column: nonzero entry} rows with `ncols` columns, and no
+    transforms. The rows are copied, not changed.
 
     Returns the exponents: the uniformizer-valuations of the nonzero
     diagonal, nondecreasing by minimal-valuation pivoting; the rank is their
@@ -503,9 +500,9 @@ def local_snf(ops, rows: list, ncols: int) -> list:
     skipped. Only the rows holding the pivot column are updated, and a row
     that becomes zero is dropped.
     """
-    if any(len(row) != ncols for row in rows):
-        raise InvalidInputError(f"rows must have {ncols} entries")
-    a = [row for row in _nonzeros(ops.zero, rows) if row]
+    a = [dict(row) for row in rows if row]
+    if any(not 0 <= j < ncols for row in a for j in row):
+        raise InvalidInputError(f"columns must lie in range({ncols})")
     exps = []
     while a:
         floor, best = exps[-1] if exps else 0, None
@@ -528,11 +525,9 @@ def local_snf(ops, rows: list, ncols: int) -> list:
 
 
 def matrix_product(ops, P, Q):
-    """The rows of P*Q over the ops ring, for P and Q of dense rows, one at a
-    time and each as a {column: entry} dict of its nonzero entries; only the
-    nonzero entries of P and Q are read."""
-    Q = _nonzeros(ops.zero, Q)
-    for row in _nonzeros(ops.zero, P):
+    """The rows of P*Q over the ops ring, for P and Q of {column: nonzero
+    entry} rows, one at a time and each as such a dict."""
+    for row in P:
         acc = {}
         for k, x in row.items():
             for j, y in Q[k].items():

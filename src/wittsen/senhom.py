@@ -193,7 +193,8 @@ def homology_of_pair(ncols_A: int, elim_A: tuple, elim_B: tuple) -> tuple:
 
 def chain_homology(dims: dict, mats: dict, bound: int, ops) -> tuple:
     """H_d = ker(m_d)/im(m_(d+1)) for every degree d <= bound of a chain
-    complex given by dimensions and matrices m_d: C_d -> C_(d-1). A missing
+    complex given by dimensions and matrices m_d: C_d -> C_(d-1), each a
+    list of {column: nonzero entry} rows with dims[d] columns. A missing
     m_d is the zero map. Each m_d is eliminated once, after checking that
     m_(d-1)*m_d = 0.
 
@@ -259,14 +260,13 @@ def cube_total_fiber(operators, bound: int, ops) -> HomologyReport:
                 if S >> i & 1 or not mat:
                     continue
                 if M is None:
-                    M = [[ops.zero] * n_src for _ in range(n_tgt)]
+                    M = [{} for _ in range(n_tgt)]
                 # no other (S, i) block overlaps this one: copy, do not add
                 r0, c0 = off_tgt[S | 1 << i], off_src[S]
                 negate = bin(S & ((1 << i) - 1)).count("1") % 2
                 for r, row in enumerate(mat):
-                    M[r0 + r][c0:c0 + len(row)] = [
-                        ops.sub(ops.zero, x) if x != ops.zero else x
-                        for x in row] if negate else row
+                    M[r0 + r].update((c0 + j, ops.sub(ops.zero, x) if negate else x)
+                                     for j, x in row.items())
         return M, n_src
 
     lo = min(bases) - n if bases else 0
@@ -300,7 +300,7 @@ def build_line_fiber(p: int, gen: int, scale: int, bound: int) -> HomologyReport
     y^m -> m p y^(m-1) x is the cone of the (2p^n, p) line."""
     j_max = (bound + gen + 1) // gen
     bases = {gen * j: [j] for j in range(j_max + 1)}
-    matrices = {gen * j: [[Fraction(j * scale)]] for j in range(1, j_max + 1)}
+    matrices = {gen * j: [{0: Fraction(j * scale)}] for j in range(1, j_max + 1)}
     return two_term_homology(GradedLinearMap(bases, gen, matrices), bound, PLocal(p))
 
 
@@ -345,7 +345,7 @@ def omega2yn_cohomology(p: int, n: int, bound: int) -> HomologyReport:
         # (x - p^(n-1) c) * degree 2(k-1)
         src = k  # j = 0..k-1 in degree 2(k-1)
         tgt = k + 1
-        mat = [[0] * src for _ in range(tgt)]
+        mat = [{} for _ in range(tgt)]
         for j in range(k):
             # x * gamma_j c^(k-1-j) = (j+1) gamma_(j+1) c^(k-1-j)
             mat[j + 1][j] = j + 1
@@ -377,7 +377,7 @@ def build_dvr_square(p: int, E: list, bound: int) -> dict:
         matrices = {}
         for d, src in bases.items():
             tgt = bases.get(d - 2, [])
-            matrices[d] = mat = [[R.zero] * len(src) for _ in tgt]
+            matrices[d] = mat = [{} for _ in tgt]
             for col, mono in enumerate(src):
                 if mono[k]:
                     lower = tuple(x - (j == k) for j, x in enumerate(mono))

@@ -1,11 +1,17 @@
-"""Shared fixtures. A full default-config report takes several seconds, so
-the golden-file, acceptance and determinism tests share two builds: one
-checked against the golden bytes and criteria, and one independent build
-that the determinism tests compare it with."""
+"""Shared fixtures and helpers. A full default-config report takes several
+seconds, so the golden-file, acceptance and determinism tests share two
+builds: one checked against the golden bytes and criteria, and one
+independent build that the determinism tests compare it with."""
 
 import pytest
 
 from wittsen.cli import RunConfig, build_full_report
+
+
+def sparse(rows, zero=0):
+    """Dense rows as the engine's matrix: one {column: entry} dict of the
+    entries other than `zero` per row."""
+    return [{j: x for j, x in enumerate(row) if x != zero} for row in rows]
 
 
 @pytest.fixture(scope="session")

@@ -239,6 +239,47 @@ def test_wrong_honda_coefficient_is_a_fail_row(capsys, monkeypatch, term, error)
     assert row["counterexample"]["p"] == 2 and error in row["counterexample"]["error"]
 
 
+def test_wrong_honda_law_is_an_nseries_fail_row(capsys, monkeypatch):
+    # the same off-grade logarithm as above, reached through fgl nseries
+    import wittsen.fgl as fgl
+
+    real = fgl._honda_log_exp
+
+    def perturbed(p, n, bound):
+        logw, expw = real(p, n, bound)
+        return logw + TruncPoly(logw.ring, {(3, 0): 1}), expw
+
+    monkeypatch.setattr(fgl, "_honda_log_exp", perturbed)
+    code, out = run_main(["fgl", "nseries", "--kind", "honda", "-D", "10", "--json"],
+                         capsys)
+    assert code == 1
+    (row,) = json.loads(out)["checks"]
+    assert row["name"] == "fgl.nseries" and row["status"] == "fail"
+    assert row["counterexample"] == {"degree": 3,
+                                     "error": "honda term of degree 3 carries v^0"}
+
+
+def test_fderham_divisors_do_not_trust_the_integer_snf(capsys, monkeypatch):
+    # keep only the diagonal of every matrix the Z-SNF reads: the additive
+    # law's matrices m*I are unchanged, but multiplication by [2]_q at
+    # lambda = 1 now gets the divisors of 2*I, which the check must refuse
+    import wittsen.exactalg as exactalg
+
+    real = exactalg.IntMatrix.from_rows
+
+    def diagonal(rows):
+        return real([[x if i == j else 0 for j, x in enumerate(row)]
+                     for i, row in enumerate(rows)])
+
+    monkeypatch.setattr(exactalg.IntMatrix, "from_rows", staticmethod(diagonal))
+    code, out = run_main(["fgl", "fderham", "--json"], capsys)
+    assert code == 1
+    (row,) = json.loads(out)["checks"]
+    assert row["name"] == "fgl.fderham" and row["status"] == "fail"
+    assert row["counterexample"] == {"law": "multiplicative_lambda_1", "weight": 2,
+                                     "divisors": [2] * 6, "want": [1, 1, 1, 1, 1, 64]}
+
+
 @pytest.mark.parametrize("argv, flag", [
     (["witt", "gabber", "-L", "7"], "-L"),
     (["cartier", "psi", "-p", "3", "-n", "9", "-m", "10"], "-n"),

@@ -7,6 +7,7 @@ from operator import mul
 
 import pytest
 
+from conftest import sparse
 from wittsen.exactalg import (
     InvalidInputError,
     PLocalOps,
@@ -205,14 +206,16 @@ def leibniz_reference(der, mono):
 
 
 def reference_matrices(module, der):
-    """The nonzero degree-(-1) matrices of leibniz_reference, as Fractions."""
+    """The nonzero degree-(-1) matrices of leibniz_reference, as Fractions in
+    {column: entry} rows."""
     out = {}
     for d, basis in module.bases.items():
         cols = [gamma_coefficients(leibniz_reference(der, mono)) for mono in basis]
         target = module.bases.get(d - 1, [])
         assert all(set(col) <= set(target) for col in cols), d
         if any(cols):
-            out[d] = [[Fraction(col.get(m2, 0)) for col in cols] for m2 in target]
+            out[d] = sparse([[Fraction(col.get(m2, 0)) for col in cols]
+                             for m2 in target])
     return out
 
 
@@ -229,8 +232,7 @@ def test_operator_matrices_match_leibniz_reference(build, args, monkeypatch):
                         lambda module, der: made.append((module, der)) or real(module, der))
     D = build(*args)
     ((module, der),) = made
-    got = {d: [[Fraction(x) for x in row] for row in mat] for d, mat in D.matrices.items()}
-    assert got == reference_matrices(module, der)
+    assert D.matrices == reference_matrices(module, der)
     assert D.bases == module.bases
 
 
@@ -321,10 +323,9 @@ def test_weyl_commutators():
 
 def test_weyl_binomial_action():
     rep = dp_weyl_operators(2, 2, 6)
-    D2 = rep["del"][2]
     # del^[2](x^m) = C(m,2) x^(m-2)
-    for m in range(2, 7):
-        assert D2[m - 2][m] == comb(m, 2)
+    assert rep["del"][2] == sparse([[comb(m, 2) if m == r + 2 else 0 for m in range(7)]
+                                    for r in range(7)])
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ from math import comb
 
 import pytest
 
+from conftest import sparse
 from wittsen.dpops import GradedLinearMap, psi_eigenvalues
 from wittsen.exactalg import InvalidInputError, PLocalOps, int_valuation, matrix_product
 from wittsen.fgl import f_derham_complex, fgl_construct, q_integer
@@ -95,7 +96,7 @@ def test_two_term_zero_map():
 
 def test_two_term_multiplication_by_six():
     gm = {2: ["a"], 0: ["b"]}
-    D = GradedLinearMap(gm, 2, {2: [[6]]})
+    D = GradedLinearMap(gm, 2, {2: sparse([[6]])})
     for p, torsion in ((2, [2]), (3, [3]), (5, [])):
         rep = two_term_homology(D, 10, PLocalOps(p))
         assert entry(rep, 1)["torsion"] == torsion, p
@@ -104,7 +105,7 @@ def test_two_term_multiplication_by_six():
 
 def test_two_term_diag_2_0():
     gm = {2: ["a", "b"], 0: ["c", "d"]}
-    D = GradedLinearMap(gm, 2, {2: [[2, 0], [0, 0]]})
+    D = GradedLinearMap(gm, 2, {2: sparse([[2, 0], [0, 0]])})
     rep = two_term_homology(D, 10, PLocalOps(2))
     assert entry(rep, 2)["free_rank"] == 1          # kernel rank 1
     assert entry(rep, 1)["torsion"] == [2]          # coker Z_(2)/2 + Z_(2)
@@ -136,7 +137,7 @@ def test_cube_single_operator_hand_computed():
     # c survives in degree 0, coker(3) sits in degree 1, coker(2) in degree 3,
     # and a, the target of nothing, in degree 5.
     gm = {4: ["a"], 2: ["b"], 0: ["c"]}
-    D = GradedLinearMap(gm, 2, {4: [[2]], 2: [[3]]})
+    D = GradedLinearMap(gm, 2, {4: sparse([[2]]), 2: sparse([[3]])})
     for p, want in ((2, {0: (1, []), 3: (0, [1]), 5: (1, [])}),
                     (3, {0: (1, []), 1: (0, [1]), 5: (1, [])}),
                     (5, {0: (1, []), 5: (1, [])})):
@@ -153,7 +154,7 @@ def test_cube_scalar_operators_order_permutation_invariant():
             scalars = psi_eigenvalues(p, 3, m)
             gm = rank1_module(0)
             ops_list = [
-                GradedLinearMap(gm, 0, {0: [[Fraction(s)]]}) for s in scalars
+                GradedLinearMap(gm, 0, {0: sparse([[Fraction(s)]])}) for s in scalars
             ]
             rep1 = cube_total_fiber(ops_list, 2, PLocalOps(p))
             rep2 = cube_total_fiber(list(reversed(ops_list)), 2, PLocalOps(p))
@@ -166,8 +167,8 @@ def test_cube_scalar_operators_order_permutation_invariant():
 
 def test_cube_commutation_required():
     gm = {0: ["a", "b"]}
-    M1 = GradedLinearMap(gm, 0, {0: [[0, 1], [0, 0]]})
-    M2 = GradedLinearMap(gm, 0, {0: [[0, 0], [1, 0]]})
+    M1 = GradedLinearMap(gm, 0, {0: sparse([[0, 1], [0, 0]])})
+    M2 = GradedLinearMap(gm, 0, {0: sparse([[0, 0], [1, 0]])})
     with pytest.raises(InvalidInputError):
         cube_total_fiber([M1, M2], 2, PLocalOps(2))
 
@@ -247,7 +248,7 @@ def serre_cmn_homology(p, n, bound):
             if kind == "y" and m:
                 mat[tgt.index(("yx", m - 1))][col] = Fraction(m * p)
         if tgt:
-            mats[d] = mat
+            mats[d] = sparse(mat)
     return chain_homology(dims, mats, bound, PLocalOps(p))[0]
 
 
@@ -449,7 +450,8 @@ def test_local_snf_matches_integer_snf_p_parts():
         expected = sorted(
             int_valuation(p, d) for d in dec.divisors if d != 0
         )
-        exps = local_snf(PLocalOps(p), [[Fraction(x) for x in r] for r in rows], m)
+        frac = sparse([[Fraction(x) for x in r] for r in rows])
+        exps = local_snf(PLocalOps(p), frac, m)
         assert len(exps) == sum(1 for d in dec.divisors if d != 0)
         assert sorted(exps) == expected
 
@@ -532,7 +534,8 @@ def planted_matrix(rng, R, dense):
     """An n x m matrix over R, both at most 8, with planted elementary
     divisors unit*pi^k on a diagonal, mixed by elementary row and column
     operations with ring coefficients (a few, or many for a dense matrix),
-    unit row scalings and permutations. Returns (rows, ncols, exponents)."""
+    unit row scalings and permutations. Returns (sparse rows, ncols,
+    exponents)."""
     n, m = rng.randrange(1, 9), rng.randrange(1, 9)
     elt = lambda: tuple(rng.randrange(-4, 5) for _ in range(R.e))
     unit = lambda: (rng.choice([u for u in range(-7, 8) if u % R.p]),) + elt()[1:]
@@ -556,7 +559,7 @@ def planted_matrix(rng, R, dense):
             a[i] = [R.mul(c, x) for x in a[i]]
     rng.shuffle(a)
     cols = rng.sample(range(m), m)
-    return [[row[j] for j in cols] for row in a], m, exps
+    return sparse([[row[j] for j in cols] for row in a], R.zero), m, exps
 
 
 def very_sparse_planted_matrix(rng, R):
@@ -591,7 +594,7 @@ def test_local_snf_over_integer_eisenstein_matches_fraction_reference():
     def check(p, E, rows, ncols, want):
         R, ref = Eisenstein(p, E), FractionEisenstein(p, E)
         got = local_snf(R, rows, ncols)
-        frac = [[tuple(map(Fraction, x)) for x in row] for row in rows]
+        frac = [{j: tuple(map(Fraction, x)) for j, x in row.items()} for row in rows]
         assert got == local_snf(ref, frac, ncols) == want, (p, E, rows)
 
     rng = random.Random(409)
@@ -609,14 +612,14 @@ def test_local_snf_over_integer_eisenstein_matches_fraction_reference():
                 zero = [[R.is_zero(x) for x in row] for row in rows]
                 assert sum(map(sum, zero)) >= 0.9 * len(rows) * ncols
                 assert any(map(all, zero)) and any(map(all, zip(*zero)))
-                check(p, E, rows, ncols, want)
+                check(p, E, sparse(rows, R.zero), ncols, want)
 
 
 def full_scan_snf(ops, rows, ncols):
     """local_snf with a pivot scan that reads every remaining entry: the pivot
     is the least (valuation, row, column), its row is removed, and every other
     row holding its column is updated. Zero rows are kept."""
-    a = [{j: x for j, x in enumerate(r) if not ops.is_zero(x)} for r in rows]
+    a = [dict(r) for r in rows]
     exps = []
     while any(a):
         v, bi, bj = min((ops.val(x), i, j) for i, row in enumerate(a)
@@ -652,8 +655,8 @@ def test_pivot_scan_stops_at_the_previous_exponent():
     from wittsen.exactalg import local_snf
 
     rng = random.Random(419)
-    rows = [[Fraction(rng.choice([1, 2, 4, 5, 7, 3, 0])) for _ in range(10)]
-            for _ in range(10)]
+    rows = sparse([[Fraction(rng.choice([1, 2, 4, 5, 7, 3, 0])) for _ in range(10)]
+                   for _ in range(10)])
     early, full = RecordingOps(3), RecordingOps(3)
     assert local_snf(early, rows, 10) == full_scan_snf(full, rows, 10)
     assert early.updates == full.updates
@@ -667,8 +670,9 @@ def test_early_exit_picks_the_full_scan_pivots():
     for _ in range(60):
         p = rng.choice([2, 3, 5])
         n, m = rng.randrange(1, 8), rng.randrange(1, 8)
-        rows = [[Fraction(rng.choice([0, 0, 1, p, p * p, p**3]) * rng.randrange(1, 30))
-                 for _ in range(m)] for _ in range(n)]
+        rows = sparse([[Fraction(rng.choice([0, 0, 1, p, p * p, p**3])
+                                 * rng.randrange(1, 30)) for _ in range(m)]
+                       for _ in range(n)])
         early, full = RecordingOps(p), RecordingOps(p)
         assert local_snf(early, rows, m) == full_scan_snf(full, rows, m)
         assert early.updates == full.updates
@@ -714,8 +718,8 @@ def test_double_entry_bookkeeping():
     ops = PLocalOps(3)
     for _ in range(25):
         dim1, dim0 = rng.randrange(1, 5), rng.randrange(1, 5)
-        B = [[Fraction(rng.randrange(-9, 10)) for _ in range(dim1)]
-             for _ in range(dim0)]
+        B = sparse([[Fraction(rng.randrange(-9, 10)) for _ in range(dim1)]
+                    for _ in range(dim0)])
         homology, elim = chain_homology({0: dim0, 1: dim1}, {1: B}, 1, ops)
         exps = local_snf(ops, B, dim1)
         rank, torsion = len(exps), [e for e in exps if e > 0]
@@ -728,11 +732,11 @@ def test_two_term_complex_type():
     # the same complex over three local rings: Z_(2), Z_(3), and
     # Z_(3)[u]/(u^2 - 3), where 6 = 2u^2 has valuation 2
     gm = {2: ["a"], 0: ["b"]}
-    D = GradedLinearMap(gm, 2, {2: [[6]]})
+    D = GradedLinearMap(gm, 2, {2: sparse([[6]])})
     assert entry(two_term_homology(D, 10, PLocalOps(2)), 1)["exponents"] == [1]
     assert entry(two_term_homology(D, 10, PLocalOps(3)), 1)["torsion"] == [3]
     R = Eisenstein(3, [-3, 0, 1])
-    DR = GradedLinearMap(gm, 2, {2: [[R.scalar(6)]]})
+    DR = GradedLinearMap(gm, 2, {2: sparse([[R.scalar(6)]], R.zero)})
     row = entry(two_term_homology(DR, 10, R), 1)
     assert row["exponents"] == [2] and row["free_rank"] == 0
 
@@ -756,7 +760,7 @@ def counting_local_snf(monkeypatch):
 def test_two_term_eliminates_each_degree_once(monkeypatch):
     seen = counting_local_snf(monkeypatch)
     gm = {2 * k: ["e"] for k in range(8)}
-    D = GradedLinearMap(gm, 2, {2 * k: [[Fraction(3 * k)]] for k in range(1, 8)})
+    D = GradedLinearMap(gm, 2, {2 * k: sparse([[Fraction(3 * k)]]) for k in range(1, 8)})
     rep = two_term_homology(D, 14, PLocalOps(3))
     assert len(seen) == len({id(m) for m in seen}) == 7   # degrees 2, 4, ..., 14
     assert entry(rep, 5)["torsion"] == [9]        # coker of 9 at degree 6
@@ -767,7 +771,7 @@ def test_cube_eliminates_no_zero_total(monkeypatch):
     # D has no matrix out of degree 4, so the total differential out of
     # degree 4 (M_4 -> M_2) is the zero map and is not built or eliminated
     seen = counting_local_snf(monkeypatch)
-    D = GradedLinearMap({4: ["a"], 2: ["b"], 0: ["c"]}, 2, {2: [[Fraction(3)]]})
+    D = GradedLinearMap({4: ["a"], 2: ["b"], 0: ["c"]}, 2, {2: sparse([[Fraction(3)]])})
     rep = cube_total_fiber([D], 6, PLocalOps(3))
     assert len(seen) == 1
     assert {r["degree"]: (r["free_rank"], r["exponents"]) for r in rep.degrees} == {
@@ -776,21 +780,16 @@ def test_cube_eliminates_no_zero_total(monkeypatch):
 
 def test_chain_homology_eliminates_no_zero_matrix(monkeypatch):
     # degrees without a differential are the zero map with no rows, so no
-    # zero-filled matrix is eliminated for them
+    # matrix without a nonzero entry is eliminated for them
     seen = counting_local_snf(monkeypatch)
     zpn = build_zpn_serre(3, 2, 12)
     perf = build_perfectoid_serre(3, 12)
-    assert not [m for m in seen if m and all(x == 0 for row in m for x in row)]
+    assert not [m for m in seen if m and not any(m)]
     assert zpn.degrees and perf["homology"].degrees
 
 
 # ---------------------------------------------------------------------------
 # engine oracle: planted homology, Koszul closed forms, square-zero check
-
-def dense_product(ops, P, Q, ncols):
-    """P*Q as dense rows of ncols entries."""
-    return [[row.get(j, ops.zero) for j in range(ncols)] for row in matrix_product(ops, P, Q)]
-
 
 def unimodular(rng, n):
     """A random integer matrix of determinant 1 and its inverse, built from
@@ -830,9 +829,10 @@ def planted_complex(rng, ops, lift, pi, top):
             m[free[d - 1] + len(pieces[d - 1]) + k][free[d] + k] = x
         U, _ = change[d - 1]
         _, Vinv = change[d]
-        U = [[lift(x) for x in row] for row in U]
-        Vinv = [[lift(x) for x in row] for row in Vinv]
-        mats[d] = dense_product(ops, dense_product(ops, U, m, dims[d]), Vinv, dims[d])
+        U = sparse([[lift(x) for x in row] for row in U], ops.zero)
+        Vinv = sparse([[lift(x) for x in row] for row in Vinv], ops.zero)
+        Um = list(matrix_product(ops, U, sparse(m, ops.zero)))
+        mats[d] = list(matrix_product(ops, Um, Vinv))
     homology = {}
     for d in range(top + 1):
         torsion = sorted(e for e in pieces[d + 1] if e > 0)
@@ -890,7 +890,8 @@ def test_cube_scalar_operators_match_koszul_closed_form():
             n = rng.randrange(1, 4)
             scalars = [rng.choice([0, 1, 2, 3, 4, 6, 9, 12, 25, 27]) * rng.choice([1, -1])
                        for _ in range(n)]
-            ops_list = [GradedLinearMap(gm, 0, {0: [[Fraction(c)]]}) for c in scalars]
+            ops_list = [GradedLinearMap(gm, 0, {0: sparse([[Fraction(c)]])})
+                        for c in scalars]
             rep = cube_total_fiber(ops_list, 2, PLocalOps(p))
             got = {r["degree"]: (r["free_rank"], r["exponents"]) for r in rep.degrees}
             assert got == koszul_closed_form(p, scalars), (p, scalars)
@@ -902,7 +903,7 @@ def test_cube_eliminates_each_total_matrix_once(monkeypatch):
     gm = rank1_module(0)
     for n in (1, 2, 3):
         del seen[:]
-        ops_list = [GradedLinearMap(gm, 0, {0: [[Fraction(3 ** (i + 1))]]})
+        ops_list = [GradedLinearMap(gm, 0, {0: sparse([[Fraction(3 ** (i + 1))]])})
                     for i in range(n)]
         rep = cube_total_fiber(ops_list, 2, PLocalOps(3))
         assert len(seen) == len({id(m) for m in seen}) == n
@@ -932,11 +933,12 @@ def test_perfectoid_eliminates_each_matrix_once(monkeypatch):
 def test_chain_homology_requires_square_zero():
     ops = PLocalOps(3)
     with pytest.raises(InvalidInputError, match="compose to zero"):
-        chain_homology({0: 1, 1: 1, 2: 1}, {1: [[Fraction(1)]], 2: [[Fraction(3)]]}, 2, ops)
+        chain_homology({0: 1, 1: 1, 2: 1}, {1: sparse([[Fraction(1)]]),
+                                            2: sparse([[Fraction(3)]])}, 2, ops)
     # a square-zero pair, then one entry of m_2 perturbed
     dims = {0: 2, 1: 2, 2: 2}
-    m1 = [[Fraction(3), Fraction(0)], [Fraction(0), Fraction(0)]]
-    m2 = [[Fraction(0), Fraction(0)], [Fraction(0), Fraction(9)]]
+    m1 = sparse([[Fraction(3), Fraction(0)], [Fraction(0), Fraction(0)]])
+    m2 = sparse([[Fraction(0), Fraction(0)], [Fraction(0), Fraction(9)]])
     assert chain_homology(dims, {1: m1, 2: m2}, 2, ops)[0] == {
         0: (1, [1]), 1: (0, [2]), 2: (1, [])}
     m2[0][1] = Fraction(1)
