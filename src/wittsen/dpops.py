@@ -1,13 +1,13 @@
-"""Divided-power algebra arithmetic and the operator calculus built on it:
-derivation extensions over the gamma_(p^k) factorization, the degree-lowering
-operators on the divided-power models, Witt-component eigenvalue tuples,
+"""The divided-power models and the operator calculus on them: the
+degree-lowering Sen operators on Gamma[u] (x) Z[theta] (x) Lambda[eps] as
+graded matrices in closed form, Witt-component eigenvalue tuples,
 divided-power Weyl operators, and delta-ring divisibility checks."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, gcd
+from math import comb, factorial, gcd, perm
 
 from .exactalg import (
     InvalidInputError,
@@ -21,26 +21,6 @@ from .exactalg import (
     require_prime,
 )
 from .witt import WittContext, WittVector, int_to_witt, witt_add
-
-
-# ---------------------------------------------------------------------------
-# the divided-power algebra Gamma[u] (x) Q[theta] (x) Lambda[eps] inside
-# Q[u, theta, eps]/eps^2, with gamma_a(u) = u^a/a!; the product
-# gamma_i gamma_j = C(i+j, i) gamma_(i+j) is then the polynomial product
-
-
-DP_RING = PolyRing(vars=("u", "theta", "eps"), bounds=(None, None, 1))
-
-
-def dp_monomial(mono: tuple, coeff) -> TruncPoly:
-    """coeff * gamma_a(u) theta^b eps^c for the label mono = (a, b, c)."""
-    return TruncPoly(DP_RING, {mono: Fraction(coeff, factorial(mono[0]))})
-
-
-def gamma_coefficients(f: TruncPoly) -> dict:
-    """The coefficients of f in the basis gamma_a(u) theta^b eps^c, by label
-    (a, b, c)."""
-    return {mono: c * factorial(mono[0]) for mono, c in f.terms.items()}
 
 
 @dataclass
@@ -82,7 +62,7 @@ class GradedLinearMap:
 
 
 # ---------------------------------------------------------------------------
-# derivation extension over the gamma_(p^k) factorization
+# the degree-lowering operators
 
 
 def base_p_digits(m: int, p: int):
@@ -93,66 +73,41 @@ def base_p_digits(m: int, p: int):
     return out
 
 
-class PDerivation:
-    """Derivation on the divided-power algebra with D(eps) = 0, determined by
-    its values on the generators gamma_(p^k)(u) and theta (a generator with
-    no value maps to 0), and extended through the factorization
-    a! gamma_a = prod_k ((p^k)! gamma_(p^k))^(m_k) over the base-p digits
-    m_k of a. The image of each eps-free monomial is computed once."""
+def _operator(p: int, bound: int, gamma_values: dict) -> GradedLinearMap:
+    """The derivation D with D(gamma_(p^k)) = g_k gamma_(p^k - p) eps for
+    the scalars g_k of gamma_values (k >= 1; D(gamma_1) = 0), D(theta) = p eps
+    and D(eps) = 0, on DPModule(p, bound), as degree-(-1) matrices.
 
-    def __init__(self, p: int, gamma_values: dict, theta_value: TruncPoly):
-        self.p = p
-        self.gamma_values = gamma_values
-        self.theta_value = theta_value
-        self.images = {}
-
-    def apply_monomial(self, mono: tuple) -> TruncPoly:
-        """D(gamma_a theta^b eps^c)
-        = (D(gamma_a) theta^b + b gamma_a theta^(b-1) D(theta)) eps^c, where
-        the Leibniz rule on the factorization gives
-        D(gamma_a) = sum_k m_k (p^k)!/a! u^(a-p^k) D(gamma_(p^k))."""
-        a, b, c = mono
-        if c:
-            return self.apply_monomial((a, b, 0)) * dp_monomial((0, 0, 1), 1)
-        if (a, b) in self.images:
-            return self.images[a, b]
-        out = TruncPoly.zero(DP_RING)
-        for k, mk in enumerate(base_p_digits(a, self.p)):
-            if mk and k in self.gamma_values:
-                q = self.p**k
-                lower = {(a - q, b, 0): Fraction(mk * factorial(q), factorial(a))}
-                out = out + TruncPoly(DP_RING, lower) * self.gamma_values[k]
-        if b:
-            out = out + dp_monomial((a, b - 1, 0), b) * self.theta_value
-        self.images[a, b] = out
-        return out
-
-
-def derivation_matrices(module: DPModule, der: PDerivation) -> GradedLinearMap:
-    """Assemble the degree-(-1) matrices of a derivation on the module."""
+    Every value carries eps, so eps-labels map to 0. The Leibniz rule on
+    a! gamma_a = prod_k ((p^k)! gamma_(p^k))^(m_k), over the base-p digits
+    m_k of a, gives
+        D(gamma_a theta^b) = sum_(k>=1) m_k g_k (p^k)!/(p^k - p)! (a-p)!/a!
+                                 gamma_(a-p) theta^b eps
+                             + b p gamma_a theta^(b-1) eps.
+    """
+    module = DPModule(p, bound)
     matrices = {}
     for d, basis in module.bases.items():
-        target = module.bases.get(d - 1, [])
-        if not basis or not target:
-            continue
-        idx = module.index[d - 1]
-        mat = [{} for _ in target]
-        for j, mono in enumerate(basis):
-            for m2, c in gamma_coefficients(der.apply_monomial(mono)).items():
-                if m2 not in idx:
-                    raise InvalidInputError(
-                        f"derivation leaves the module at degree {d}"
-                    )
-                mat[idx[m2]][j] = c
+        mat = [{} for _ in module.bases.get(d - 1, [])]
+        for j, (a, b, c) in enumerate(basis):
+            if c:
+                continue
+            if a >= p:
+                g = sum(m * gamma_values[k] * perm(p**k, p)  # digits k >= 1
+                        for k, m in enumerate(base_p_digits(a // p, p), 1))
+                mat[module.index[d - 1][a - p, b, 1]][j] = g / perm(a, p)
+            if b:
+                mat[module.index[d - 1][a, b - 1, 1]][j] = b * p
         if any(mat):
             matrices[d] = mat
     return GradedLinearMap(module.bases, 1, matrices)
 
 
 def perfectoid_gamma_values(p: int, bound: int) -> dict:
-    """Generator values of the degree-lowering derivation on gamma-monomials.
+    """The scalars c_k of the generator values of the degree-lowering
+    derivation, for p^k <= bound:
 
-    D(gamma_(p^k)(u)) = (p-1)! (p^k-p)!/(p^k-1)! * gamma_(p^k-p)(u) * eps.
+    D(gamma_(p^k)(u)) = c_k gamma_(p^k-p)(u) eps, c_k = (p-1)! (p^k-p)!/(p^k-1)!.
     The coefficient is a p-adic unit (it is the expansion of the product
     prod_{j<k} gamma_(p^j)^(p-1) up to the normalization D(gamma_p) = eps)
     and these are the unique unit choices for which the extension satisfies
@@ -161,8 +116,7 @@ def perfectoid_gamma_values(p: int, bound: int) -> dict:
     values = {}
     k = 1
     while p**k <= bound:
-        coeff = Fraction(factorial(p - 1) * factorial(p**k - p), factorial(p**k - 1))
-        values[k] = dp_monomial((p**k - p, 0, 1), coeff)
+        values[k] = Fraction(factorial(p - 1) * factorial(p**k - p), factorial(p**k - 1))
         k += 1
     return values
 
@@ -170,23 +124,19 @@ def perfectoid_gamma_values(p: int, bound: int) -> dict:
 def theta_perfectoid(p: int, bound: int) -> GradedLinearMap:
     """gamma_(p^k)(u) -> unit * gamma_(p^k - p)(u) eps (normalized so that
     gamma_p(u) -> eps exactly), theta -> p*eps; extended as a derivation."""
-    module = DPModule(p, bound)
-    gamma_values = perfectoid_gamma_values(p, bound)
-    theta_value = dp_monomial((0, 0, 1), p)
-    return derivation_matrices(module, PDerivation(p, gamma_values, theta_value))
+    return _operator(p, bound, perfectoid_gamma_values(p, bound))
 
 
 def factorial_unit_identity(p: int, gamma_values: dict) -> bool:
     """v_p((p^k-p)!/(p^k-1)!) = 0 = v_p(generator-value coefficient), and the
     underlying Legendre identity v_p((p^k-1)!) = sum_{j<k}(p^j-1)."""
-    for k, val in gamma_values.items():
+    for k, coeff in gamma_values.items():
         ratio_val = factorial_valuation(p, p**k - p) - factorial_valuation(p, p**k - 1)
         if ratio_val != 0:
             return False
         legendre = factorial_valuation(p, p**k - 1)
         if legendre != sum(p**j - 1 for j in range(1, k)):
             return False
-        coeff = next(iter(gamma_coefficients(val).values()))
         if fraction_valuation(p, coeff) != 0:
             return False
     return True
@@ -206,11 +156,8 @@ def theta_zpn(p: int, n: int, bound: int) -> GradedLinearMap:
     require_prime(p)
     if n < 2:
         raise InvalidInputError("n >= 2 required")
-    module = DPModule(p, bound)
-    gamma_values = {k: v * p ** (n - 2 + k)
-                    for k, v in perfectoid_gamma_values(p, bound).items()}
-    theta_value = dp_monomial((0, 0, 1), p)
-    return derivation_matrices(module, PDerivation(p, gamma_values, theta_value))
+    return _operator(p, bound, {k: c * p ** (n - 2 + k)
+                                for k, c in perfectoid_gamma_values(p, bound).items()})
 
 
 # ---------------------------------------------------------------------------

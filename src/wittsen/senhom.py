@@ -142,20 +142,21 @@ class Eisenstein:
 class HomologyReport:
     """Per-degree rows {"degree", "free_rank", "torsion", "exponents"}: the
     torsion is the cyclic summands R/pi^e, listed by their exponents e and by
-    their orders p^e."""
+    their orders p^e. `degrees` lists the rows in the order added; `entry`
+    looks them up by degree, the same dicts."""
 
     degrees: list = field(default_factory=list)
+    _rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def entry(self, degree):
-        for row in self.degrees:
-            if row["degree"] == degree:
-                return row
-        return {"degree": degree, "free_rank": 0, "torsion": [], "exponents": []}
+        return self._rows.get(degree) or {"degree": degree, "free_rank": 0,
+                                          "torsion": [], "exponents": []}
 
     def add(self, degree, free_rank, exponents, p):
-        self.degrees.append({"degree": degree, "free_rank": free_rank,
-                             "torsion": [p**e for e in exponents],
-                             "exponents": list(exponents)})
+        row = self._rows[degree] = {"degree": degree, "free_rank": free_rank,
+                                    "torsion": [p**e for e in exponents],
+                                    "exponents": list(exponents)}
+        self.degrees.append(row)
 
 
 # ---------------------------------------------------------------------------

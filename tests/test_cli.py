@@ -562,15 +562,15 @@ def cheap_checks(monkeypatch):
 
 
 def _run(argv):
-    """(exit code, stdout) of one in-process call; any exception but
+    """(exit code, stdout, stderr) of one in-process call; any exception but
     SystemExit propagates."""
-    out = io.StringIO()
-    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
         try:
             code = main(argv)
         except SystemExit as exc:
             code = exc.code
-    return code, out.getvalue()
+    return code, out.getvalue(), err.getvalue()
 
 
 def _fuzz_value(rng, flags, flag, config):
@@ -604,7 +604,7 @@ def test_argv_fuzz(cheap_checks, tmp_path):
         argv = list(key)
         for flag in rng.sample(OLD_FLAGS, rng.randrange(4)):
             argv += [flag] + _fuzz_value(rng, flags, flag, config)
-        code, out = _run(argv + ["--json"])
+        code, out, _ = _run(argv + ["--json"])
         assert code in (0, 1, 2), argv
         seen.add(code)
         if code == 1:
@@ -646,9 +646,51 @@ def test_every_accepted_flag_changes_the_run(cheap_checks):
     for (key, flag), (needs, a, b) in DISTINCT.items():
         docs = []
         for value in (a, b):
-            code, out = _run([*key, *needs, cli._option(flag), value, "--json"])
+            code, out, _ = _run([*key, *needs, cli._option(flag), value, "--json"])
             assert code == 0, (key, flag, value)
             doc = json.loads(out)
             del doc["config"]
             docs.append(doc)
         assert docs[0] != docs[1], (key, flag)
+
+
+# ---------------------------------------------------------------------------
+# the output corpus: every CHECKS key at its defaults as text and --json, each
+# flag at one non-default value, and one usage error per flag kind, as _record
+# gives them; a record changes only with an intended change of output
+
+CORPUS = os.path.join(os.path.dirname(__file__), "data", "cli_corpus.json")
+
+
+def _record(argv):
+    """The exit code of one in-process run, with its stdout, or for a usage
+    error the error line."""
+    code, out, err = _run(argv)
+    if code == 2:
+        return {"argv": argv, "exit": code, "error": err.splitlines()[-1]}
+    return {"argv": argv, "exit": code, "stdout": out}
+
+
+def _first_difference(want, got):
+    a, b = want.splitlines(), got.splitlines()
+    i = next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+    return "line {}: {!r}, want {!r}".format(
+        i + 1, *(lines[i] if i < len(lines) else "<end>" for lines in (b, a)))
+
+
+def test_cli_output_matches_corpus():
+    with open(CORPUS) as fh:
+        corpus = json.load(fh)
+    argvs = [r["argv"] for r in corpus]
+    for key, flags in cli.CHECKS.items():
+        assert list(key) in argvs and [*key, "--json"] in argvs, key
+        for flag in flags:
+            assert any(a[:len(key)] == list(key) and cli._option(flag) in a
+                       for a in argvs), (key, flag)
+    for want in corpus:
+        got = _record(want["argv"])
+        if got != want:
+            text = "error" if "error" in want else "stdout"
+            pytest.fail(f"wittsen {' '.join(want['argv'])}: exit {got['exit']}, "
+                        f"want {want['exit']}; "
+                        + _first_difference(want[text], got.get(text, "")))

@@ -11,6 +11,7 @@ from conftest import sparse
 from wittsen.exactalg import (
     InvalidInputError,
     PLocalOps,
+    PolyRing,
     PrecisionError,
     TruncPoly,
     fraction_valuation,
@@ -18,20 +19,15 @@ from wittsen.exactalg import (
 )
 from wittsen import dpops
 from wittsen.dpops import (
-    DP_RING,
     DeltaRingContext,
     ZpLattice,
     _coeff_vector,
     _integer_vector,
     DPModule,
-    PDerivation,
     base_p_digits,
     delta_ring_check,
-    derivation_matrices,
-    dp_monomial,
     dp_weyl_operators,
     factorial_unit_identity,
-    gamma_coefficients,
     perfectoid_gamma_values,
     psi_eigenvalues,
     psi_tensor_check,
@@ -41,7 +37,110 @@ from wittsen.dpops import (
 
 
 # ---------------------------------------------------------------------------
-# divided-power arithmetic
+# the reference model: the divided-power algebra
+# Gamma[u] (x) Q[theta] (x) Lambda[eps] inside Q[u, theta, eps]/eps^2, with
+# gamma_a(u) = u^a/a!; the product gamma_i gamma_j = C(i+j, i) gamma_(i+j) is
+# then the polynomial product, and a derivation is extended through it by the
+# Leibniz rule. The library builds the operators' matrices in closed form;
+# these tests check that form against this model.
+
+
+DP_RING = PolyRing(vars=("u", "theta", "eps"), bounds=(None, None, 1))
+
+
+def dp_monomial(mono: tuple, coeff) -> TruncPoly:
+    """coeff * gamma_a(u) theta^b eps^c for the label mono = (a, b, c)."""
+    return TruncPoly(DP_RING, {mono: Fraction(coeff, factorial(mono[0]))})
+
+
+def gamma_coefficients(f: TruncPoly) -> dict:
+    """The coefficients of f in the basis gamma_a(u) theta^b eps^c, by label
+    (a, b, c)."""
+    return {mono: c * factorial(mono[0]) for mono, c in f.terms.items()}
+
+
+class PDerivation:
+    """Derivation on the divided-power algebra with D(eps) = 0, determined by
+    its values on the generators gamma_(p^k)(u) and theta (a generator with
+    no value maps to 0), and extended through the factorization
+    a! gamma_a = prod_k ((p^k)! gamma_(p^k))^(m_k) over the base-p digits
+    m_k of a. The image of each eps-free monomial is computed once."""
+
+    def __init__(self, p: int, gamma_values: dict, theta_value: TruncPoly):
+        self.p = p
+        self.gamma_values = gamma_values
+        self.theta_value = theta_value
+        self.images = {}
+
+    def apply_monomial(self, mono: tuple) -> TruncPoly:
+        """D(gamma_a theta^b eps^c)
+        = (D(gamma_a) theta^b + b gamma_a theta^(b-1) D(theta)) eps^c, where
+        the Leibniz rule on the factorization gives
+        D(gamma_a) = sum_k m_k (p^k)!/a! u^(a-p^k) D(gamma_(p^k))."""
+        a, b, c = mono
+        if c:
+            return self.apply_monomial((a, b, 0)) * dp_monomial((0, 0, 1), 1)
+        if (a, b) in self.images:
+            return self.images[a, b]
+        out = TruncPoly.zero(DP_RING)
+        for k, mk in enumerate(base_p_digits(a, self.p)):
+            if mk and k in self.gamma_values:
+                q = self.p**k
+                lower = {(a - q, b, 0): Fraction(mk * factorial(q), factorial(a))}
+                out = out + TruncPoly(DP_RING, lower) * self.gamma_values[k]
+        if b:
+            out = out + dp_monomial((a, b - 1, 0), b) * self.theta_value
+        self.images[a, b] = out
+        return out
+
+
+ZERO = TruncPoly.zero(DP_RING)
+
+
+def leibniz_reference(der, mono):
+    """D(gamma_a theta^b eps^c) by the Leibniz rule on the factors of
+    a! gamma_a theta^b eps^c = prod_k ((p^k)! gamma_(p^k))^(m_k) theta^b eps^c,
+    eps among them with D(eps) = 0: every label takes the full sum."""
+    a, b, c = mono
+    factors = [(dp_monomial((der.p**k, 0, 0), factorial(der.p**k)), mk,
+                factorial(der.p**k) * der.gamma_values.get(k, ZERO))
+               for k, mk in enumerate(base_p_digits(a, der.p)) if mk]
+    factors += [(dp_monomial((0, 1, 0), 1), b, der.theta_value),
+                (dp_monomial((0, 0, 1), 1), c, ZERO)]
+    out = ZERO
+    for i, (f, m, df) in enumerate(factors):
+        if m:
+            rest = reduce(mul, (g**e for j, (g, e, _) in enumerate(factors) if j != i),
+                          f ** (m - 1))
+            out = out + m * rest * df
+    return out * Fraction(1, factorial(a))
+
+
+def reference_matrices(module, der):
+    """The nonzero degree-(-1) matrices of leibniz_reference, as Fractions in
+    {column: entry} rows."""
+    out = {}
+    for d, basis in module.bases.items():
+        cols = [gamma_coefficients(leibniz_reference(der, mono)) for mono in basis]
+        target = module.bases.get(d - 1, [])
+        assert all(set(col) <= set(target) for col in cols), d
+        if any(cols):
+            out[d] = sparse([[Fraction(col.get(m2, 0)) for col in cols]
+                             for m2 in target])
+    return out
+
+
+def reference_operator(p, bound, scale):
+    """The Sen operator of the reference model: gamma_(p^k) -> scale(k) c_k
+    gamma_(p^k - p) eps with c_k = (p-1)! (p^k - p)!/(p^k - 1)! for
+    p^k <= bound, theta -> p eps."""
+    values, k = {}, 1
+    while p**k <= bound:
+        c = Fraction(factorial(p - 1) * factorial(p**k - p), factorial(p**k - 1))
+        values[k] = dp_monomial((p**k - p, 0, 1), scale(k) * c)
+        k += 1
+    return PDerivation(p, values, dp_monomial((0, 0, 1), p))
+
 
 def test_gamma_products_and_round_trip():
     # gamma_i gamma_j = C(i+j, i) gamma_(i+j) is the product in Q[u, theta, eps]
@@ -60,7 +159,6 @@ def test_gamma_products_and_round_trip():
 def test_unit_lemma_full_range():
     # v_p(c_m) = v_p(m!) - sum m_k v_p(p^k!) via Legendre, for every m <= 10^4
     from wittsen.exactalg import factorial_valuation
-    from wittsen.dpops import base_p_digits
 
     for p in (2, 3, 5):
         for m in range(1, 10**4 + 1):
@@ -73,13 +171,10 @@ def test_unit_lemma_full_range():
 # ---------------------------------------------------------------------------
 # derivation extension
 
-ZERO = TruncPoly.zero(DP_RING)
-
 
 def test_zero_values_give_zero_map():
     module = DPModule(3, 20)
-    D = derivation_matrices(module, PDerivation(3, {0: ZERO}, ZERO))
-    assert not D.matrices
+    assert not reference_matrices(module, PDerivation(3, {0: ZERO}, ZERO))
 
 
 def test_first_gamma_only_pattern():
@@ -108,7 +203,10 @@ def test_theta_action_on_theta_powers():
 
 
 def test_perfectoid_generator_values():
-    vals = perfectoid_gamma_values(3, 60)
+    # the library's scalars c_k are the reference's generator coefficients
+    vals = reference_operator(3, 60, lambda k: 1).gamma_values
+    assert {k: next(iter(gamma_coefficients(v).values())) for k, v in vals.items()} \
+        == perfectoid_gamma_values(3, 60)
     # gamma_p -> eps exactly (empty product, normalization)
     assert gamma_coefficients(vals[1]) == {(0, 0, 1): 1}
     # gamma_(p^2) -> unit * gamma_(p^2-p) eps, and the unit differs from the
@@ -132,7 +230,7 @@ def test_perfectoid_leibniz():
     # a digit-0 carry passes through the gamma_1-power relation, where the
     # degree-forced value D(gamma_1) = 0 admits no compatible unit.
     for p in (2, 3):
-        der = PDerivation(p, perfectoid_gamma_values(p, 60), dp_monomial((0, 0, 1), p))
+        der = reference_operator(p, 60, lambda k: 1)
         rng = random.Random(73)
         for _ in range(60):
             a = (rng.randrange(0, 12), rng.randrange(0, 3), 0)
@@ -146,7 +244,7 @@ def test_perfectoid_leibniz():
 
 def test_perfectoid_leibniz_failure_locus_is_digit_zero():
     p = 2
-    der = PDerivation(p, perfectoid_gamma_values(p, 60), dp_monomial((0, 0, 1), p))
+    der = reference_operator(p, 60, lambda k: 1)
     for i in range(12):
         for j in range(12):
             a, b = (i, 0, 0), (j, 0, 0)
@@ -186,54 +284,33 @@ def test_theta_zpn_scaling():
     assert D.matrices[6][i][jt] == 3   # theta -> p eps
 
 
-def leibniz_reference(der, mono):
-    """D(gamma_a theta^b eps^c) by the Leibniz rule on the factors of
-    a! gamma_a theta^b eps^c = prod_k ((p^k)! gamma_(p^k))^(m_k) theta^b eps^c,
-    eps among them with D(eps) = 0: every label takes the full sum."""
-    a, b, c = mono
-    factors = [(dp_monomial((der.p**k, 0, 0), factorial(der.p**k)), mk,
-                factorial(der.p**k) * der.gamma_values.get(k, ZERO))
-               for k, mk in enumerate(base_p_digits(a, der.p)) if mk]
-    factors += [(dp_monomial((0, 1, 0), 1), b, der.theta_value),
-                (dp_monomial((0, 0, 1), 1), c, ZERO)]
-    out = ZERO
-    for i, (f, m, df) in enumerate(factors):
-        if m:
-            rest = reduce(mul, (g**e for j, (g, e, _) in enumerate(factors) if j != i),
-                          f ** (m - 1))
-            out = out + m * rest * df
-    return out * Fraction(1, factorial(a))
-
-
-def reference_matrices(module, der):
-    """The nonzero degree-(-1) matrices of leibniz_reference, as Fractions in
-    {column: entry} rows."""
-    out = {}
-    for d, basis in module.bases.items():
-        cols = [gamma_coefficients(leibniz_reference(der, mono)) for mono in basis]
-        target = module.bases.get(d - 1, [])
-        assert all(set(col) <= set(target) for col in cols), d
-        if any(cols):
-            out[d] = sparse([[Fraction(col.get(m2, 0)) for col in cols]
-                             for m2 in target])
-    return out
-
-
 @pytest.mark.parametrize("build, args", [
     (theta_perfectoid, (2, 42)), (theta_perfectoid, (3, 62)),
     (theta_perfectoid, (5, 102)), (theta_zpn, (3, 2, 32)), (theta_zpn, (3, 3, 32)),
+    # the benchmark's bounds, then larger primes and n
+    (theta_perfectoid, (2, 50)), (theta_perfectoid, (3, 74)),
+    (theta_perfectoid, (5, 122)), (theta_zpn, (3, 2, 52)), (theta_zpn, (3, 3, 52)),
+    (theta_perfectoid, (7, 142)), (theta_zpn, (5, 3, 62)), (theta_zpn, (7, 4, 62)),
 ])
-def test_operator_matrices_match_leibniz_reference(build, args, monkeypatch):
-    # each eps-label's image is built from its eps-free partner's; the
-    # reference runs the Leibniz sum on every label
-    made = []
-    real = dpops.derivation_matrices
-    monkeypatch.setattr(dpops, "derivation_matrices",
-                        lambda module, der: made.append((module, der)) or real(module, der))
+def test_operator_matrices_match_leibniz_reference(build, args):
+    # the closed form against the Leibniz sum on every label, eps-labels too
+    p, bound = args[0], args[-1]
+    scale = (lambda k: 1) if build is theta_perfectoid else (
+        lambda k: p ** (args[1] - 2 + k))
     D = build(*args)
-    ((module, der),) = made
-    assert D.matrices == reference_matrices(module, der)
+    module = DPModule(p, bound)
+    assert D.matrices == reference_matrices(module, reference_operator(p, bound, scale))
     assert D.bases == module.bases
+
+
+def test_operators_build_no_series(monkeypatch):
+    made = []
+    real = TruncPoly.__init__
+    monkeypatch.setattr(TruncPoly, "__init__",
+                        lambda self, *a, **kw: made.append(1) or real(self, *a, **kw))
+    theta_perfectoid(5, 122)
+    theta_zpn(3, 3, 52)
+    assert not made
 
 
 def test_eps_label_image_is_eps_times_eps_free_image():
