@@ -716,15 +716,15 @@ def _option(flag):
 
 @functools.cache
 def _parser():
-    """The argparse tree of CHECKS, built on the first main() call. A check's
-    namespace holds only the flags given."""
+    """The argparse tree of CHECKS, built on the first main() call, and each
+    check's subparser by key. A check's namespace holds only the flags given."""
     parser = argparse.ArgumentParser(
         prog="wittsen",
         description="exact identity checks for truncated Witt vectors, "
                     "formal group laws and divided-power operator complexes",
     )
     commands = parser.add_subparsers(dest="command", required=True)
-    groups = {}
+    groups, subparsers = {}, {}
     for key, flags in CHECKS.items():
         if len(key) == 1:
             sp = commands.add_parser(key[0], help=COMMAND_HELP[key[0]],
@@ -735,13 +735,14 @@ def _parser():
                     key[0], help=COMMAND_HELP[key[0]]).add_subparsers(
                         dest="check", required=True)
             sp = groups[key[0]].add_parser(key[1], argument_default=argparse.SUPPRESS)
+        subparsers[key] = sp
         for flag, spec in flags.items():
             sp.add_argument(_option(flag), dest=flag, type=spec, help=str(spec))
         if flags:
             sp.add_argument("--config", help="file of 'flag = value' lines")
         sp.add_argument("--json", action="store_true")
         sp.add_argument("-o", "--output")
-    return parser
+    return parser, subparsers
 
 
 def _too_long(key):
@@ -804,9 +805,10 @@ def _doc(cfg, checks):
 
 
 def main(argv=None) -> int:
-    parser = _parser()
+    parser, subparsers = _parser()
     flags = vars(parser.parse_args(argv))
     key = tuple(flags.pop(k) for k in ("command", "check") if k in flags)
+    error = subparsers[key].error  # usage errors name the check, as argparse's do
     fmt = "json" if flags.pop("json", False) else "text"
     out = flags.pop("output", None)
     table = CHECKS[key]
@@ -817,7 +819,7 @@ def main(argv=None) -> int:
             if flag in flags and isinstance(spec, Needs) and not spec.met(flags):
                 raise InvalidInputError(f"{_option(flag)}: {spec}")
     except (InvalidInputError, OSError) as exc:
-        parser.error(str(exc))
+        error(str(exc))
 
     # -L and -K reach their checks through cfg, as in the report; every other
     # flag is a keyword argument of its check. Checks are looked up by name at
@@ -832,13 +834,13 @@ def main(argv=None) -> int:
             row = fn(cfg, **{k: v for k, v in flags.items() if k not in ("L", "K")})
             doc = _doc(cfg, [row])
     except (InvalidInputError, PrecisionError) as exc:
-        parser.error(str(exc))
+        error(str(exc))
     try:
         return _emit(doc, cfg)
     except ValueError:  # an integer past str()'s digit limit
-        parser.error(_too_long(key))
+        error(_too_long(key))
     except OSError as exc:
-        parser.error(str(exc))
+        error(str(exc))
 
 
 if __name__ == "__main__":

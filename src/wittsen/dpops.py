@@ -86,16 +86,18 @@ def _operator(p: int, bound: int, gamma_values: dict) -> GradedLinearMap:
                              + b p gamma_a theta^(b-1) eps.
     """
     module = DPModule(p, bound)
-    matrices = {}
+    matrices, gamma = {}, {}  # gamma: a -> the coefficient of gamma_(a-p)
     for d, basis in module.bases.items():
         mat = [{} for _ in module.bases.get(d - 1, [])]
         for j, (a, b, c) in enumerate(basis):
             if c:
                 continue
             if a >= p:
-                g = sum(m * gamma_values[k] * perm(p**k, p)  # digits k >= 1
-                        for k, m in enumerate(base_p_digits(a // p, p), 1))
-                mat[module.index[d - 1][a - p, b, 1]][j] = g / perm(a, p)
+                if a not in gamma:
+                    gamma[a] = sum(m * gamma_values[k] * perm(p**k, p)  # digits k >= 1
+                                   for k, m in enumerate(base_p_digits(a // p, p), 1)
+                                   ) / perm(a, p)
+                mat[module.index[d - 1][a - p, b, 1]][j] = gamma[a]
             if b:
                 mat[module.index[d - 1][a, b - 1, 1]][j] = b * p
         if any(mat):

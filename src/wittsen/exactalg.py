@@ -306,7 +306,10 @@ class TruncPoly:
     # -- series operations (rely on truncation nilpotence) ------------------
 
     def _power_sum(self, coeff):
-        """sum_(k >= 1) coeff(k) * self^k, stopping where self^k truncates to 0."""
+        """sum_(k >= 1) coeff(k) * self^k, stopping where self^k truncates to 0;
+        a term of weight 0 never truncates, so it is refused."""
+        if any(not self.ring.weight(m) for m in self.terms):
+            raise InvalidInputError("series argument has a term of weight 0")
         out = TruncPoly.zero(self.ring)
         power, k = self, 1
         while power.terms:

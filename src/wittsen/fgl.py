@@ -312,10 +312,8 @@ def honda_pm_divided_series(p: int, n: int, ms) -> dict:
 
 
 def _bp_ring(p: int, N: int) -> PolyRing:
-    names = tuple(f"l{i}" for i in range(1, N + 1)) \
-        + tuple(f"v{i}" for i in range(1, N + 1)) \
-        + tuple(f"t{i}" for i in range(1, N + 1))
-    degs = tuple(2 * p**i - 2 for i in range(1, N + 1)) * 3
+    names = tuple(f"v{i}" for i in range(1, N + 1)) + tuple(f"t{i}" for i in range(1, N + 1))
+    degs = tuple(2 * p**i - 2 for i in range(1, N + 1)) * 2
     return PolyRing(vars=names, degrees=degs)
 
 

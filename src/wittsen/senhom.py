@@ -4,28 +4,28 @@ The engine works over one kind of ring: a local PID given by an ops object,
 either the p-local integers Z_(p) (Fraction arithmetic) or an Eisenstein
 extension Z_(p)[u]/E(u) (integer tuples in Z[u]/E, eliminated fraction-free
 by row updates that scale by units only). The homology of a complex goes
-through chain_homology: a chain complex directly, a commuting operator cube
-through its Koszul total complex, and a two-term fiber as the cube of one
-operator (omega2yn's presentation is one cokernel per degree). Each nonzero
-differential is eliminated once, by minimal-valuation pivoting, and torsion
-is reported as p-power (or uniformizer-power) cyclic summands per degree.
-The builders return the engine's reports; the closed forms they reproduce
-live in the sen.* checks. Only the fderham weights use integer elementary
-divisors (the Z-SNF).
+through chain_homology, the one caller of local_snf: a chain complex
+directly, a commuting operator cube through its Koszul total complex, a
+two-term fiber as the cube of one operator, and omega2yn's presentation as a
+two-term complex whose odd differentials are its relation matrices. Each
+nonzero differential is eliminated once, by minimal-valuation pivoting, and
+torsion is reported as p-power (or uniformizer-power) cyclic summands per
+degree. The builders return the engine's reports; the closed forms they
+reproduce live in the sen.* checks. Only the fderham weights use integer
+elementary divisors (the Z-SNF).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial, gcd
+from math import gcd
 
 from .exactalg import (
     IntMatrix,
     InvalidInputError,
     PLocalOps as PLocal,
     TruncPoly,
-    fraction_valuation,
     int_valuation,
     local_snf,
     matrix_product,
@@ -169,22 +169,6 @@ class HomologyReport:
 # its elementary divisors, therefore decides all homology.
 
 
-def _eliminate(ops, rows, ncols):
-    """(rank, positive exponents) of a matrix with ncols columns; one with no
-    rows or no columns is the zero map and is not eliminated."""
-    if not rows or not ncols:
-        return 0, []
-    exps = local_snf(ops, rows, ncols)
-    return len(exps), [e for e in exps if e > 0]
-
-
-def _report(homology, p):
-    rep = HomologyReport()
-    for d in sorted(homology):
-        rep.add(d, *homology[d], p)
-    return rep
-
-
 def homology_of_pair(ncols_A: int, elim_A: tuple, elim_B: tuple) -> tuple:
     """ker(A)/im(B) for A*B = 0, A with ncols_A columns, from the eliminations
     (rank, positive exponents) of A and B: (free rank, torsion exponents)."""
@@ -196,12 +180,12 @@ def chain_homology(dims: dict, mats: dict, bound: int, ops) -> tuple:
     """H_d = ker(m_d)/im(m_(d+1)) for every degree d <= bound of a chain
     complex given by dimensions and matrices m_d: C_d -> C_(d-1), each a
     list of {column: nonzero entry} rows with dims[d] columns. A missing
-    m_d is the zero map. Each m_d is eliminated once, after checking that
-    m_(d-1)*m_d = 0.
+    m_d, or one with no columns, is the zero map and is not eliminated; every
+    other m_d is eliminated once, after checking that m_(d-1)*m_d = 0.
 
-    Returns (homology, eliminations): degree -> (free, exponents) for each
-    nonzero H_d, and degree -> (rank, positive exponents) of m_d for each
-    degree d <= bound + 1 of the complex.
+    Returns (report, eliminations): the report has a row for each nonzero
+    H_d, and the eliminations map each degree d <= bound + 1 of the complex
+    to (rank, positive exponents) of m_d.
     """
     elim = {}
     for d in sorted(dims):
@@ -210,25 +194,16 @@ def chain_homology(dims: dict, mats: dict, bound: int, ops) -> tuple:
         m, below = mats.get(d, []), mats.get(d - 1, [])
         if m and below and any(matrix_product(ops, below, m)):
             raise InvalidInputError("maps do not compose to zero")
-        elim[d] = _eliminate(ops, m, dims[d])
-    homology = {}
+        exps = local_snf(ops, m, dims[d]) if m and dims[d] else []
+        elim[d] = len(exps), [e for e in exps if e > 0]
+    rep = HomologyReport()
     for d in elim:
         if d > bound:
             continue
         free, torsion = homology_of_pair(dims[d], elim[d], elim.get(d + 1, (0, [])))
         if free or torsion:
-            homology[d] = (free, torsion)
-    return homology, elim
-
-
-def graded_map_chain_homology(D: GradedLinearMap, bound: int, ops) -> tuple:
-    """Chain homology of a square-zero degree-(-1) differential:
-    (report, eliminations), the eliminations as chain_homology gives them."""
-    if D.shift != 1:
-        raise InvalidInputError("chain differential must have shift 1")
-    dims = {d: len(basis) for d, basis in D.bases.items()}
-    homology, elim = chain_homology(dims, D.matrices, bound, ops)
-    return _report(homology, ops.p), elim
+            rep.add(d, free, torsion, ops.p)
+    return rep, elim
 
 
 def cube_total_fiber(operators, bound: int, ops) -> HomologyReport:
@@ -276,8 +251,7 @@ def cube_total_fiber(operators, bound: int, ops) -> HomologyReport:
         M, dims[d] = total_matrix(d)
         if M:
             mats[d] = M
-    homology, _ = chain_homology(dims, mats, bound, ops)
-    return _report(homology, ops.p)
+    return chain_homology(dims, mats, bound, ops)[0]
 
 
 def two_term_homology(D: GradedLinearMap, bound: int, ops) -> HomologyReport:
@@ -311,7 +285,8 @@ def build_perfectoid_serre(p: int, bound: int) -> dict:
     degree 2np <= bound, read from the same eliminations, and whether the
     operator's generator values satisfy the valuation identity."""
     D = theta_perfectoid(p, bound + 2)
-    homology, elim = graded_map_chain_homology(D, bound, PLocal(p))
+    dims = {d: len(basis) for d, basis in D.bases.items()}
+    homology, elim = chain_homology(dims, D.matrices, bound, PLocal(p))
     kernel_ranks = {}
     surjective = {}
     for d in range(2 * p, bound + 1, 2 * p):
@@ -325,37 +300,31 @@ def build_perfectoid_serre(p: int, bound: int) -> dict:
 
 def build_zpn_serre(p: int, n: int, bound: int) -> HomologyReport:
     """Homology of the p^(n-1)-scaled operator complex (p odd, n >= 2)."""
-    return graded_map_chain_homology(theta_zpn(p, n, bound + 2), bound, PLocal(p))[0]
+    D = theta_zpn(p, n, bound + 2)
+    dims = {d: len(basis) for d, basis in D.bases.items()}
+    return chain_homology(dims, D.matrices, bound, PLocal(p))[0]
 
 
 def omega2yn_cohomology(p: int, n: int, bound: int) -> HomologyReport:
     """Cohomology ring in the presentation with the integral basis change
-    gamma_j(y) = sum_i p^(i(n-1))/i! c^i gamma_(j-i)(x): H^(2k) is the
-    cokernel of multiplication by x - p^(n-1) c."""
+    gamma_j(y) = sum_i p^(i(n-1))/i! c^i gamma_(j-i)(x), p-integral for
+    n >= 2 since v_p(i!) <= (i-1)/(p-1) < i(n-1): H^(2k) is the cokernel of
+    multiplication by x - p^(n-1) c. That is the homology of the two-term
+    complex with C_(2k) on the basis gamma_j(x) c^(k-j), j = 0..k, C_(2k+1)
+    a copy of C_(2k-2), and m_(2k+1) the relation matrix."""
     require_prime(p)
     if n < 2:
         raise InvalidInputError("the integral basis change needs n >= 2")
-    ops = PLocal(p)
-    rep = HomologyReport()
-    # basis-change integrality and unitriangularity
-    for i in range(0, bound // 2 + 1):
-        if fraction_valuation(p, Fraction(p ** (i * (n - 1)), factorial(i))) < 0:
-            raise InvalidInputError("basis change is not p-integral")
-    for k in range(0, bound // 2 + 1):
-        # degree 2k basis gamma_j(x) c^(k-j), j = 0..k; relation submodule is
-        # (x - p^(n-1) c) * degree 2(k-1)
-        src = k  # j = 0..k-1 in degree 2(k-1)
-        tgt = k + 1
-        mat = [{} for _ in range(tgt)]
+    dims = {d: d // 2 + 1 - d % 2 for d in range(bound + 2)}
+    mats = {}
+    for k in range(1, bound // 2 + 1):
+        mats[2 * k + 1] = mat = [{} for _ in range(k + 1)]
         for j in range(k):
             # x * gamma_j c^(k-1-j) = (j+1) gamma_(j+1) c^(k-1-j)
             mat[j + 1][j] = j + 1
             # -p^(n-1) c * gamma_j c^(k-1-j)
             mat[j][j] = -p ** (n - 1)
-        rank, torsion = _eliminate(ops, mat, src)
-        free = tgt - rank
-        rep.add(2 * k, free, torsion, p)
-    return rep
+    return chain_homology(dims, mats, bound, PLocal(p))[0]
 
 
 def build_dvr_square(p: int, E: list, bound: int) -> dict:

@@ -263,6 +263,17 @@ def test_exp_log_preconditions():
         t.series_log()
 
 
+def test_series_refuse_a_term_of_weight_zero():
+    # such a term never truncates, so the power sum would not end
+    t = TruncPoly.var(PolyRing(vars=("t",)), "t")
+    ring = PolyRing(vars=("x", "v"), bounds=(8, None))
+    x, v = TruncPoly.var(ring, "x"), TruncPoly.var(ring, "v")
+    for series in (t.series_exp, (x + v).series_exp, (1 + x + v).series_log,
+                   (1 + t).series_log, (2 + x + v).series_inverse, (2 + t).series_inverse):
+        with pytest.raises(InvalidInputError, match="weight 0"):
+            series()
+
+
 def within(ring, mono):
     """The truncation read straight from the ring's bounds: an oracle for
     PolyRing.keeps."""

@@ -30,6 +30,11 @@ def entry(report, d):
     return report.entry(d)
 
 
+def rows(report):
+    """degree -> (free rank, exponents) for each row of a report."""
+    return {r["degree"]: (r["free_rank"], r["exponents"]) for r in report.degrees}
+
+
 def uniformizer(R):
     """The class of u in Z_(p)[u]/E(u)."""
     return R.from_poly([0, 1])
@@ -142,7 +147,7 @@ def test_cube_single_operator_hand_computed():
                     (3, {0: (1, []), 1: (0, [1]), 5: (1, [])}),
                     (5, {0: (1, []), 5: (1, [])})):
         rep = cube_total_fiber([D], 8, PLocalOps(p))
-        assert {r["degree"]: (r["free_rank"], r["exponents"]) for r in rep.degrees} == want
+        assert rows(rep) == want
         assert two_term_homology(D, 8, PLocalOps(p)).degrees == rep.degrees
 
 
@@ -233,7 +238,7 @@ def test_serre_cmn_general_formula():
 
 def serre_cmn_homology(p, n, bound):
     """Z_p[x, y]/x^2 with |y| = 2p^n, |x| = 2p^n - 1 and y^m -> m p y^(m-1) x,
-    built label by label: degree -> (free rank, exponents)."""
+    built label by label."""
     dy = 2 * p**n
     bases = {}
     for m in range((bound + 1) // dy + 2):
@@ -259,9 +264,7 @@ def test_serre_cmn_complex_is_the_line_fiber():
             rep = build_line_fiber(p, gen, p, bound)
             want = serre_cmn_homology(p, n, bound)
             for d in range(bound + 1):
-                row = entry(rep, d)
-                assert (row["free_rank"], row["exponents"]) == want.get(d, (0, [])), \
-                    (p, n, bound, d)
+                assert entry(rep, d) == want.entry(d), (p, n, bound, d)
 
 
 def test_perfectoid_pattern():
@@ -720,12 +723,12 @@ def test_double_entry_bookkeeping():
         dim1, dim0 = rng.randrange(1, 5), rng.randrange(1, 5)
         B = sparse([[Fraction(rng.randrange(-9, 10)) for _ in range(dim1)]
                     for _ in range(dim0)])
-        homology, elim = chain_homology({0: dim0, 1: dim1}, {1: B}, 1, ops)
+        rep, elim = chain_homology({0: dim0, 1: dim1}, {1: B}, 1, ops)
         exps = local_snf(ops, B, dim1)
         rank, torsion = len(exps), [e for e in exps if e > 0]
         assert elim[1] == (rank, torsion)
-        assert homology.get(0, (0, [])) == (dim0 - rank, torsion)
-        assert homology.get(1, (0, [])) == (dim1 - rank, [])
+        assert (rep.entry(0)["free_rank"], rep.entry(0)["exponents"]) == (dim0 - rank, torsion)
+        assert (rep.entry(1)["free_rank"], rep.entry(1)["exponents"]) == (dim1 - rank, [])
 
 
 def test_two_term_complex_type():
@@ -774,8 +777,7 @@ def test_cube_eliminates_no_zero_total(monkeypatch):
     D = GradedLinearMap({4: ["a"], 2: ["b"], 0: ["c"]}, 2, {2: sparse([[Fraction(3)]])})
     rep = cube_total_fiber([D], 6, PLocalOps(3))
     assert len(seen) == 1
-    assert {r["degree"]: (r["free_rank"], r["exponents"]) for r in rep.degrees} == {
-        0: (1, []), 1: (0, [1]), 3: (1, []), 4: (1, []), 5: (1, [])}
+    assert rows(rep) == {0: (1, []), 1: (0, [1]), 3: (1, []), 4: (1, []), 5: (1, [])}
 
 
 def test_chain_homology_eliminates_no_zero_matrix(monkeypatch):
@@ -809,7 +811,7 @@ def planted_complex(rng, ops, lift, pi, top):
     """A chain complex on degrees 0..top with planted homology: free summands
     plus elementary complexes R --unit*pi^e--> R, conjugated in each degree by
     a random unimodular integer matrix. Returns dims, mats and the expected
-    chain_homology result."""
+    homology, degree -> (free rank, exponents) for each nonzero degree."""
     free = {d: rng.randrange(0, 3) for d in range(top + 1)}
     pieces = {d: [rng.randrange(0, 4) for _ in range(rng.randrange(0, 3))]
               for d in range(1, top + 1)}
@@ -856,16 +858,16 @@ def test_chain_homology_recovers_planted_homology():
     for ops, lift, pi in engine_rings():
         for _ in range(8):
             dims, mats, want = planted_complex(rng, ops, lift, pi, 4)
-            homology, elim = chain_homology(dims, mats, 4, ops)
-            assert homology == want, (ops.p, dims)
+            rep, elim = chain_homology(dims, mats, 4, ops)
+            assert rows(rep) == want, (ops.p, dims)
 
 
 def test_chain_homology_eliminates_each_matrix_once(monkeypatch):
     rng = random.Random(223)
     dims, mats, want = planted_complex(rng, PLocalOps(3), Fraction, Fraction(3), 5)
     seen = counting_local_snf(monkeypatch)
-    homology, _ = chain_homology(dims, mats, 5, PLocalOps(3))
-    assert homology == want
+    rep, _ = chain_homology(dims, mats, 5, PLocalOps(3))
+    assert rows(rep) == want
     eliminated = sorted(id(m) for m in seen)
     assert eliminated == sorted(id(m) for d, m in mats.items() if m and dims[d])
 
@@ -893,8 +895,7 @@ def test_cube_scalar_operators_match_koszul_closed_form():
             ops_list = [GradedLinearMap(gm, 0, {0: sparse([[Fraction(c)]])})
                         for c in scalars]
             rep = cube_total_fiber(ops_list, 2, PLocalOps(p))
-            got = {r["degree"]: (r["free_rank"], r["exponents"]) for r in rep.degrees}
-            assert got == koszul_closed_form(p, scalars), (p, scalars)
+            assert rows(rep) == koszul_closed_form(p, scalars), (p, scalars)
 
 
 def test_cube_eliminates_each_total_matrix_once(monkeypatch):
@@ -930,6 +931,18 @@ def test_perfectoid_eliminates_each_matrix_once(monkeypatch):
     assert all(out["surjective"].values())
 
 
+def test_omega2yn_eliminates_each_relation_matrix_once(monkeypatch):
+    # degree 2k + 1 carries the k + 1 by k relation matrix, k = 1..bound/2;
+    # degree 1 has rank 0, so its matrix has no columns and is not eliminated
+    seen = counting_local_snf(monkeypatch)
+    for bound in (0, 1, 30, 31):
+        del seen[:]
+        rep = omega2yn_cohomology(3, 2, bound)
+        assert len(seen) == len({id(m) for m in seen})
+        assert [len(m) for m in seen] == list(range(2, bound // 2 + 2)), bound
+        assert [r["degree"] for r in rep.degrees] == list(range(0, bound + 1, 2))
+
+
 def test_chain_homology_requires_square_zero():
     ops = PLocalOps(3)
     with pytest.raises(InvalidInputError, match="compose to zero"):
@@ -939,7 +952,7 @@ def test_chain_homology_requires_square_zero():
     dims = {0: 2, 1: 2, 2: 2}
     m1 = sparse([[Fraction(3), Fraction(0)], [Fraction(0), Fraction(0)]])
     m2 = sparse([[Fraction(0), Fraction(0)], [Fraction(0), Fraction(9)]])
-    assert chain_homology(dims, {1: m1, 2: m2}, 2, ops)[0] == {
+    assert rows(chain_homology(dims, {1: m1, 2: m2}, 2, ops)[0]) == {
         0: (1, [1]), 1: (0, [2]), 2: (1, [])}
     m2[0][1] = Fraction(1)
     with pytest.raises(InvalidInputError, match="compose to zero"):

@@ -18,6 +18,17 @@ def test_library_has_no_assert_statements():
     assert SOURCES and not found, found
 
 
+def test_senhom_eliminates_only_in_chain_homology():
+    # one elimination path: every other homology in senhom goes through it
+    path = Path(wittsen.__file__).parent / "senhom.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    naming = {getattr(node, "name", f"line {node.lineno}")
+              for node in tree.body if not isinstance(node, ast.ImportFrom)
+              for sub in ast.walk(node)
+              if "local_snf" in (getattr(sub, "id", None), getattr(sub, "attr", None))}
+    assert naming == {"chain_homology"}, naming
+
+
 # Names reached other than through an ast.Name or ast.Attribute: main()
 # dispatches cli.check_<name> by string, and the benchmark's tracer wraps
 # exactalg.truncated_exp_log by name (ROADMAP item 1 removes that need).
