@@ -4,7 +4,7 @@ polynomial generators of the Brown-Peterson coefficient ring."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactalg import (
@@ -29,8 +29,6 @@ class FormalGroupLaw:
     do not count toward the degree truncation.
     """
 
-    kind: str
-    params: dict
     D: int
     F: TruncPoly
 
@@ -176,19 +174,17 @@ def fgl_construct(kind: str, D: int, lam=None, p: int = None,
     if kind == "additive":
         ring = _bivariate_ring((), D)
         F = TruncPoly.var(ring, "X") + TruncPoly.var(ring, "Y")
-        return FormalGroupLaw("additive", {}, D, F)
+        return FormalGroupLaw(D, F)
 
     if kind == "multiplicative":
         if lam == "lam":
             ring = _bivariate_ring(("lam",), D)
             lam_poly = TruncPoly.var(ring, "lam")
-            params = {"lam": "lam"}
         else:
             ring = _bivariate_ring((), D)
             lam_poly = TruncPoly.const(ring, int(lam))
-            params = {"lam": int(lam)}
         X, Y = TruncPoly.var(ring, "X"), TruncPoly.var(ring, "Y")
-        return FormalGroupLaw("multiplicative", params, D, X + Y + lam_poly * X * Y)
+        return FormalGroupLaw(D, X + Y + lam_poly * X * Y)
 
     if kind == "honda":
         logw, expw = _honda_log_exp(p, n, D)
@@ -199,7 +195,7 @@ def fgl_construct(kind: str, D: int, lam=None, p: int = None,
         bad = _axiom_failure_degree(F, min(D, 12))
         if bad is not None:
             raise InvalidFGLError(bad, f"honda law fails axioms at degree {bad}")
-        return FormalGroupLaw("honda", {"p": p, "n": n}, D, F)
+        return FormalGroupLaw(D, F)
 
     raise InvalidInputError(f"unknown kind {kind!r}")
 
@@ -288,23 +284,12 @@ def honda_p_series(p: int, n: int, bound: int) -> TruncPoly:
 def honda_pm_divided_series(p: int, n: int, ms) -> dict:
     """<p^m>(h) for the height-n law, keyed by each m in ms: honda_p_series
     raises InvalidFGLError unless [p](x) = v x^(p^n) exactly, and one
-    p-series at the largest bound any m needs covers them all, so the
-    exponents of each m-fold composite follow by recursion."""
+    p-series at the largest bound any m needs covers them all. Composing
+    x -> v x^(p^n) m times gives v^(e_m) x^(p^(nm)) with
+    e_m = sum_(i<m) p^(ni) = (p^(nm) - 1)/(p^n - 1)."""
     honda_p_series(p, n, max(p ** (n * max(ms)), 2 * p**n))
-    out = {}
-    for m in ms:
-        exp_v, exp_x = 0, 1
-        for _ in range(m):
-            # apply x -> v x^(p^n): v * (v^a x^b)^(p^n) = v^(a p^n + 1) x^(b p^n)
-            exp_v = exp_v * p**n + 1
-            exp_x = exp_x * p**n
-        expected_e = (p ** (n * m) - 1) // (p**n - 1)
-        out[m] = {
-            "v_exponent": exp_v,
-            "h_exponent": exp_x - 1,
-            "matches_closed_form": exp_v == expected_e and exp_x == p ** (n * m),
-        }
-    return out
+    return {m: {"v_exponent": (p ** (n * m) - 1) // (p**n - 1),
+                "h_exponent": p ** (n * m) - 1} for m in ms}
 
 
 # ---------------------------------------------------------------------------
@@ -392,25 +377,9 @@ def b4_cobar_class() -> TruncPoly:
 # two-term de Rham-style complexes (consumed by senhom)
 
 
-@dataclass
-class FDerhamComplex:
-    """Weight-indexed multiplication data: weight m acts by <m>(h)."""
-
-    kind: str
-    params: dict
-    weight_bound: int
-    h_bound: int
-    weights: dict = field(default_factory=dict)
-
-
-def f_derham_complex(F: FormalGroupLaw, weight_bound: int, h_bound: int) -> FDerhamComplex:
+def f_derham_complex(F: FormalGroupLaw, weight_bound: int, h_bound: int) -> dict:
+    """{m: <m>(h)} for m = 1..weight_bound, in a ring with h capped at
+    h_bound: weight m acts on the truncated h-line by <m>(h)."""
     if h_bound < 1:
         raise InvalidInputError(f"h_bound must be >= 1, got {h_bound}")
-    out = FDerhamComplex(F.kind, dict(F.params), weight_bound, h_bound)
-    for m in range(0, weight_bound + 1):
-        if m == 0:
-            ring = F.series_ring("h", h_bound)
-            out.weights[m] = TruncPoly.zero(ring)
-        else:
-            out.weights[m] = divided_n_series(F, m, h_bound)
-    return out
+    return {m: divided_n_series(F, m, h_bound) for m in range(1, weight_bound + 1)}

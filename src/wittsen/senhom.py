@@ -12,7 +12,9 @@ nonzero differential is eliminated once, by minimal-valuation pivoting, and
 torsion is reported as p-power (or uniformizer-power) cyclic summands per
 degree. The builders return the engine's reports; the closed forms they
 reproduce live in the sen.* checks. Only the fderham weights use integer
-elementary divisors (the Z-SNF).
+elementary divisors (the Z-SNF): each weight's H^1 is the cokernel of an
+integer Toeplitz matrix, multiplication by its divided m-series on the
+truncated h-line.
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ from .dpops import (
     theta_perfectoid,
     theta_zpn,
 )
-from .fgl import FDerhamComplex, q_integer
 
 
 class Eisenstein:
@@ -371,29 +372,19 @@ def multiplication_matrix(series: TruncPoly, K: int) -> list:
     return [[coeffs[i - j] if i >= j else 0 for j in range(K)] for i in range(K)]
 
 
-def fderham_cohomology(cx: FDerhamComplex) -> dict:
+def fderham_cohomology(weights: dict) -> dict:
     """Per-weight H^1 of the two-term complex: the cokernel of multiplication
-    by the divided m-series on the truncated h-line.
+    by the divided m-series on Z[h]/h^K, K the cap of the series ring, as the
+    integer elementary divisors (via exact SNF) of its Toeplitz matrix.
 
-    Scalar coefficient rings get integer elementary divisors (via exact SNF);
-    for the symbolic multiplicative parameter the q-integer identity is
-    checked instead and divisors are reported for integer specializations.
+    A coefficient variable, such as the symbolic multiplicative lam, would mix
+    its powers into one matrix, so a ring with one raises InvalidInputError.
     """
-    K = cx.h_bound
-    out = {"kind": cx.kind, "params": cx.params, "h_bound": K, "weights": {}}
-    for m, series in sorted(cx.weights.items()):
-        entry = {"weight": m}
-        if cx.kind == "multiplicative" and cx.params.get("lam") == "lam":
-            entry["equals_q_integer"] = series == q_integer(
-                m, "lam", series.ring
-            ) if m else series.is_zero()
-            out["weights"][m] = entry
-            continue
-        if m == 0:
-            entry["h0_rank"] = K
-            entry["divisors"] = [0] * K
-        else:
-            dec = smith_normal_form(IntMatrix.from_rows(multiplication_matrix(series, K)))
-            entry["divisors"] = [abs(x) for x in dec.divisors]
-        out["weights"][m] = entry
-    return out
+    out = {}
+    for m, series in sorted(weights.items()):
+        ring = series.ring
+        if len(ring.vars) > 1:
+            raise InvalidInputError(f"weight {m} has coefficients in {ring.vars[1:]}")
+        dec = smith_normal_form(IntMatrix.from_rows(multiplication_matrix(series, ring.cap)))
+        out[m] = {"weight": m, "divisors": [abs(x) for x in dec.divisors]}
+    return {"weights": out}

@@ -29,12 +29,6 @@ class NotAWittVectorError(ValueError):
         super().__init__(message)
 
 
-class IntegralityViolationError(ValueError):
-    def __init__(self, monomial, message):
-        self.monomial = monomial
-        super().__init__(message)
-
-
 @dataclass(frozen=True)
 class WittContext:
     """Fixed prime, fixed length; base ring Z (modulus 0) or Z/p^N."""
@@ -251,7 +245,6 @@ def frobenius_of_p_identity(p: int, L: int) -> dict:
 @dataclass
 class SolveFrobeniusResult:
     success: bool
-    p: int
     x_digits: list = None          # x_j known modulo p^(N-j)
     precision: int = 0
     stage: int = None
@@ -286,7 +279,6 @@ def solve_frobenius(y: WittVector) -> SolveFrobeniusResult:
             bal = ((acc % p ** (n + 1)) + p**n) % p ** (n + 1) - p**n
             return SolveFrobeniusResult(
                 success=False,
-                p=p,
                 stage=n,
                 precision=N,
                 witness={
@@ -311,7 +303,7 @@ def solve_frobenius(y: WittVector) -> SolveFrobeniusResult:
     if any((ghost_x[n] - gy[n - 1]) % p ** (N - n) for n in range(1, L + 1)):
         raise ArithmeticError("F(x) = y fails at the working precision")
     return SolveFrobeniusResult(
-        success=True, p=p, x_digits=x, precision=N, side_conditions=side
+        success=True, x_digits=x, precision=N, side_conditions=side
     )
 
 
@@ -420,9 +412,7 @@ def dwork_factorization(x_seq: list, degree_bound: int) -> dict:
                 acc += j * r[j] ** (nn // j)
         q, rem = divmod(-acc, nn)
         if rem:
-            raise IntegralityViolationError(
-                f"r_{nn}", f"r_{nn} = {Fraction(-acc, nn)} is not integral"
-            )
+            raise ArithmeticError(f"r_{nn} = {Fraction(-acc, nn)} is not integral")
         r[nn] = q
 
     ring = PolyRing(vars=("t",), bounds=(degree_bound,))

@@ -134,6 +134,16 @@ def test_config_file_and_flag_precedence(tmp_path, capsys):
     assert "'L'" in capsys.readouterr().err
 
 
+def test_config_file_that_is_not_text_is_a_usage_error(tmp_path, capsys):
+    cfgfile = tmp_path / "bin.cfg"
+    cfgfile.write_bytes(b"\xff\xfe\x00bad = 1\n")
+    with pytest.raises(SystemExit) as e:
+        main(["witt", "gabber", "--config", str(cfgfile)])
+    assert e.value.code == 2
+    err = capsys.readouterr().err
+    assert "wittsen witt gabber: error:" in err and "Traceback" not in err
+
+
 def test_delta_B0_runs_one_row(capsys):
     code, out = run_main(["cartier", "delta", "-B", "0", "--json"], capsys)
     assert code == 0
@@ -378,9 +388,14 @@ def _fderham(rep, *args):
 
 def _unit_times_series(cx, *args):
     # a unit multiple leaves every Smith divisor as it was
-    for m, series in cx.weights.items():
-        cx.weights[m] = series * (1 + TruncPoly.var(series.ring, "h"))
+    for m, series in cx.items():
+        cx[m] = series * (1 + TruncPoly.var(series.ring, "h"))
     return cx
+
+
+def _symbolic_times_unit(cx, *args):
+    # only the symbolic law's h-line carries lam
+    return _unit_times_series(cx) if "lam" in cx[1].ring.vars else cx
 
 
 def _weyl(rep, *args):
@@ -467,6 +482,8 @@ def _zpn(rep, p, n, bound):  # only n = 3 differs, and only where no per-n check
     # a wrong tuple for negative weights breaks additivity across signs
     (["cartier", "psi-tensor"],
      _tamper("dpops", "psi_eigenvalues", _psi_component(1, lambda m: m < 0)), "a"),
+    (["fgl", "fderham"], _tamper("fgl", "f_derham_complex", _symbolic_times_unit),
+     {"law": "multiplicative_symbolic"}),
 ])
 def test_failure_names_its_counterexample(argv, patch, key, capsys, monkeypatch):
     patch(monkeypatch)
@@ -474,7 +491,10 @@ def test_failure_names_its_counterexample(argv, patch, key, capsys, monkeypatch)
     assert code == 1
     (row,) = json.loads(out)["checks"]
     assert row["status"] == "fail" and row["counterexample"]
-    assert key in row["counterexample"]
+    if isinstance(key, dict):  # the counterexample's values, not only its keys
+        assert key.items() <= row["counterexample"].items()
+    else:
+        assert key in row["counterexample"]
 
 
 @pytest.mark.parametrize("patch, named", [

@@ -106,7 +106,7 @@ def test_formal_inverse_closed_forms():
     for F in (fgl_construct("additive", 20), fgl_construct("honda", 20, p=3, n=1),
               fgl_construct("honda", 30, p=5, n=2)):
         iota = formal_inverse(F, F.D)
-        assert iota == -poly_of(iota.ring, "x"), F.params
+        assert iota == -poly_of(iota.ring, "x"), (F.D, F.F.ring)
 
 
 @pytest.mark.parametrize("law", [("multiplicative", {"lam": "lam"}),
@@ -206,7 +206,6 @@ def test_honda_bad_inputs_are_rejected(p, n, bound):
 
 def test_honda_divided_power_series():
     data = honda_pm_divided_series(2, 1, [2])[2]
-    assert data["matches_closed_form"]
     assert data["v_exponent"] == 3 and data["h_exponent"] == 3
     data = honda_pm_divided_series(3, 1, [1, 2])
     assert data[1]["v_exponent"] == 1 and data[1]["h_exponent"] == 2
@@ -398,8 +397,8 @@ def test_b4_reductions():
 def test_f_derham_weights():
     F = fgl_construct("additive", 8)
     cx = f_derham_complex(F, 5, 8)
-    assert cx.weights[0].is_zero()
-    assert cx.weights[3] == 3
+    assert sorted(cx) == [1, 2, 3, 4, 5]
+    assert cx[3] == 3
     Fm = fgl_construct("multiplicative", 8, lam="lam")
     cxm = f_derham_complex(Fm, 4, 8)
-    assert cxm.weights[3] == q_integer(3, "lam", cxm.weights[3].ring)
+    assert cxm[3] == q_integer(3, "lam", cxm[3].ring)
