@@ -19,6 +19,7 @@ from .exactalg import (
     fraction_valuation,
     matrix_product,
     require_prime,
+    split_p,
 )
 from .witt import WittContext, WittVector, int_to_witt, witt_add
 
@@ -292,21 +293,12 @@ def _coeff_vector(poly: TruncPoly, K: int):
     return [Fraction(poly.coeff((j,))) for j in range(K)]
 
 
-def _split_p(p: int, m: int):
-    """(e, m') with m = p^e * m' and m' prime to p; m nonzero."""
-    e = 0
-    while m % p == 0:
-        m //= p
-        e += 1
-    return e, m
-
-
 def _integer_vector(p: int, poly: TruncPoly, K: int):
     """Coefficients of poly at u^0..u^(K-1) as (N, s): integers N over p^s."""
     coeffs = _coeff_vector(poly, K)
     s = 0
     for c in coeffs:
-        e, rest = _split_p(p, c.denominator)
+        e, rest = split_p(p, c.denominator)
         if rest != 1:
             raise InvalidInputError(f"coefficient {c} is not over a power of {p}")
         s = max(s, e)
@@ -376,7 +368,7 @@ class ZpLattice:
                 prod = _mul_trunc(row, N, K)
                 g = gcd(*prod)
                 if g % p**s:
-                    d = s - _split_p(p, g)[0]
+                    d = s - split_p(p, g)[0]
                     f = p**d
                     self.scale += d
                     self.modulus *= f
@@ -400,7 +392,7 @@ class ZpLattice:
                 f = x // pv
                 v = [(a - f * b) % q for a, b in zip(v, basis[r])]
                 continue
-            w, unit = _split_p(p, x)
+            w, unit = split_p(p, x)
             inv = pow(unit, -1, q)
             new = [a * inv % q for a in v]
             f = p ** (vals[r] - w)
@@ -412,7 +404,7 @@ class ZpLattice:
         y = []
         for x in vector:
             x = Fraction(x)
-            e, unit = _split_p(p, x.denominator)
+            e, unit = split_p(p, x.denominator)
             if e > a:
                 return False
             y.append(x.numerator * p ** (a - e) * pow(unit, -1, q) % q)

@@ -45,15 +45,20 @@ def require_prime(p: int) -> None:
         raise InvalidInputError(f"{p} is not prime")
 
 
-def int_valuation(p: int, m: int) -> int:
-    """p-adic valuation of a nonzero integer; raises on 0."""
+def split_p(p: int, m: int):
+    """(v, u) with m = p^v * u and u prime to p; raises on 0."""
     if m == 0:
         raise InvalidInputError("valuation of 0 is undefined")
     v = 0
     while m % p == 0:
         m //= p
         v += 1
-    return v
+    return v, m
+
+
+def int_valuation(p: int, m: int) -> int:
+    """p-adic valuation of a nonzero integer; raises on 0."""
+    return split_p(p, m)[0]
 
 
 def fraction_valuation(p: int, x: Fraction | int) -> int:

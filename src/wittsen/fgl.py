@@ -41,54 +41,33 @@ class FormalGroupLaw:
         )
 
 
-def _bivariate_ring(coeff_vars: tuple, D: int, modulus: int = 0) -> PolyRing:
-    names = ("X", "Y") + coeff_vars
+def _law_ring(names: tuple, coeff_vars: tuple, D: int, modulus: int) -> PolyRing:
+    """The variables `names` capped together at total degree D, followed by
+    the coefficient variables, which the cap does not count."""
     return PolyRing(
-        vars=names,
+        vars=names + coeff_vars,
         total_bound=D,
-        counted=(True, True) + (False,) * len(coeff_vars),
+        counted=(True,) * len(names) + (False,) * len(coeff_vars),
         modulus=modulus,
     )
 
 
 def _axiom_failure_degree(F: TruncPoly, D: int):
-    """Smallest total degree at which an axiom fails, or None."""
+    """Smallest total degree at which F fails a unit law, commutativity or
+    associativity (the last up to degree D), or None."""
     ring = F.ring
-    X = TruncPoly.var(ring, "X")
-    Y = TruncPoly.var(ring, "Y")
-
-    def min_degree(poly):
-        if poly.is_zero():
-            return None
-        ix, iy = ring.index("X"), ring.index("Y")
-        return min(m[ix] + m[iy] for m in poly.terms)
-
-    fails = []
-    d = min_degree(F.substitute({"Y": 0}) - X)
-    if d is not None:
-        fails.append(d)
-    d = min_degree(F.substitute({"X": 0}) - Y)
-    if d is not None:
-        fails.append(d)
-    d = min_degree(F - F.substitute({"X": Y, "Y": X}))
-    if d is not None:
-        fails.append(d)
-
+    X, Y = TruncPoly.var(ring, "X"), TruncPoly.var(ring, "Y")
     coeffs = tuple(v for v in ring.vars if v not in ("X", "Y"))
-    tri = PolyRing(
-        vars=("X", "Y", "Z") + coeffs,
-        total_bound=D,
-        counted=(True, True, True) + (False,) * len(coeffs),
-        modulus=ring.modulus,
-    )
+    tri = _law_ring(("X", "Y", "Z"), coeffs, D, ring.modulus)
     Xt, Yt, Zt = (TruncPoly.var(tri, n) for n in ("X", "Y", "Z"))
-    left = F.substitute({"X": F.substitute({"X": Xt, "Y": Yt}), "Y": Zt})
-    right = F.substitute({"X": Xt, "Y": F.substitute({"X": Yt, "Y": Zt})})
-    diff = left - right
-    if not diff.is_zero():
-        ix, iy, iz = tri.index("X"), tri.index("Y"), tri.index("Z")
-        fails.append(min(m[ix] + m[iy] + m[iz] for m in diff.terms))
-    return min(fails) if fails else None
+    diffs = (
+        F.substitute({"Y": 0}) - X,
+        F.substitute({"X": 0}) - Y,
+        F - F.substitute({"X": Y, "Y": X}),
+        F.substitute({"X": F.substitute({"X": Xt, "Y": Yt}), "Y": Zt})
+        - F.substitute({"X": Xt, "Y": F.substitute({"X": Yt, "Y": Zt})}),
+    )
+    return min((d.ring.weight(m) for d in diffs for m in d.terms), default=None)
 
 
 def _newton(g: TruncPoly, var: str, bound: int, residual, slope) -> TruncPoly:
@@ -172,26 +151,26 @@ def fgl_construct(kind: str, D: int, lam=None, p: int = None,
     symbol 'lam'); honda -> the height-n law over F_p[v] with p-series
     v*x^(p^n)."""
     if kind == "additive":
-        ring = _bivariate_ring((), D)
+        ring = _law_ring(("X", "Y"), (), D, 0)
         F = TruncPoly.var(ring, "X") + TruncPoly.var(ring, "Y")
         return FormalGroupLaw(D, F)
 
     if kind == "multiplicative":
         if lam == "lam":
-            ring = _bivariate_ring(("lam",), D)
+            ring = _law_ring(("X", "Y"), ("lam",), D, 0)
             lam_poly = TruncPoly.var(ring, "lam")
         else:
-            ring = _bivariate_ring((), D)
+            ring = _law_ring(("X", "Y"), (), D, 0)
             lam_poly = TruncPoly.const(ring, int(lam))
         X, Y = TruncPoly.var(ring, "X"), TruncPoly.var(ring, "Y")
         return FormalGroupLaw(D, X + Y + lam_poly * X * Y)
 
     if kind == "honda":
         logw, expw = _honda_log_exp(p, n, D)
-        ring0 = _bivariate_ring(("v",), D)
+        ring0 = _law_ring(("X", "Y"), ("v",), D, 0)
         lx, ly = (logw.substitute({"x": TruncPoly.var(ring0, nm)}) for nm in ("X", "Y"))
         F = _unscale(expw.substitute({"x": lx + ly}), p, n,
-                     _bivariate_ring(("v",), D, modulus=p))
+                     _law_ring(("X", "Y"), ("v",), D, p))
         bad = _axiom_failure_degree(F, min(D, 12))
         if bad is not None:
             raise InvalidFGLError(bad, f"honda law fails axioms at degree {bad}")

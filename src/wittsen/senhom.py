@@ -33,6 +33,7 @@ from .exactalg import (
     matrix_product,
     require_prime,
     smith_normal_form,
+    split_p,
 )
 from .dpops import (
     GradedLinearMap,
@@ -127,9 +128,7 @@ class Eisenstein:
         for j, t in tail.items():
             out[j] = self.sub(out.get(j, self.zero), self.mul(q, t))
         out = {j: r for j, r in out.items() if any(r)}
-        g = gcd(*(c for r in out.values() for c in r))
-        while g and g % self.p == 0:
-            g //= self.p
+        g = split_p(self.p, gcd(*(c for r in out.values() for c in r)))[1] if out else 0
         if g > 1:
             out = {j: tuple(c // g for c in r) for j, r in out.items()}
         return out

@@ -20,6 +20,7 @@ from .exactalg import (
     int_valuation,
     is_prime,
     require_prime,
+    split_p,
 )
 
 
@@ -41,12 +42,8 @@ class WittContext:
         require_prime(self.p)
         if self.length < 1:
             raise InvalidInputError("length must be >= 1")
-        if self.modulus:
-            n = self.modulus
-            while n % self.p == 0:
-                n //= self.p
-            if n != 1:
-                raise InvalidInputError("modulus must be a power of p")
+        if self.modulus and split_p(self.p, self.modulus)[1] != 1:
+            raise InvalidInputError("modulus must be a power of p")
 
     def reduce(self, c):
         return c % self.modulus if self.modulus else c
@@ -322,15 +319,15 @@ def cartier_character(
     a: list,
     x_scalars: list,
     degree_bound: int,
-    xprime_scalars: list = None,
+    xprime_scalars: list,
 ) -> dict:
     """Pairing of a ghost tuple a (a_m = 0 for m >= n) against Witt components.
 
     Components are placed on the formal line as x_j * t. Builds
     f(t) = exp(sum a_m t^(p^m)/p^m), scans it for p-integrality, evaluates
     g(x) = prod_j F^j(f)(x_j t), checks that log g(x) is
-    sum_m (a_m/p^m) w_m(x t), and (given a second vector) that
-    g(x +_W x') = g(x) g(x').
+    sum_m (a_m/p^m) w_m(x t), and that g(x +_W x') = g(x) g(x') for the
+    second vector x'.
     """
     require_prime(p)
     n = len(x_scalars)
@@ -366,12 +363,10 @@ def cartier_character(
         )
     log_ok = gx.series_log() == expected_log
 
-    additive_ok = None
-    if xprime_scalars is not None:
-        xpt = [t * c for c in xprime_scalars]
-        # Witt sum with polynomial components, through the ghost map over Q[t]
-        gs = [w + w2 for w, w2 in zip(ghost_x, _ghost_entries(p, xpt))]
-        additive_ok = g_of(_ghost_inverse_components(p, gs)) == gx * g_of(xpt)
+    xpt = [t * c for c in xprime_scalars]
+    # Witt sum with polynomial components, through the ghost map over Q[t]
+    gs = [w + w2 for w, w2 in zip(ghost_x, _ghost_entries(p, xpt))]
+    additive_ok = g_of(_ghost_inverse_components(p, gs)) == gx * g_of(xpt)
 
     return {
         "p": p,

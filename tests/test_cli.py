@@ -497,6 +497,14 @@ def test_failure_names_its_counterexample(argv, patch, key, capsys, monkeypatch)
         assert key in row["counterexample"]
 
 
+def test_fderham_symbolic_fail_row_reports_no_symbolic_identity(capsys, monkeypatch):
+    _tamper("fgl", "f_derham_complex", _symbolic_times_unit)(monkeypatch)
+    code, out = run_main(["fgl", "fderham", "--json"], capsys)
+    (row,) = json.loads(out)["checks"]
+    assert code == 1 and row["status"] == "fail"
+    assert row["payload"]["symbolic_identity"] is False
+
+
 @pytest.mark.parametrize("patch, named", [
     # k = 3: the degree-6 cokernel should be Z/3, not Z/9
     (_tamper("senhom", "omega2yn_cohomology", _set_row(6, torsion=[9])),

@@ -64,6 +64,25 @@ def test_custom_invalid_fgl():
     assert _axiom_failure_degree(X + Y + X**2, 6) == 2
 
 
+@pytest.mark.parametrize("law, degree", [
+    # only the unit laws see X*Y
+    (lambda X, Y, v: X * Y, 1),
+    # only associativity sees these two; v is not counted
+    (lambda X, Y, v: X + Y + X * Y * (X + Y), 5),
+    (lambda X, Y, v: X + Y + v * X**2 * Y**2, 4),
+    # commutativity and associativity both fail at degree 3
+    (lambda X, Y, v: X + Y + X * Y**2, 3),
+    (lambda X, Y, v: X + Y + v * X * Y, None),
+], ids=["unit", "associativity", "associativity_v_uncounted",
+        "commutativity_and_associativity", "multiplicative_v"])
+def test_axiom_failure_degree_of_each_axiom(law, degree):
+    from wittsen.fgl import _axiom_failure_degree
+
+    ring = PolyRing(vars=("X", "Y", "v"), total_bound=6, counted=(True, True, False))
+    F = law(*(poly_of(ring, name) for name in ring.vars))
+    assert _axiom_failure_degree(F, 6) == degree
+
+
 def test_addition_of_series_indices():
     rng = random.Random(3)
     F = fgl_construct("multiplicative", 8, lam=3)

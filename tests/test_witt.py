@@ -367,9 +367,9 @@ def valid_ghost_tuple(rng, p, n, spread=20):
 
 
 def test_cartier_basis_pattern():
-    rep = cartier_character(2, [1, 0], [3, 5], 8)
+    rep = cartier_character(2, [1, 0], [3, 5], 8, xprime_scalars=[1, -2])
     assert rep["log_identity"]
-    rep0 = cartier_character(2, [0, 0], [3, 5], 8)
+    rep0 = cartier_character(2, [0, 0], [3, 5], 8, xprime_scalars=[1, -2])
     assert rep0["log_identity"] and rep0["f_p_integral"]
 
 
@@ -378,13 +378,13 @@ def test_cartier_integrality_for_valid_tuples():
     for p in (2, 3):
         for _ in range(10):
             a = valid_ghost_tuple(rng, p, 2)
-            rep = cartier_character(p, a, [1, 1], 8)
+            rep = cartier_character(p, a, [1, 1], 8, xprime_scalars=[2, -1])
             assert rep["f_p_integral"], (p, a, rep["first_violation"])
 
 
 def test_cartier_integrality_violation():
     # exp(t) has coefficient 1/2 at t^2: not 2-integral
-    rep = cartier_character(2, [1, 0], [1, 0], 8)
+    rep = cartier_character(2, [1, 0], [1, 0], 8, xprime_scalars=[0, 1])
     assert not rep["f_p_integral"]
     assert rep["first_violation"] == {"monomial": "t^2", "coefficient": "1/2"}
 
