@@ -13,7 +13,6 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import compress
-from math import factorial
 from operator import add
 
 
@@ -149,6 +148,17 @@ class PolyRing:
         if isinstance(c, Fraction) and c.denominator == 1:
             return c.numerator
         return c
+
+
+def _quotient(f, b, reduce):
+    """The coefficients of b / f for coefficient lists f and b (f[0] a unit),
+    by h_n = f_0^(-1) (b_n - sum_(k=1..n) f_k h_(n-k)), each through reduce."""
+    inv0 = reduce(1 / Fraction(f[0]))
+    nonzero = [(k, c) for k, c in enumerate(f) if c and k]
+    h = []
+    for n, bn in enumerate(b):
+        h.append(reduce(inv0 * (bn - sum(c * h[n - k] for k, c in nonzero if k <= n))))
+    return h
 
 
 class TruncPoly:
@@ -308,37 +318,49 @@ class TruncPoly:
                 out[tuple(m2)] = c * m[i]
         return TruncPoly(self.ring, out)
 
-    # -- series operations (rely on truncation nilpotence) ------------------
+    # -- one-variable series by coefficient recurrences (Knuth, TAOCP
+    # Vol. 2, section 4.7): O(D^2) coefficient operations, no products
 
-    def _power_sum(self, coeff):
-        """sum_(k >= 1) coeff(k) * self^k, stopping where self^k truncates to 0;
-        a term of weight 0 never truncates, so it is refused."""
-        if any(not self.ring.weight(m) for m in self.terms):
+    def _series_coeffs(self):
+        """[a_0, ..., a_D] of self for the ring's cap D; refuses a non-constant
+        term of weight 0 (it never truncates) and a second variable."""
+        ring = self.ring
+        if any(ring.weight(m) == 0 and any(m) for m in self.terms):
             raise InvalidInputError("series argument has a term of weight 0")
-        out = TruncPoly.zero(self.ring)
-        power, k = self, 1
-        while power.terms:
-            out = out + power * coeff(k)
-            power, k = power * self, k + 1
-        return out
+        if len(ring.vars) != 1:
+            raise InvalidInputError("series exp, log and inverse take a one-variable ring")
+        a = [0] * (ring.cap + 1)
+        for (e,), c in self.terms.items():
+            a[e] = c
+        return a
 
     def series_exp(self):
+        """exp(g) = f by n f_n = sum_(k=1..n) k g_k f_(n-k)."""
         if self.constant_term() != 0:
             raise InvalidInputError("exp needs constant term 0")
-        return 1 + self._power_sum(lambda k: Fraction(1, factorial(k)))
+        reduce = self.ring.reduce_coeff
+        g = self._series_coeffs()
+        kg = [(k, k * c) for k, c in enumerate(g) if c]
+        f = [1]
+        for n in range(1, len(g)):
+            f.append(reduce(Fraction(sum(x * f[n - k] for k, x in kg if k <= n), n)))
+        return TruncPoly(self.ring, {(n,): c for n, c in enumerate(f)})
 
     def series_log(self):
+        """log(f) = g from x g' = x f' / f (see ``_quotient``)."""
         if self.constant_term() != 1:
             raise InvalidInputError("log needs constant term 1")
-        return (self - 1)._power_sum(lambda k: Fraction((-1) ** (k + 1), k))
+        f = self._series_coeffs()
+        xdg = _quotient(f, [n * c for n, c in enumerate(f)], self.ring.reduce_coeff)
+        return TruncPoly(self.ring, {(n,): Fraction(c, n) for n, c in enumerate(xdg) if n})
 
     def series_inverse(self):
         c0 = self.constant_term()
         if c0 == 0:
             raise InvalidInputError("no series inverse: constant term 0")
-        inv0 = 1 / Fraction(c0)
-        g = (self - c0) * inv0
-        return (1 + g._power_sum(lambda k: (-1) ** k)) * inv0
+        f = self._series_coeffs()
+        g = _quotient(f, [1] + [0] * (len(f) - 1), self.ring.reduce_coeff)
+        return TruncPoly(self.ring, {(n,): c for n, c in enumerate(g)})
 
     def min_p_valuation(self, p: int):
         """Minimum v_p over coefficients; None for the zero polynomial."""

@@ -331,6 +331,9 @@ def cartier_character(
     """
     require_prime(p)
     n = len(x_scalars)
+    if len(xprime_scalars) != n:
+        raise InvalidInputError(f"xprime_scalars needs {n} components, "
+                                f"got {len(xprime_scalars)}")
     if len(a) < n:
         a = list(a) + [0] * (n - len(a))
     ring = PolyRing(vars=("t",), bounds=(degree_bound,))

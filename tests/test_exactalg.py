@@ -274,6 +274,15 @@ def test_series_refuse_a_term_of_weight_zero():
             series()
 
 
+def test_series_take_a_one_variable_ring():
+    # the recurrences read one coefficient list; no caller has a second variable
+    ring = PolyRing(vars=("x", "y"), total_bound=6)
+    g = TruncPoly.var(ring, "x") + TruncPoly.var(ring, "y")
+    for series in (g.series_exp, (1 + g).series_log, (1 + g).series_inverse):
+        with pytest.raises(InvalidInputError, match="one-variable"):
+            series()
+
+
 def within(ring, mono):
     """The truncation read straight from the ring's bounds: an oracle for
     PolyRing.keeps."""

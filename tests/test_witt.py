@@ -400,6 +400,13 @@ def test_cartier_additivity():
             assert rep["additivity"] and rep["log_identity"]
 
 
+def test_cartier_second_vector_needs_as_many_components():
+    # a shorter x' once read additivity False, a longer one dropped its tail
+    for xp in ([1], [1, 2, 5]):
+        with pytest.raises(InvalidInputError, match="components"):
+            cartier_character(2, [2, 4], [1, 3], 8, xprime_scalars=xp)
+
+
 def test_cartier_builds_each_artin_hasse_factor_once(monkeypatch):
     import wittsen.witt as witt
 
