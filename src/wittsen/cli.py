@@ -234,7 +234,8 @@ def check_honda(cfg: RunConfig):
 def check_right_unit(cfg: RunConfig):
     payload = {}
     bad = None
-    etas = {p: FG.bp_right_unit(p, 2) for p in (2, 3)}
+    # only eta(v1) is read at p = 3
+    etas = {2: FG.bp_right_unit(2, 2), 3: FG.bp_right_unit(3, 1)}
     for p, eta in etas.items():
         ring = eta[1].ring
         v1 = FG.TruncPoly.var(ring, "v1")

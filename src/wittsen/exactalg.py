@@ -13,6 +13,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import compress
+from math import gcd
 from operator import add
 
 
@@ -141,7 +142,7 @@ class PolyRing:
     def reduce_coeff(self, c):
         if self.modulus:
             if isinstance(c, Fraction):
-                if c.denominator % self.modulus == 0:
+                if gcd(c.denominator, self.modulus) != 1:
                     raise InvalidInputError("denominator not invertible mod modulus")
                 c = c.numerator * pow(c.denominator, -1, self.modulus)
             return c % self.modulus

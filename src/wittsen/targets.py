@@ -85,12 +85,13 @@ DWORK_DEGREE = 8
 
 
 def psi2_display(p: int, m: int) -> Fraction:
-    """The displayed second component, evaluated at x d/dx = m."""
+    """The displayed second component, evaluated at x d/dx = m:
+    (m / p^2)(1 - m^(p^2-1) - s / p^(p-1)) with
+    s = sum_j (-1)^j C(p, j) m^((p-1)(j+1)), in integers over one division."""
     from math import comb
 
     s = sum(
-        (-1) ** j * comb(p, j) * Fraction(m) ** ((p - 1) * (j + 1))
+        (-1) ** j * comb(p, j) * m ** ((p - 1) * (j + 1))
         for j in range(p + 1)
     )
-    inner = 1 - Fraction(m) ** (p**2 - 1) - Fraction(1, p ** (p - 1)) * s
-    return Fraction(m, p**2) * inner
+    return Fraction(m * (p ** (p - 1) * (1 - m ** (p**2 - 1)) - s), p ** (p + 1))

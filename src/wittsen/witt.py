@@ -328,6 +328,11 @@ def cartier_character(
     g(x) = prod_j F^j(f)(x_j t), checks that log g(x) is
     sum_m (a_m/p^m) w_m(x t), and that g(x +_W x') = g(x) g(x') for the
     second vector x'.
+
+    A factor evaluated at c * t (every component of x and x', and the
+    first component of x +_W x') is the factor with the coefficient of t^k
+    scaled by c^k; only the non-linear components of the Witt sum are
+    substituted.
     """
     require_prime(p)
     n = len(x_scalars)
@@ -346,12 +351,18 @@ def cartier_character(
         if isinstance(c, Fraction) and c.denominator % p == 0:
             first_bad = {"monomial": f"t^{mono[0]}", "coefficient": str(c)}
             break
+    coeff_lists = [[(m[0], c) for m, c in factor.terms.items()] for factor in factors]
 
     def g_of(args):
         """prod_j F^j(f)(args[j]) for series args[j] in t."""
-        out = TruncPoly.const(ring, 1)
-        for factor, arg in zip(factors, args):
-            out = out * factor.substitute({"t": arg})
+        out = None
+        for factor, coeffs, arg in zip(factors, coeff_lists, args):
+            if arg.terms.keys() <= {(1,)}:  # arg = c * t, with c = 0 when empty
+                c = arg.coeff((1,))
+                value = TruncPoly(ring, {(k,): b * c**k for k, b in coeffs})
+            else:
+                value = factor.substitute({"t": arg})
+            out = value if out is None else out * value
         return out
 
     xt = [t * c for c in x_scalars]

@@ -17,7 +17,7 @@ from wittsen.exactalg import (
     fraction_valuation,
     matrix_product,
 )
-from wittsen import dpops
+from wittsen import dpops, targets
 from wittsen.dpops import (
     DeltaRingContext,
     ZpLattice,
@@ -359,6 +359,13 @@ def test_psi_matches_displayed_formula():
     for p in (2, 3):
         for m in range(-6, 7):
             assert psi_eigenvalues(p, 3, m)[2] == psi2_display(p, m)
+    # the report's integer form of the same display: its (p, m) grid, and
+    # negative m at p up to 7
+    cases = [(p, m) for p in targets.PSI_PRIMES for m in range(targets.PSI_M_MAX + 1)]
+    cases += [(p, m) for p in (2, 3, 5, 7) for m in range(-50, 0)]
+    assert len(cases) == 603 + 200
+    for p, m in cases:
+        assert targets.psi2_display(p, m) == psi2_display(p, m), (p, m)
 
 
 def test_psi_integrality_and_fermat():

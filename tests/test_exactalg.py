@@ -385,6 +385,14 @@ def test_modular_ring():
     assert (1 + v) ** 2 == 1 + v**2
 
 
+def test_modular_ring_refuses_a_denominator_sharing_a_factor_with_the_modulus():
+    # 4 does not divide the denominator 2, yet 2 has no inverse mod 4
+    ring = PolyRing(vars=("x",), modulus=4)
+    with pytest.raises(InvalidInputError, match="not invertible"):
+        ring.reduce_coeff(Fraction(1, 2))
+    assert ring.reduce_coeff(Fraction(1, 3)) == 3
+
+
 def test_series_kernel_against_sympy():
     # independent oracle: sympy's ring_series exp, log, inversion and
     # reversion on seeded random univariate series with rational coefficients

@@ -400,6 +400,14 @@ def test_cartier_additivity():
             assert rep["additivity"] and rep["log_identity"]
 
 
+def test_cartier_zero_and_negative_scalars():
+    # x = 0 evaluates every factor at 0 * t, which keeps only the constant 1
+    for p, a in ((2, [2, 4]), (3, [12, 9])):
+        for x, xp in (([0, 0], [0, 0]), ([-4, 0], [0, -3])):
+            rep = cartier_character(p, a, x, 8, xprime_scalars=xp)
+            assert rep["f_p_integral"] and rep["log_identity"] and rep["additivity"], (p, x, xp)
+
+
 def test_cartier_second_vector_needs_as_many_components():
     # a shorter x' once read additivity False, a longer one dropped its tail
     for xp in ([1], [1, 2, 5]):
