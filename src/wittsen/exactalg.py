@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import compress
 from math import gcd
-from operator import add
+from operator import add, itemgetter
 
 
 class InvalidInputError(ValueError):
@@ -94,10 +94,10 @@ class PolyRing:
     ``modulus`` = 0 means characteristic zero (int/Fraction coefficients).
     ``degrees`` is bookkeeping used by graded callers.
 
-    A ring takes at most one cap, read as ``weight(mono) <= cap``: the
-    weight is the exponent of the capped variable, else the summed exponent
-    of the counted variables, and 0 (with cap 0) in a ring with no cap. A
-    second cap raises InvalidInputError.
+    A ring takes at most one cap, read as ``weight(mono) <= cap``, where
+    ``weight`` is a callable picked once per ring: the capped variable's
+    exponent, else the summed exponent of the counted variables, else 0
+    (with cap 0). A second cap raises InvalidInputError.
     """
 
     vars: tuple[str, ...]
@@ -107,7 +107,7 @@ class PolyRing:
     modulus: int = 0
     degrees: tuple = None
     cap: int = field(init=False, repr=False, compare=False)
-    weighted: tuple = field(init=False, repr=False, compare=False)
+    weight: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = len(self.vars)
@@ -121,32 +121,29 @@ class PolyRing:
         if len(capped) + (self.total_bound is not None) > 1:
             raise InvalidInputError(f"a ring takes one cap: {self.bounds}, "
                                     f"total_bound {self.total_bound}")
+        counted = self.counted
         if capped:
-            cap, weighted = self.bounds[capped[0]], tuple(i == capped[0] for i in range(n))
-        elif self.total_bound is not None:
-            cap, weighted = self.total_bound, self.counted
+            cap, weight = self.bounds[capped[0]], itemgetter(capped[0])
+        elif self.total_bound is None:
+            cap, weight = 0, lambda mono: 0
+        elif all(counted):
+            cap, weight = self.total_bound, sum
         else:
-            cap, weighted = 0, (False,) * n
+            cap, weight = self.total_bound, lambda mono: sum(compress(mono, counted))
         object.__setattr__(self, "cap", cap)
-        object.__setattr__(self, "weighted", weighted)
+        object.__setattr__(self, "weight", weight)
 
     def index(self, name: str) -> int:
         return self.vars.index(name)
 
-    def weight(self, mono: tuple) -> int:
-        return sum(compress(mono, self.weighted))
-
-    def keeps(self, mono: tuple) -> bool:
-        return self.weight(mono) <= self.cap
-
     def reduce_coeff(self, c):
         if self.modulus:
-            if isinstance(c, Fraction):
+            if type(c) is Fraction:
                 if gcd(c.denominator, self.modulus) != 1:
                     raise InvalidInputError("denominator not invertible mod modulus")
                 c = c.numerator * pow(c.denominator, -1, self.modulus)
             return c % self.modulus
-        if isinstance(c, Fraction) and c.denominator == 1:
+        if type(c) is Fraction and c.denominator == 1:
             return c.numerator
         return c
 
@@ -169,11 +166,13 @@ class TruncPoly:
 
     def __init__(self, ring: PolyRing, terms: dict = None):
         self.ring = ring
+        weight, cap, modulus = ring.weight, ring.cap, ring.modulus
         cleaned = {}
         for mono, c in (terms or {}).items():
-            if not ring.keeps(mono):
+            if weight(mono) > cap:
                 continue
-            c = ring.reduce_coeff(c)
+            if modulus or type(c) is not int:
+                c = ring.reduce_coeff(c)
             if c:
                 cleaned[mono] = c
         self.terms = cleaned
@@ -206,12 +205,12 @@ class TruncPoly:
         return self.terms.get((0,) * len(self.ring.vars), 0)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, TruncPoly):
             other = TruncPoly.const(self.ring, other)
         return self.ring == other.ring and self.terms == other.terms
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, TruncPoly):
             other = TruncPoly.const(self.ring, other)
         out = dict(self.terms)
         for m, c in other.terms.items():
@@ -224,7 +223,7 @@ class TruncPoly:
         return TruncPoly(self.ring, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, TruncPoly):
             other = TruncPoly.const(self.ring, other)
         return self + (-other)
 
@@ -232,18 +231,20 @@ class TruncPoly:
         return TruncPoly.const(self.ring, other) - self
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, TruncPoly):
             return TruncPoly(self.ring, {m: c * other for m, c in self.terms.items()})
         ring = self.ring
+        weight, cap = ring.weight, ring.cap
         # weights add under multiplication, so with the right operand sorted
         # by weight each left term's partners end where the cap is passed
-        right = sorted((ring.weight(m), m, c) for m, c in other.terms.items())
+        right = sorted((weight(m), m, c) for m, c in other.terms.items())
         weights = [w for w, _, _ in right]
         out = {}
+        get = out.get
         for m1, c1 in self.terms.items():
-            for _, m2, c2 in right[:bisect_right(weights, ring.cap - ring.weight(m1))]:
+            for _, m2, c2 in right[:bisect_right(weights, cap - weight(m1))]:
                 m = tuple(map(add, m1, m2))
-                out[m] = out.get(m, 0) + c1 * c2
+                out[m] = get(m, 0) + c1 * c2
         return TruncPoly(ring, out)
 
     __rmul__ = __mul__
@@ -305,7 +306,7 @@ class TruncPoly:
             items = term.terms.items() if term is not None else [((0,) * len(shift), 1)]
             for m, a in items:
                 m = tuple(map(add, m, shift))
-                if ring.keeps(m):
+                if ring.weight(m) <= ring.cap:
                     out[m] = out.get(m, 0) + c * a
         return TruncPoly(ring, out)
 

@@ -336,6 +336,8 @@ def cartier_character(
     """
     require_prime(p)
     n = len(x_scalars)
+    if not n:
+        raise InvalidInputError("x_scalars needs at least one component")
     if len(xprime_scalars) != n:
         raise InvalidInputError(f"xprime_scalars needs {n} components, "
                                 f"got {len(xprime_scalars)}")

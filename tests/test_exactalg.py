@@ -285,11 +285,22 @@ def test_series_take_a_one_variable_ring():
 
 def within(ring, mono):
     """The truncation read straight from the ring's bounds: an oracle for
-    PolyRing.keeps."""
+    ``ring.weight(mono) <= ring.cap``."""
     if any(b is not None and e > b for e, b in zip(mono, ring.bounds)):
         return False
     counted = sum(e for e, c in zip(mono, ring.counted) if c)
     return ring.total_bound is None or counted <= ring.total_bound
+
+
+def weight_of(ring, mono):
+    """The weight read straight from the ring's bounds and counted flags: an
+    oracle for each branch of PolyRing.weight."""
+    capped = [e for e, b in zip(mono, ring.bounds) if b is not None]
+    if capped:
+        return capped[0]
+    if ring.total_bound is None:
+        return 0
+    return sum(e for e, c in zip(mono, ring.counted) if c)
 
 
 @pytest.mark.parametrize("ring", [
@@ -298,7 +309,10 @@ def within(ring, mono):
     PolyRing(vars=("v", "x", "w"), bounds=(None, 6, None)),
     PolyRing(vars=("X", "Y", "v"), total_bound=6, counted=(True, True, False)),
     PolyRing(vars=("x", "v"), bounds=(6, None), modulus=3),
-], ids=["no-cap", "first-capped", "second-capped", "total-uncounted", "modulus"])
+    PolyRing(vars=("x", "y", "v"), total_bound=6, counted=(True, False, False)),
+    PolyRing(vars=("x", "y"), total_bound=6, modulus=5),
+], ids=["no-cap", "first-capped", "second-capped", "total-uncounted", "modulus",
+        "one-counted", "total-modulus"])
 def test_mul_matches_naive_product(ring):
     # oracle: expand every pair of terms, then drop what the bounds exclude
     rng = random.Random(29)
@@ -308,7 +322,9 @@ def test_mul_matches_naive_product(ring):
         terms = {}
         for _ in range(rng.randrange(1, 9)):
             m = tuple(rng.randrange(0, 7) for _ in range(n))
-            terms[m] = Fraction(rng.randrange(-9, 10), rng.choice((1, 2, 4)))
+            assert ring.weight(m) == weight_of(ring, m)
+            c = rng.randrange(-9, 10)
+            terms[m] = rng.choice((c, Fraction(c, rng.choice((2, 4)))))
         return TruncPoly(ring, terms)
 
     pairs = on_cap = 0
@@ -319,7 +335,8 @@ def test_mul_matches_naive_product(ring):
             for m2, c2 in b.terms.items():
                 pairs += 1
                 m = tuple(x + y for x, y in zip(m1, m2))
-                assert ring.keeps(m) == within(ring, m)
+                assert ring.weight(m) == weight_of(ring, m)
+                assert (ring.weight(m) <= ring.cap) == within(ring, m)
                 if within(ring, m):
                     out[m] = out.get(m, 0) + c1 * c2
                     on_cap += ring.cap > 0 and ring.weight(m) == ring.cap
@@ -333,6 +350,27 @@ def test_mul_matches_naive_product(ring):
 def test_ring_takes_one_cap(bounds, total_bound):
     with pytest.raises(InvalidInputError):
         PolyRing(vars=("x", "y"), bounds=bounds, total_bound=total_bound)
+
+
+def test_constructor_and_scalar_contract():
+    ring = PolyRing(vars=("x",), bounds=(4,))
+    x = TruncPoly.var(ring, "x")
+    # an integral Fraction is stored as an int, and zero coefficients are dropped
+    terms = TruncPoly(ring, {(1,): Fraction(4, 2), (2,): 0, (3,): Fraction(0, 5)}).terms
+    assert terms == {(1,): 2} and type(terms[(1,)]) is int
+    assert (x - x).is_zero() and (x * 0).is_zero()
+    # a modulus ring reduces plain and negative ints, and inverts denominators
+    mod = PolyRing(vars=("x",), bounds=(4,), modulus=7)
+    assert TruncPoly(mod, {(0,): 10, (1,): -3, (2,): 14, (3,): Fraction(1, 2)}).terms == \
+        {(0,): 3, (1,): 4, (3,): 4}
+    assert (TruncPoly.var(mod, "x") * -10).terms == {(1,): 4}
+    # int, Fraction and bool operands act as scalars on either side
+    for s in (3, -2, Fraction(1, 2), True):
+        assert x + s == s + x == TruncPoly(ring, {(1,): 1, (0,): s})
+        assert x - s == TruncPoly(ring, {(1,): 1, (0,): -s})
+        assert s - x == TruncPoly(ring, {(1,): -1, (0,): s})
+        assert x * s == s * x == TruncPoly(ring, {(1,): s})
+        assert TruncPoly.const(ring, s) == s and x != s
 
 
 def test_truncpoly_mul_assoc_comm():

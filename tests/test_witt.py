@@ -415,6 +415,12 @@ def test_cartier_second_vector_needs_as_many_components():
             cartier_character(2, [2, 4], [1, 3], 8, xprime_scalars=xp)
 
 
+def test_cartier_needs_a_component():
+    # an empty vector once ended in a bare IndexError at the first factor
+    with pytest.raises(InvalidInputError, match="at least one component"):
+        cartier_character(2, [1], [], 8, xprime_scalars=[])
+
+
 def test_cartier_builds_each_artin_hasse_factor_once(monkeypatch):
     import wittsen.witt as witt
 
