@@ -206,6 +206,8 @@ class TruncPoly:
 
     def __eq__(self, other):
         if not isinstance(other, TruncPoly):
+            if type(other) not in (int, bool, Fraction):
+                return NotImplemented
             other = TruncPoly.const(self.ring, other)
         return self.ring == other.ring and self.terms == other.terms
 

@@ -73,28 +73,34 @@ def _axiom_failure_degree(F: TruncPoly, D: int):
 def _newton(g: TruncPoly, var: str, bound: int, residual, slope) -> TruncPoly:
     """The root of residual(g) = O(var^(bound+1)) by Newton's iteration from a
     g right to degree 1 in the capped variable `var`, where slope(g), the
-    derivative of the residual, is 1 + O(var). Each step doubles the
-    precision, in a ring cut at the precision reached (Brent & Kung, J. ACM
-    25, 1978); h = 1/slope(g) follows by its own step h <- h(2 - slope(g)h),
-    so no series is inverted."""
+    derivative of the residual, is 1 + O(var). The precisions are set from
+    the top, bound + 1 (at least 2) and ceil(P/2) before each P, so 2, 3, 5,
+    9, 17, 33, 65 for bound 64 and only the last step is full size; a step
+    runs in a ring cut at its precision (Brent & Kung, J. ACM 25, 1978).
+    h = 1/slope(g) follows by its own step h <- h(2 - slope(g)h), so no
+    series is inverted. At step P, g is right modulo var^Q, Q = ceil(P/2),
+    so the residual is O(var^Q) and g - residual*h needs h only modulo
+    var^(P-Q), P - Q <= Q: slope(g) and h are carried in the ring cut at
+    Q - 1, where h's step doubles the ceil(Q/2) it had to reach Q."""
     ring = g.ring
-    h = TruncPoly.const(ring, 1)
-    prec = 2
-    while True:
-        sub_ring = PolyRing(
-            vars=ring.vars,
-            bounds=tuple(prec - 1 if nm == var else b for nm, b in zip(ring.vars, ring.bounds)),
-            modulus=ring.modulus,
-        )
-        g, h = TruncPoly(sub_ring, g.terms), TruncPoly(sub_ring, h.terms)
+
+    def cut(poly, prec):
+        bounds = tuple(prec - 1 if nm == var else b for nm, b in zip(ring.vars, ring.bounds))
+        return TruncPoly(PolyRing(vars=ring.vars, bounds=bounds, modulus=ring.modulus),
+                         poly.terms)
+
+    precs = [max(bound + 1, 2)]
+    while precs[-1] > 2:
+        precs.append((precs[-1] + 1) // 2)
+    h, low = TruncPoly.const(ring, 1), 1
+    for prec in reversed(precs):
+        g = cut(g, prec)
         err = residual(g)
-        if err.is_zero() and prec > bound:
+        if err.is_zero() and prec == precs[0]:
             break
-        h = h * (2 - slope(g) * h)
-        g = g - err * h
-        if prec > bound:
-            break
-        prec = min(prec * 2, bound + 1)
+        h = cut(h, low)
+        h = h * (2 - slope(cut(g, low)) * h)
+        g, low = g - err * cut(h, prec), prec
     return TruncPoly(ring, g.terms)
 
 

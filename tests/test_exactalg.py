@@ -416,6 +416,17 @@ def test_substitution():
     assert g == t**2 + 4 * t + 1
 
 
+def test_equality_reads_only_scalars_as_constants():
+    # == and != themselves are under test, so no `is None` here
+    ring = PolyRing(vars=("x",))
+    zero, x = TruncPoly.zero(ring), TruncPoly.var(ring, "x")
+    assert not zero == None and zero != None
+    assert not zero == "x" and not x == "x" and x != "x"
+    assert zero == 0 and zero == False and zero == Fraction(0)
+    assert TruncPoly.const(ring, 1) == True and TruncPoly.const(ring, 3) == Fraction(6, 2)
+    assert x != 1 and x != Fraction(1, 2)
+
+
 def test_modular_ring():
     ring = PolyRing(vars=("v",), modulus=2)
     v = TruncPoly.var(ring, "v")
@@ -447,10 +458,18 @@ def test_series_kernel_against_sympy():
     def coeffs(series, var, N):
         return [series.coeff(var**k) if k else series.coeff(1) for k in range(N + 1)]
 
-    for _ in range(12):
-        N = rng.randrange(2, 9)
+    def lengths(lo, hi):
+        # the seeded draws, then lengths on each side of the Newton
+        # precisions 2, 3, 5, 9, 17, 33, from a generator of their own
+        for _ in range(12):
+            yield rng.randrange(lo, hi), rng
+        edges = random.Random(44)
+        for N in (1, 2, 3, 7, 8, 9, 16, 17, 31, 32, 33):
+            yield N, edges
+
+    for N, draw in lengths(2, 9):
         ring = PolyRing(vars=("t",), bounds=(N,))
-        c = [Fraction(rng.randrange(-9, 10), rng.randrange(1, 6)) for _ in range(N + 1)]
+        c = [Fraction(draw.randrange(-9, 10), draw.randrange(1, 6)) for _ in range(N + 1)]
         c[1] = c[1] or Fraction(1)
 
         def both(c0, c1):
@@ -477,9 +496,8 @@ def test_series_kernel_against_sympy():
 
     # x + integer terms, the shape of the Honda logarithm over Z[w]: Newton's
     # ring operations keep the reversion's coefficients ints
-    for _ in range(12):
-        N = rng.randrange(2, 11)
-        c = [0, 1] + [rng.randrange(-9, 10) for _ in range(N - 1)]
+    for N, draw in lengths(2, 11):
+        c = [0, 1] + [draw.randrange(-9, 10) for _ in range(N - 1)]
         f = TruncPoly(PolyRing(vars=("t",), bounds=(N,)), {(k,): x for k, x in enumerate(c)})
         g = sum((x * s**k for k, x in enumerate(c)), R(0))
         rev = _compositional_inverse(f, "t", N)

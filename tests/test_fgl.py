@@ -10,6 +10,7 @@ from wittsen.fgl import (
     _compositional_inverse,
     _honda_log_exp,
     _l_in_terms_of_v,
+    _newton,
     b4_cobar_class,
     bp_right_unit,
     divided_n_series,
@@ -116,10 +117,13 @@ def test_formal_inverse_and_negative_series():
 
 
 def test_formal_inverse_closed_forms():
-    # X + Y + lam XY has inverse -x/(1 + lam x) = sum_(k>=1) (-1)^k lam^(k-1) x^k
-    F = fgl_construct("multiplicative", 40, lam="lam")
-    iota = formal_inverse(F, 40)
-    assert iota == TruncPoly(iota.ring, {(k, k - 1): (-1) ** k for k in range(1, 41)})
+    # X + Y + lam XY has inverse -x/(1 + lam x) = sum_(k>=1) (-1)^k lam^(k-1) x^k,
+    # at every bound, so at each of Newton's precision schedules
+    for bound in range(1, 41):
+        F = fgl_construct("multiplicative", bound, lam="lam")
+        iota = formal_inverse(F, bound)
+        assert iota == TruncPoly(iota.ring, {(k, k - 1): (-1) ** k
+                                             for k in range(1, bound + 1)}), bound
     # a logarithm with only odd exponents is odd, so exp(log(-x)) = -x is the
     # inverse: the additive law, and Honda laws with p odd
     for F in (fgl_construct("additive", 20), fgl_construct("honda", 20, p=3, n=1),
@@ -142,6 +146,39 @@ def test_formal_inverse_doubles_its_precision(law, monkeypatch):
                         lambda self, values: calls.append(1) or substitute(self, values))
     formal_inverse(F, 40)
     assert len(calls) <= 2 * math.ceil(math.log2(40)) + 2
+
+
+def test_newton_runs_at_the_precisions_the_bound_needs(monkeypatch):
+    # precisions from the top, 2, 3, 5, 9, 17, 33, 65 for bound 64: the
+    # residual runs in the ring cut at P - 1, the slope (and 1/slope) in the
+    # ring cut at the previous precision minus 1
+    logw, expw = _honda_log_exp(2, 1, 64)
+    dlog = logw.derivative("x")
+    at = lambda poly, g: TruncPoly(g.ring, poly.terms).substitute({"x": g})
+    caps = {"residual": [], "slope": []}
+
+    def residual(g):
+        caps["residual"].append(g.ring.cap)
+        return at(logw, g) - TruncPoly.var(g.ring, "x")
+
+    def slope(g):
+        caps["slope"].append(g.ring.cap)
+        return at(dlog, g)
+
+    assert _newton(TruncPoly.var(logw.ring, "x"), "x", 64, residual, slope) == expw
+    assert caps == {"residual": [1, 2, 4, 8, 16, 32, 64], "slope": [0, 1, 2, 4, 8, 16, 32]}
+    products = []
+    mul = TruncPoly.__mul__
+
+    def counting_mul(a, b):
+        if isinstance(b, TruncPoly):
+            products.append(1)
+        return mul(a, b)
+
+    monkeypatch.setattr(TruncPoly, "__mul__", counting_mul)
+    _honda_log_exp(2, 1, 64)
+    # 331 with precisions doubled from 2 and the slope at full precision
+    assert len(products) <= 220, len(products)
 
 
 # ---------------------------------------------------------------------------
