@@ -19,7 +19,6 @@ from fractions import Fraction
 from . import __version__, targets
 from .exactalg import (
     InvalidInputError,
-    PLocalOps,
     PrecisionError,
     int_valuation,
     is_prime,
@@ -279,8 +278,9 @@ def check_fderham(cfg: RunConfig):
     additive law, lam = 0; lam = 1; lam symbolic), and the Smith divisors of
     the additive and lam = 1 weights.
 
-    At lam = 1 the expected divisors come from local_snf, not the Z-SNF they
-    check: multiplication by [m]_q is triangular with diagonal m, so its i-th
+    At lam = 1 the expected divisors come from local_snf over Z_(p), the
+    engine's one ring Eisenstein(p, [-p, 1]), not the Z-SNF they check:
+    multiplication by [m]_q is triangular with diagonal m, so its i-th
     divisor is the product over the primes p | m of p^(its i-th exponent at
     p), and a rank below 6 leaves fewer than 6 of them."""
     bad = None
@@ -308,11 +308,11 @@ def check_fderham(cfg: RunConfig):
     for m in range(1, 5):
         qm = FG.q_integer(m, 1, ring)
         c = [qm.coeff((k,)) for k in range(6)]
-        rows = [{j: c[i - j] for j in range(i + 1) if c[i - j]} for i in range(6)]
+        rows = [{j: (c[i - j],) for j in range(i + 1) if c[i - j]} for i in range(6)]
         expected = [1] * 6
         for p in filter(is_prime, range(2, m + 1)):
             if m % p == 0:
-                exps = local_snf(PLocalOps(p), rows, 6)
+                exps = local_snf(SH.Eisenstein(p, [-p, 1]), rows, 6)
                 expected = [d * p**e for d, e in zip(expected, exps)]
         if repm["weights"][m]["divisors"] != expected:
             bad = bad or {"law": "multiplicative_lambda_1", "weight": m,

@@ -11,13 +11,12 @@ from math import comb, factorial, gcd, perm
 
 from .exactalg import (
     InvalidInputError,
-    PLocalOps,
     PolyRing,
     PrecisionError,
     TruncPoly,
     factorial_valuation,
     fraction_valuation,
-    matrix_product,
+    int_valuation,
     require_prime,
     split_p,
 )
@@ -77,17 +76,23 @@ def base_p_digits(m: int, p: int):
 def _operator(p: int, bound: int, gamma_values: dict) -> GradedLinearMap:
     """The derivation D with D(gamma_(p^k)) = g_k gamma_(p^k - p) eps for
     the scalars g_k of gamma_values (k >= 1; D(gamma_1) = 0), D(theta) = p eps
-    and D(eps) = 0, on DPModule(p, bound), as degree-(-1) matrices.
+    and D(eps) = 0, on DPModule(p, bound), as degree-(-1) matrices of
+    integer 1-tuples (Z_(p) as senhom's Eisenstein ring for E = u - p) in
+    the integral basis gamma'_a theta^b eps^c, gamma'_a = (a!)_(p') gamma_a,
+    where (m)_(p') is m with its p-power removed.
 
     Every value carries eps, so eps-labels map to 0. The Leibniz rule on
     a! gamma_a = prod_k ((p^k)! gamma_(p^k))^(m_k), over the base-p digits
     m_k of a, gives
         D(gamma_a theta^b) = sum_(k>=1) m_k g_k (p^k)!/(p^k - p)! (a-p)!/a!
                                  gamma_(a-p) theta^b eps
-                             + b p gamma_a theta^(b-1) eps.
+                             + b p gamma_a theta^(b-1) eps,
+    and in the basis gamma'_a the factor (a-p)!/a! becomes
+    p^(-v_p(a!/(a-p)!)). The gamma entry must be an integer; for the
+    perfectoid values it is (p-1)! (floor(a/p))_(p').
     """
     module = DPModule(p, bound)
-    matrices, gamma = {}, {}  # gamma: a -> the coefficient of gamma_(a-p)
+    matrices, gamma = {}, {}  # gamma: a -> the coefficient of gamma'_(a-p)
     for d, basis in module.bases.items():
         mat = [{} for _ in module.bases.get(d - 1, [])]
         for j, (a, b, c) in enumerate(basis):
@@ -95,12 +100,15 @@ def _operator(p: int, bound: int, gamma_values: dict) -> GradedLinearMap:
                 continue
             if a >= p:
                 if a not in gamma:
-                    gamma[a] = sum(m * gamma_values[k] * perm(p**k, p)  # digits k >= 1
-                                   for k, m in enumerate(base_p_digits(a // p, p), 1)
-                                   ) / perm(a, p)
+                    g = Fraction(sum(m * gamma_values[k] * perm(p**k, p)  # digits k >= 1
+                                     for k, m in enumerate(base_p_digits(a // p, p), 1)),
+                                 p ** int_valuation(p, perm(a, p)))
+                    if g.denominator != 1:
+                        raise InvalidInputError(f"gamma_{a} has a non-integral image {g}")
+                    gamma[a] = (g.numerator,)
                 mat[module.index[d - 1][a - p, b, 1]][j] = gamma[a]
             if b:
-                mat[module.index[d - 1][a, b - 1, 1]][j] = b * p
+                mat[module.index[d - 1][a, b - 1, 1]][j] = (b * p,)
         if any(mat):
             matrices[d] = mat
     return GradedLinearMap(module.bases, 1, matrices)
@@ -126,7 +134,9 @@ def perfectoid_gamma_values(p: int, bound: int) -> dict:
 
 def theta_perfectoid(p: int, bound: int) -> GradedLinearMap:
     """gamma_(p^k)(u) -> unit * gamma_(p^k - p)(u) eps (normalized so that
-    gamma_p(u) -> eps exactly), theta -> p*eps; extended as a derivation."""
+    gamma_p(u) -> eps exactly), theta -> p*eps; extended as a derivation,
+    with matrices in the integral basis gamma'_a = (a!)_(p') gamma_a of
+    _operator."""
     return _operator(p, bound, perfectoid_gamma_values(p, bound))
 
 
@@ -146,7 +156,7 @@ def factorial_unit_identity(p: int, gamma_values: dict) -> bool:
 
 
 def theta_zpn(p: int, n: int, bound: int) -> GradedLinearMap:
-    """The scaled variant on the same module; p odd, n >= 2.
+    """The scaled variant on the same module and basis; p odd, n >= 2.
 
     The value on gamma_p(u) is p^(n-1) * eps, as in the unscaled-picture
     display; the value on gamma_(p^k)(u) carries p^(n-2+k). The extra p-power
@@ -188,13 +198,12 @@ def psi_tensor_check(p: int, n: int, a: int, b: int) -> bool:
 
 
 def dp_weyl_operators(p: int, n: int, M: int) -> dict:
-    """Matrices of x and del^[p^j] (j < n) on span{x^0..x^M}, the commutator
+    """Matrices of del^[p^j] (j < n) on span{x^0..x^M}, the commutator
     identity [del^[p^j], x] = del^[p^j - 1], and the valuation comparison for
     the unit-multiple statement."""
     require_prime(p)
     if M < 0:
         raise InvalidInputError("M must be >= 0")
-    ops = PLocalOps(p)
 
     def del_k_matrix(k):
         mat = [{} for _ in range(M + 1)]
@@ -202,24 +211,21 @@ def dp_weyl_operators(p: int, n: int, M: int) -> dict:
             mat[m - k][m] = comb(m, k)
         return mat
 
-    x_mat = [{m - 1: 1} if m else {} for m in range(M + 1)]
-
     report = {
-        "x": x_mat,
         "del": {p**j: del_k_matrix(p**j) for j in range(n)},
         "commutators": {},
         "unit_multiple": {},
     }
     for j in range(n):
         k = p**j
-        # matrix identity away from the top-degree truncation row
-        D, X = report["del"][k], x_mat
-        DX, XD = matrix_product(ops, D, X), matrix_product(ops, X, D)
+        # x is the shift x^m -> x^(m+1), so entry (r, m) of del*x is
+        # del[r][m+1] and that of x*del is del[r-1][m]; column m < M keeps
+        # x*x^m in the span
+        D = report["del"][k]
         target = del_k_matrix(k - 1)  # the identity for k = 1
         report["commutators"][k] = all(
-            ra.get(m, 0) - rb.get(m, 0) == target[r].get(m, 0)
-            for r, (ra, rb) in enumerate(zip(DX, XD))
-            for m in range(M))  # column m < M safe: x*x^m stays in the span
+            D[r].get(m + 1, 0) - (D[r - 1].get(m, 0) if r else 0) == target[r].get(m, 0)
+            for r in range(M + 1) for m in range(M))
 
     for j in range(1, n):
         k = p**j
@@ -240,7 +246,7 @@ def dp_weyl_operators(p: int, n: int, M: int) -> dict:
             if direct == 0 and coeff == 0:
                 ok = True
             elif direct != 0 and coeff != 0:
-                ok = fraction_valuation(p, direct) == fraction_valuation(p, coeff)
+                ok = int_valuation(p, direct) == int_valuation(p, coeff)
             else:
                 ok = False
             all_ok = all_ok and ok

@@ -2,8 +2,8 @@
 
 Everything here is exact: arbitrary-precision integers (Python ``int``),
 rationals (``fractions.Fraction``), residues mod p^N, truncated multivariate
-polynomials, and Smith normal form over Z and over local PIDs such as the
-p-local integers.
+polynomials, and Smith normal form over Z and over the local PIDs of
+senhom.Eisenstein, Z_(p) among them.
 No floating point anywhere.
 """
 
@@ -477,46 +477,16 @@ def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
 # ---------------------------------------------------------------------------
 # exact SNF over a local PID: the engine behind all homology computations.
 #
-# A ring is given by an ops object with the attributes p and zero and the
-# methods is_zero, val, add, sub, mul and eliminate. A matrix is a list of
+# The ring is an ops object, in the library always a senhom.Eisenstein:
+# Z_(p)[u]/E(u) on integer tuples, and Z_(p) itself on 1-tuples for
+# E = u - p. It has the attributes p and zero and the methods is_zero, val,
+# add, sub, mul and eliminate. A matrix is a list of
 # rows, one per target basis element, each a {column: entry} dict of its
 # nonzero entries, with the column count ncols passed beside it; zero is the
 # ring's one representation of 0 and never appears in a row. val is the
 # valuation of a nonzero element, and eliminate(piv, tail, x, row) is a unit
 # times row - (x/piv)*tail as such a dict, for the entries piv and x of one
 # column with val(x) >= val(piv) and the dicts of the rest of their rows.
-
-
-class PLocalOps:
-    """Z_(p) viewed inside Q: Fraction (or int) elements."""
-
-    def __init__(self, p: int):
-        require_prime(p)
-        self.p = p
-
-    zero = 0
-
-    def is_zero(self, x) -> bool:
-        return x == 0
-
-    def val(self, x) -> int:
-        return fraction_valuation(self.p, x)
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def eliminate(self, piv, tail, x, row):
-        f = Fraction(x) / Fraction(piv)
-        out = dict(row)
-        for j, t in tail.items():
-            out[j] = out.get(j, 0) - f * t
-        return {j: y for j, y in out.items() if y}
 
 
 def local_snf(ops, rows: list, ncols: int) -> list:

@@ -1,9 +1,9 @@
 """Homology engine and named builders.
 
-The engine works over one kind of ring: a local PID given by an ops object,
-either the p-local integers Z_(p) (Fraction arithmetic) or an Eisenstein
-extension Z_(p)[u]/E(u) (integer tuples in Z[u]/E, eliminated fraction-free
-by row updates that scale by units only). The homology of a complex goes
+The engine works over one ring: an Eisenstein extension Z_(p)[u]/E(u), its
+elements integer tuples in Z[u]/E, eliminated fraction-free by row updates
+that scale by units only. Z_(p) itself is the case E = u - p, on 1-tuples,
+and the Z_(p) builders emit 1-tuple entries. The homology of a complex goes
 through chain_homology, the one caller of local_snf: a chain complex
 directly, a commuting operator cube through its Koszul total complex, a
 two-term fiber as the cube of one operator, and omega2yn's presentation as a
@@ -20,13 +20,11 @@ truncated h-line.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import gcd
 
 from .exactalg import (
     IntMatrix,
     InvalidInputError,
-    PLocalOps as PLocal,
     TruncPoly,
     int_valuation,
     local_snf,
@@ -275,8 +273,9 @@ def build_line_fiber(p: int, gen: int, scale: int, bound: int) -> HomologyReport
     y^m -> m p y^(m-1) x is the cone of the (2p^n, p) line."""
     j_max = (bound + gen + 1) // gen
     bases = {gen * j: [j] for j in range(j_max + 1)}
-    matrices = {gen * j: [{0: Fraction(j * scale)}] for j in range(1, j_max + 1)}
-    return two_term_homology(GradedLinearMap(bases, gen, matrices), bound, PLocal(p))
+    matrices = {gen * j: [{0: (j * scale,)}] for j in range(1, j_max + 1)}
+    D = GradedLinearMap(bases, gen, matrices)
+    return two_term_homology(D, bound, Eisenstein(p, [-p, 1]))
 
 
 def build_perfectoid_serre(p: int, bound: int) -> dict:
@@ -286,7 +285,7 @@ def build_perfectoid_serre(p: int, bound: int) -> dict:
     operator's generator values satisfy the valuation identity."""
     D = theta_perfectoid(p, bound + 2)
     dims = {d: len(basis) for d, basis in D.bases.items()}
-    homology, elim = chain_homology(dims, D.matrices, bound, PLocal(p))
+    homology, elim = chain_homology(dims, D.matrices, bound, Eisenstein(p, [-p, 1]))
     kernel_ranks = {}
     surjective = {}
     for d in range(2 * p, bound + 1, 2 * p):
@@ -302,7 +301,7 @@ def build_zpn_serre(p: int, n: int, bound: int) -> HomologyReport:
     """Homology of the p^(n-1)-scaled operator complex (p odd, n >= 2)."""
     D = theta_zpn(p, n, bound + 2)
     dims = {d: len(basis) for d, basis in D.bases.items()}
-    return chain_homology(dims, D.matrices, bound, PLocal(p))[0]
+    return chain_homology(dims, D.matrices, bound, Eisenstein(p, [-p, 1]))[0]
 
 
 def omega2yn_cohomology(p: int, n: int, bound: int) -> HomologyReport:
@@ -321,10 +320,10 @@ def omega2yn_cohomology(p: int, n: int, bound: int) -> HomologyReport:
         mats[2 * k + 1] = mat = [{} for _ in range(k + 1)]
         for j in range(k):
             # x * gamma_j c^(k-1-j) = (j+1) gamma_(j+1) c^(k-1-j)
-            mat[j + 1][j] = j + 1
+            mat[j + 1][j] = (j + 1,)
             # -p^(n-1) c * gamma_j c^(k-1-j)
-            mat[j][j] = -p ** (n - 1)
-    return chain_homology(dims, mats, bound, PLocal(p))[0]
+            mat[j][j] = (-p ** (n - 1),)
+    return chain_homology(dims, mats, bound, Eisenstein(p, [-p, 1]))[0]
 
 
 def build_dvr_square(p: int, E: list, bound: int) -> dict:

@@ -14,6 +14,13 @@ def sparse(rows, zero=0):
     return [{j: x for j, x in enumerate(row) if x != zero} for row in rows]
 
 
+def zp_rows(rows):
+    """Dense integer rows as the engine's matrix over Z_(p), the ring
+    Eisenstein(p, [-p, 1]): one {column: (entry,)} dict of the nonzero
+    entries per row."""
+    return [{j: (x,) for j, x in enumerate(row) if x} for row in rows]
+
+
 @pytest.fixture(scope="session")
 def full_report():
     return build_full_report(RunConfig())

@@ -10,7 +10,6 @@ import pytest
 from conftest import sparse
 from wittsen.exactalg import (
     InvalidInputError,
-    PLocalOps,
     PolyRing,
     PrecisionError,
     TruncPoly,
@@ -34,6 +33,7 @@ from wittsen.dpops import (
     theta_perfectoid,
     theta_zpn,
 )
+from wittsen.senhom import Eisenstein
 
 
 # ---------------------------------------------------------------------------
@@ -116,17 +116,28 @@ def leibniz_reference(der, mono):
     return out * Fraction(1, factorial(a))
 
 
+def p_free_factorial(p, a):
+    """(a!)_(p'): a! with its p-power removed. The operators' matrices are
+    written in the integral basis gamma'_a = (a!)_(p') gamma_a."""
+    f = factorial(a)
+    while f % p == 0:
+        f //= p
+    return f
+
+
 def reference_matrices(module, der):
-    """The nonzero degree-(-1) matrices of leibniz_reference, as Fractions in
-    {column: entry} rows."""
+    """The nonzero degree-(-1) matrices of leibniz_reference in the basis
+    gamma'_a theta^b eps^c: the gamma-basis matrices conjugated by
+    diag((a!)_(p')), as 1-tuples of Fractions in {column: entry} rows."""
+    w = lambda mono: p_free_factorial(module.p, mono[0])
     out = {}
     for d, basis in module.bases.items():
         cols = [gamma_coefficients(leibniz_reference(der, mono)) for mono in basis]
         target = module.bases.get(d - 1, [])
         assert all(set(col) <= set(target) for col in cols), d
         if any(cols):
-            out[d] = sparse([[Fraction(col.get(m2, 0)) for col in cols]
-                             for m2 in target])
+            out[d] = sparse([[(Fraction(col.get(m2, 0)) * w(mono) / w(m2),)
+                              for mono, col in zip(basis, cols)] for m2 in target], (0,))
     return out
 
 
@@ -263,13 +274,18 @@ def test_theta_perfectoid_structure():
     tgt = module.bases[7]
     j = src.index((0, 2, 0))
     i = tgt.index((0, 1, 1))
-    assert D.matrices[8][i][j] == 4
+    assert D.matrices[8][i][j] == (4,)
+    # gamma'_a -> (p-1)! (floor(a/p))_(p') gamma'_(a-p) eps, so gamma'_6 ->
+    # 3 gamma'_4 eps: the reference conjugated by diag((a!)_(p'))
+    ref = reference_matrices(module, reference_operator(2, 20, lambda k: 1))
+    jg, ig = module.bases[12].index((6, 0, 0)), module.bases[11].index((4, 0, 1))
+    assert D.matrices[12][ig][jg] == ref[12][ig][jg] == (3,)
     # gamma_1(u) = u maps to zero (no target below)
     assert 2 not in D.matrices
     # squares to zero into the eps-line
     for d, mat in D.matrices.items():
         nxt = D.matrices.get(d - 1, [])   # a missing matrix is the zero map
-        assert not any(matrix_product(PLocalOps(2), nxt, mat))   # no nonzero entry
+        assert not any(matrix_product(Eisenstein(2, [-2, 1]), nxt, mat))   # no nonzero entry
 
 
 def test_theta_zpn_scaling():
@@ -280,8 +296,24 @@ def test_theta_zpn_scaling():
     jg = src.index((3, 0, 0))
     jt = src.index((0, 1, 0))
     i = tgt.index((0, 0, 1))
-    assert D.matrices[6][i][jg] == 3   # gamma_p(u) -> p^(n-1) eps, n=2
-    assert D.matrices[6][i][jt] == 3   # theta -> p eps
+    # gamma'_p = (p-1)! gamma_p(u) -> (p-1)! p^(n-1) eps, n=2: the reference
+    # conjugated by diag((a!)_(p')) at gamma_3 -> eps
+    ref = reference_matrices(module, reference_operator(3, 12, lambda k: 3 ** k))
+    assert D.matrices[6][i][jg] == ref[6][i][jg] == (2 * 3,)
+    assert D.matrices[6][i][jt] == ref[6][i][jt] == (3,)   # theta -> p eps
+
+
+def test_perfectoid_gamma_entries_closed_form():
+    # in the basis gamma'_a the gamma entry is the integer (p-1)! (floor(a/p))_(p')
+    for p, bound in ((2, 50), (3, 74), (5, 122), (7, 142)):
+        D, module = theta_perfectoid(p, bound), DPModule(p, bound)
+        for a in range(p, bound // 2 + 1):
+            q = a // p
+            while q % p == 0:
+                q //= p
+            d = 2 * a
+            i, j = module.index[d - 1][a - p, 0, 1], module.index[d][a, 0, 0]
+            assert D.matrices[d][i][j] == (factorial(p - 1) * q,), (p, a)
 
 
 @pytest.mark.parametrize("build, args", [
@@ -333,6 +365,12 @@ def test_eps_label_image_is_eps_times_eps_free_image():
 def test_theta_zpn_rejects_two():
     with pytest.raises(InvalidInputError):
         theta_zpn(2, 2, 10)
+
+
+def test_operator_rejects_a_non_integral_gamma_entry():
+    # g_1 = 1/3 puts (1/3) 3!/3 = 2/3 at gamma'_3 -> eps
+    with pytest.raises(InvalidInputError, match="non-integral"):
+        dpops._operator(3, 12, {1: Fraction(1, 3)})
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ from itertools import combinations, product
 
 import pytest
 
-from conftest import sparse
+from conftest import zp_rows
 from wittsen.exactalg import (
     IntMatrix,
     InvalidInputError,
@@ -14,9 +14,9 @@ from wittsen.exactalg import (
     factorial_valuation,
     int_valuation,
     local_snf,
-    PLocalOps,
     smith_normal_form,
 )
+from wittsen.senhom import Eisenstein
 
 
 # ---------------------------------------------------------------------------
@@ -184,15 +184,16 @@ def test_smith_coker_against_enumeration():
 
 
 def test_local_snf_exponents():
-    ops = PLocalOps(3)
-    rows = sparse([[Fraction(6), Fraction(9)], [Fraction(27), Fraction(3)]])
+    ops = Eisenstein(3, [-3, 1])
+    rows = zp_rows([[6, 9], [27, 3]])
     exps = local_snf(ops, rows, 2)
     # v_3-divisors of [[6,9],[27,3]]: det = 18-243 = -225, v=2; min v entry = 1
     assert exps == [1, 1]
-    assert rows == [{0: 6, 1: 9}, {0: 27, 1: 3}]   # the input rows are not changed
-    for bad in ({0: Fraction(6), 2: Fraction(9)}, {-1: Fraction(27)}):
+    # the input rows are not changed
+    assert rows == [{0: (6,), 1: (9,)}, {0: (27,), 1: (3,)}]
+    for bad in ({0: (6,), 2: (9,)}, {-1: (27,)}):
         with pytest.raises(InvalidInputError, match=r"range\(2\)"):
-            local_snf(ops, [{0: Fraction(3)}, bad], 2)
+            local_snf(ops, [{0: (3,)}, bad], 2)
 
 
 def test_snf_against_sympy_invariant_factors():
@@ -219,7 +220,7 @@ def test_snf_against_sympy_invariant_factors():
         got = smith_normal_form(IntMatrix.from_rows(rows)).divisors
         assert [abs(d) for d in got] == want, rows
         for p in (2, 3, 5):
-            exps = local_snf(PLocalOps(p), sparse(rows), len(rows[0]))
+            exps = local_snf(Eisenstein(p, [-p, 1]), zp_rows(rows), len(rows[0]))
             assert len(exps) == sum(1 for d in want if d), (p, rows)
             assert exps == sorted(int_valuation(p, d) for d in want if d), (p, rows)
 
