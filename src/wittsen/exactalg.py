@@ -2,9 +2,8 @@
 
 Everything here is exact: arbitrary-precision integers (Python ``int``),
 rationals (``fractions.Fraction``), residues mod p^N, truncated multivariate
-polynomials, and Smith normal form over Z and over the local PIDs of
-senhom.Eisenstein, Z_(p) among them.
-No floating point anywhere.
+polynomials, integer Hurwitz series, and Smith normal form over Z and over
+the local PIDs of senhom.Eisenstein, Z_(p) among them. No floating point.
 """
 
 from __future__ import annotations
@@ -12,9 +11,10 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache, reduce
 from itertools import compress
-from math import gcd
-from operator import add, itemgetter
+from math import comb, gcd
+from operator import add, itemgetter, mul, sub
 
 
 class InvalidInputError(ValueError):
@@ -146,17 +146,6 @@ class PolyRing:
         if type(c) is Fraction and c.denominator == 1:
             return c.numerator
         return c
-
-
-def _quotient(f, b, reduce):
-    """The coefficients of b / f for coefficient lists f and b (f[0] a unit),
-    by h_n = f_0^(-1) (b_n - sum_(k=1..n) f_k h_(n-k)), each through reduce."""
-    inv0 = reduce(1 / Fraction(f[0]))
-    nonzero = [(k, c) for k, c in enumerate(f) if c and k]
-    h = []
-    for n, bn in enumerate(b):
-        h.append(reduce(inv0 * (bn - sum(c * h[n - k] for k, c in nonzero if k <= n))))
-    return h
 
 
 class TruncPoly:
@@ -332,7 +321,7 @@ class TruncPoly:
         if any(ring.weight(m) == 0 and any(m) for m in self.terms):
             raise InvalidInputError("series argument has a term of weight 0")
         if len(ring.vars) != 1:
-            raise InvalidInputError("series exp, log and inverse take a one-variable ring")
+            raise InvalidInputError("series exp and inverse take a one-variable ring")
         a = [0] * (ring.cap + 1)
         for (e,), c in self.terms.items():
             a[e] = c
@@ -342,29 +331,24 @@ class TruncPoly:
         """exp(g) = f by n f_n = sum_(k=1..n) k g_k f_(n-k)."""
         if self.constant_term() != 0:
             raise InvalidInputError("exp needs constant term 0")
-        reduce = self.ring.reduce_coeff
+        reduce_coeff = self.ring.reduce_coeff
         g = self._series_coeffs()
         kg = [(k, k * c) for k, c in enumerate(g) if c]
         f = [1]
         for n in range(1, len(g)):
-            f.append(reduce(Fraction(sum(x * f[n - k] for k, x in kg if k <= n), n)))
+            f.append(reduce_coeff(Fraction(sum(x * f[n - k] for k, x in kg if k <= n), n)))
         return TruncPoly(self.ring, {(n,): c for n, c in enumerate(f)})
 
-    def series_log(self):
-        """log(f) = g from x g' = x f' / f (see ``_quotient``)."""
-        if self.constant_term() != 1:
-            raise InvalidInputError("log needs constant term 1")
-        f = self._series_coeffs()
-        xdg = _quotient(f, [n * c for n, c in enumerate(f)], self.ring.reduce_coeff)
-        return TruncPoly(self.ring, {(n,): Fraction(c, n) for n, c in enumerate(xdg) if n})
-
     def series_inverse(self):
-        c0 = self.constant_term()
-        if c0 == 0:
+        """1/f = h by h_0 = 1/f_0 and h_n = -h_0 sum_(k=1..n) f_k h_(n-k)."""
+        if self.constant_term() == 0:
             raise InvalidInputError("no series inverse: constant term 0")
-        f = self._series_coeffs()
-        g = _quotient(f, [1] + [0] * (len(f) - 1), self.ring.reduce_coeff)
-        return TruncPoly(self.ring, {(n,): c for n, c in enumerate(g)})
+        reduce_coeff, f = self.ring.reduce_coeff, self._series_coeffs()
+        tail = [(k, c) for k, c in enumerate(f) if c and k]
+        h = [reduce_coeff(1 / Fraction(f[0]))]
+        for n in range(1, len(f)):
+            h.append(reduce_coeff(-h[0] * sum(c * h[n - k] for k, c in tail if k <= n)))
+        return TruncPoly(self.ring, {(n,): c for n, c in enumerate(h)})
 
     def min_p_valuation(self, p: int):
         """Minimum v_p over coefficients; None for the zero polynomial."""
@@ -386,14 +370,66 @@ class TruncPoly:
 
 
 def truncated_exp_log(f: TruncPoly, mode: str) -> TruncPoly:
-    """Formal exp/log by mode name. The library calls the TruncPoly methods;
-    this entry point stays because the benchmark's tracing and its tests
-    (bench/tracing.py, bench/test_bench.py) look it up by name."""
+    """Formal exp by mode name, kept for the benchmark's tracing and its tests
+    (bench/tracing.py, bench/test_bench.py), which look it up by name."""
     if mode == "exp":
         return f.series_exp()
-    if mode == "log":
-        return f.series_log()
     raise InvalidInputError(f"unknown mode {mode!r}")
+
+
+@lru_cache(maxsize=None)
+def _binomial_rows(D):
+    return tuple(tuple(comb(n, k) for k in range(n + 1)) for n in range(D + 1))
+
+
+@dataclass(slots=True)
+class Hurwitz:
+    """sum_k b[k] t^k/k! mod t^(D+1), integer b[k] (Hurwitz series; Keigher, Comm.
+    Algebra 25, 1997): t^k/k! t^l/l! = C(k+l, k) t^(k+l)/(k+l)!; d/dt shifts b left."""
+
+    b: list
+
+    def __add__(self, other):
+        return Hurwitz(list(map(add, self.b, other.b)))
+
+    def __sub__(self, other):
+        return Hurwitz(list(map(sub, self.b, other.b)))
+
+    def __mul__(self, other):
+        if isinstance(other, int):
+            return Hurwitz([c * other for c in self.b])
+        f, g = self.b, other.b
+        nonzero = [(k, c) for k, c in enumerate(f) if c]
+        return Hurwitz([sum(row[k] * c * g[n - k] for k, c in nonzero if k <= n)
+                        for n, row in enumerate(_binomial_rows(len(f) - 1))])
+
+    def __pow__(self, e: int):  # e >= 1: the ghost maps raise to powers of p
+        return reduce(mul, [self] * e)
+
+    def __floordiv__(self, d: int):
+        return Hurwitz([c // d for c in self.b])
+
+    def exp(self):
+        """exp(u) = f by f' = u' f: f_(n+1) = sum_(k<=n) C(n, k) u_(k+1) f_(n-k)."""
+        if self.b[0]:
+            raise InvalidInputError("exp needs constant term 0")
+        du = [(k, c) for k, c in enumerate(self.b[1:]) if c]
+        f = [1]
+        for n, row in enumerate(_binomial_rows(len(self.b) - 1)[:-1]):
+            f.append(sum(row[k] * c * f[n - k] for k, c in du if k <= n))
+        return Hurwitz(f)
+
+    def log(self):
+        """log(f) = g by f g' = f': with f_0 = 1,
+        g_(n+1) = f_(n+1) - sum_(1<=k<=n) C(n, k) f_k g_(n+1-k)."""
+        f = self.b
+        if f[0] != 1:
+            raise InvalidInputError("log needs constant term 1")
+        nonzero = [(k, c) for k, c in enumerate(f) if c and k]
+        g = [0]
+        for n, row in enumerate(_binomial_rows(len(f) - 1)[:-1]):
+            g.append(f[n + 1] - sum(row[k] * c * g[n + 1 - k] for k, c in nonzero if k <= n))
+        return Hurwitz(g)
 
 
 # ---------------------------------------------------------------------------

@@ -11,12 +11,15 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial
 
 from .exactalg import (
+    Hurwitz,
     InvalidInputError,
     PolyRing,
     PrecisionError,
     TruncPoly,
+    factorial_valuation,
     int_valuation,
     is_prime,
     require_prime,
@@ -73,19 +76,16 @@ class WittVector:
 def _ghost_entries(p, comps, modulus=0):
     """Ghost components w_j = sum_(i<=j) p^i comps[i]^(p^(j-i)) for every j
     below len(comps): of integers mod modulus when one is given, else of
-    integers or series exactly."""
-    L = len(comps)
+    integers or integer Hurwitz series exactly."""
     out = []
-    for j in range(L):
+    for j in range(len(comps)):
         if modulus:
-            acc = 0
-            for i in range(j + 1):
-                acc = (acc + p**i * pow(comps[i], p ** (j - i), modulus)) % modulus
+            acc = sum(p**i * pow(comps[i], p ** (j - i), modulus)
+                      for i in range(j + 1)) % modulus
         else:
-            acc = None
-            for i in range(j + 1):
-                term = comps[i] ** (p ** (j - i)) * p**i
-                acc = term if acc is None else acc + term
+            acc = comps[0] ** (p**j)
+            for i in range(1, j + 1):
+                acc = acc + comps[i] ** (p ** (j - i)) * p**i
         out.append(acc)
     return out
 
@@ -95,21 +95,16 @@ def ghost_map(x: WittVector) -> tuple:
 
 
 def _ghost_inverse_components(p, entries):
-    """Solve the ghost recursion exactly; integer inputs demand divisibility."""
+    """Solve the ghost recursion over Z or Hurwitz series; p^j must divide step j."""
     comps = []
     for j, g in enumerate(entries):
         acc = g
         for i in range(j):
             acc = acc - comps[i] ** (p ** (j - i)) * p**i
-        if isinstance(acc, int):
-            q, r = divmod(acc, p**j)
-            if r:
-                raise NotAWittVectorError(
-                    j, f"ghost entry {j}: {p}^{j} does not divide {acc}"
-                )
-            comps.append(q)
-        else:
-            comps.append(acc * Fraction(1, p**j))
+        q = acc // p**j
+        if q * p**j != acc:
+            raise NotAWittVectorError(j, f"ghost entry {j}: {p}^{j} does not divide {acc}")
+        comps.append(q)
     return comps
 
 
@@ -308,20 +303,9 @@ def solve_frobenius(y: WittVector) -> SolveFrobeniusResult:
 # Cartier pairing and the Dwork factorization
 
 
-def _artin_hasse_factor(p, a, start, n, ring):
-    """exp(sum_{m=0}^{n-1-start} a[m+start] t^(p^m) / p^m), truncated."""
-    s = TruncPoly(ring, {(p**m,): Fraction(a[m + start], p**m) for m in range(n - start)})
-    return s.series_exp()
-
-
-def cartier_character(
-    p: int,
-    a: list,
-    x_scalars: list,
-    degree_bound: int,
-    xprime_scalars: list,
-) -> dict:
-    """Pairing of a ghost tuple a (a_m = 0 for m >= n) against Witt components.
+def cartier_character(p: int, a: list, x_scalars: list, degree_bound: int,
+                      xprime_scalars: list) -> dict:
+    """Pairing of an integer ghost tuple a (a_m = 0, m >= n) with integer Witt vectors.
 
     Components are placed on the formal line as x_j * t. Builds
     f(t) = exp(sum a_m t^(p^m)/p^m), scans it for p-integrality, evaluates
@@ -329,10 +313,11 @@ def cartier_character(
     sum_m (a_m/p^m) w_m(x t), and that g(x +_W x') = g(x) g(x') for the
     second vector x'.
 
-    A factor evaluated at c * t (every component of x and x', and the
-    first component of x +_W x') is the factor with the coefficient of t^k
-    scaled by c^k; only the non-linear components of the Witt sum are
-    substituted.
+    Every series is an integer Hurwitz series b (exactalg.Hurwitz); f is
+    p-integral where v_p(b_k) >= v_p(k!). Every division is exact: a factor at
+    s = c t scales b_k by c^k, at other s it is sum_k b_k s^[k], and each
+    s^[k] = s^[k-1] s / k is a Hurwitz series; the Witt sum of x t and x' t has
+    integer polynomial components; the log identity is compared times p^(n-1).
     """
     require_prime(p)
     n = len(x_scalars)
@@ -341,46 +326,45 @@ def cartier_character(
     if len(xprime_scalars) != n:
         raise InvalidInputError(f"xprime_scalars needs {n} components, "
                                 f"got {len(xprime_scalars)}")
-    if len(a) < n:
-        a = list(a) + [0] * (n - len(a))
-    ring = PolyRing(vars=("t",), bounds=(degree_bound,))
-    t = TruncPoly.var(ring, "t")
+    if any(a[n:]):
+        raise InvalidInputError(f"a has a nonzero a_m at m >= len(x_scalars) = {n}: {list(a)}")
+    if degree_bound < 0:
+        raise InvalidInputError(f"degree_bound must be >= 0, got {degree_bound}")
+    if not all(type(v) is int for v in (*a, *x_scalars, *xprime_scalars)):
+        raise InvalidInputError("a, x_scalars and xprime_scalars take integers")
+    a = list(a[:n]) + [0] * (n - len(a))
 
-    factors = [_artin_hasse_factor(p, a, j, n, ring) for j in range(n)]
-    f = factors[0]
-    first_bad = None
-    for mono, c in sorted(f.terms.items()):
-        if isinstance(c, Fraction) and c.denominator % p == 0:
-            first_bad = {"monomial": f"t^{mono[0]}", "coefficient": str(c)}
-            break
-    coeff_lists = [[(m[0], c) for m, c in factor.terms.items()] for factor in factors]
+    def series(coeffs):
+        return Hurwitz([coeffs.get(k, 0) for k in range(degree_bound + 1)])
 
-    def g_of(args):
-        """prod_j F^j(f)(args[j]) for series args[j] in t."""
-        out = None
-        for factor, coeffs, arg in zip(factors, coeff_lists, args):
-            if arg.terms.keys() <= {(1,)}:  # arg = c * t, with c = 0 when empty
-                c = arg.coeff((1,))
-                value = TruncPoly(ring, {(k,): b * c**k for k, b in coeffs})
-            else:
-                value = factor.substitute({"t": arg})
-            out = value if out is None else out * value
+    # t^(p^m)/p^m has Hurwitz coefficient (p^m - 1)!
+    factors = [series({p**m: a[m + j] * factorial(p**m - 1) for m in range(n - j)}).exp()
+               for j in range(n)]
+    first_bad = next(({"monomial": f"t^{k}", "coefficient": str(Fraction(b, factorial(k)))}
+                      for k, b in enumerate(factors[0].b)
+                      if b % p ** factorial_valuation(p, k)), None)
+
+    def g_of(args):  # prod_j F^j(f)(args[j])
+        out = series({0: 1})
+        for factor, arg in zip(factors, args):
+            if any(arg.b[2:]):
+                value, power = series({}), series({0: 1})
+                for k, b in enumerate(factor.b, 1):
+                    value, power = value + power * b, power * arg // k
+            else:  # arg = c t
+                c = arg.b[1] if degree_bound else 0
+                value = Hurwitz([b * c**k for k, b in enumerate(factor.b)])
+            out = out * value
         return out
 
-    xt = [t * c for c in x_scalars]
+    xt = [series({1: c}) for c in x_scalars]
     gx = g_of(xt)
-
-    # log g(x) = sum_m (a_m / p^m) w_m(x t)
     ghost_x = _ghost_entries(p, xt)
-    expected_log = TruncPoly.zero(ring)
-    for m, wm in enumerate(ghost_x):
-        expected_log = expected_log + wm.map_coeffs(
-            lambda c, m=m: Fraction(c * a[m], p**m)
-        )
-    log_ok = gx.series_log() == expected_log
+    scaled = sum((w * (a[m] * p ** (n - 1 - m)) for m, w in enumerate(ghost_x)), series({}))
+    log_ok = gx.log() * p ** (n - 1) == scaled
 
-    xpt = [t * c for c in xprime_scalars]
-    # Witt sum with polynomial components, through the ghost map over Q[t]
+    xpt = [series({1: c}) for c in xprime_scalars]
+    # Witt sum with polynomial components, through the ghost map
     gs = [w + w2 for w, w2 in zip(ghost_x, _ghost_entries(p, xpt))]
     additive_ok = g_of(_ghost_inverse_components(p, gs)) == gx * g_of(xpt)
 

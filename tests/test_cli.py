@@ -356,9 +356,9 @@ def test_over_maximum_exits_before_the_library(argv, module, name, monkeypatch):
     assert e.value.code == 2
 
 
-def test_cartier_scales_instead_of_substituting(monkeypatch):
-    # f(c t) is f with t^k scaled by c^k; only the Witt sum's non-linear
-    # component is substituted (7,569 products and 600 substitutions before)
+def test_cartier_makes_no_truncpoly_products(monkeypatch):
+    # the check runs on integer Hurwitz series (7,569 products and 600
+    # substitutions before factors at c t were scaled, 3,446 and 84 after)
     counts = {"__mul__": 0, "substitute": 0}
     for name in counts:
         real = getattr(TruncPoly, name)
@@ -368,7 +368,7 @@ def test_cartier_scales_instead_of_substituting(monkeypatch):
             return real(self, other)
         monkeypatch.setattr(TruncPoly, name, counting)
     assert cli.check_cartier(cli.RunConfig())["status"] == "pass"
-    assert counts["__mul__"] <= 3600 and counts["substitute"] <= 100, counts
+    assert counts == {"__mul__": 0, "substitute": 0}
 
 
 def test_parser_is_built_once(capsys):

@@ -1,12 +1,13 @@
 import random
 from fractions import Fraction
-from math import gcd
+from math import factorial, gcd
 from itertools import combinations, product
 
 import pytest
 
 from conftest import zp_rows
 from wittsen.exactalg import (
+    Hurwitz,
     IntMatrix,
     InvalidInputError,
     PolyRing,
@@ -229,10 +230,32 @@ def test_snf_against_sympy_invariant_factors():
 # truncated polynomials
 
 def test_exp_log_roundtrip():
-    ring = PolyRing(vars=("t",), bounds=(8,))
-    t = TruncPoly.var(ring, "t")
-    f = 1 + t
-    assert f.series_log().series_exp() == f
+    # integer Hurwitz series: b_k = k! c_k for the series sum c_k t^k
+    f = Hurwitz([1, 1] + [0] * 7)  # 1 + t
+    assert f.log().exp() == f
+    assert f.log().b == [0, 1, -1, 2, -6, 24, -120, 720, -5040]  # (-1)^(k-1) (k-1)!
+    rng = random.Random(47)
+    for D in range(0, 13):
+        u = Hurwitz([0] + [rng.randrange(-9, 10) for _ in range(D)])
+        assert u.exp().log() == u
+        # the same exp as TruncPoly's Fraction recurrence
+        ring = PolyRing(vars=("t",), bounds=(D,))
+        series = TruncPoly(ring, {(k,): Fraction(c, factorial(k)) for k, c in enumerate(u.b)})
+        assert [Fraction(c, factorial(k)) for k, c in enumerate(u.exp().b)] == [
+            series.series_exp().coeff((k,)) for k in range(D + 1)]
+
+
+def test_hurwitz_product_is_the_series_product():
+    # the binomial convolution of b_k = k! c_k against TruncPoly's Fraction product
+    rng = random.Random(48)
+    for D in range(0, 13):
+        ring = PolyRing(vars=("t",), bounds=(D,))
+        f, g = ([rng.randrange(-9, 10) for _ in range(D + 1)] for _ in range(2))
+        fq, gq = (TruncPoly(ring, {(k,): Fraction(c, factorial(k)) for k, c in enumerate(h)})
+                  for h in (f, g))
+        assert [Fraction(c, factorial(k)) for k, c in enumerate((Hurwitz(f) * Hurwitz(g)).b)] == [
+            (fq * gq).coeff((k,)) for k in range(D + 1)]
+        assert (Hurwitz(f) * 3).b == [3 * c for c in f]
 
 
 def test_exp_of_minus_sum_tn_over_n():
@@ -260,8 +283,11 @@ def test_exp_log_preconditions():
     t = TruncPoly.var(ring, "t")
     with pytest.raises(InvalidInputError):
         (1 + t).series_exp()
-    with pytest.raises(InvalidInputError):
-        t.series_log()
+    with pytest.raises(InvalidInputError, match="exp needs constant term 0"):
+        Hurwitz([1, 1, 0]).exp()
+    for b in ([0, 1, 0], [2, 1, 0]):
+        with pytest.raises(InvalidInputError, match="log needs constant term 1"):
+            Hurwitz(b).log()
 
 
 def test_series_refuse_a_term_of_weight_zero():
@@ -269,8 +295,8 @@ def test_series_refuse_a_term_of_weight_zero():
     t = TruncPoly.var(PolyRing(vars=("t",)), "t")
     ring = PolyRing(vars=("x", "v"), bounds=(8, None))
     x, v = TruncPoly.var(ring, "x"), TruncPoly.var(ring, "v")
-    for series in (t.series_exp, (x + v).series_exp, (1 + x + v).series_log,
-                   (1 + t).series_log, (2 + x + v).series_inverse, (2 + t).series_inverse):
+    for series in (t.series_exp, (x + v).series_exp,
+                   (2 + x + v).series_inverse, (2 + t).series_inverse):
         with pytest.raises(InvalidInputError, match="weight 0"):
             series()
 
@@ -279,7 +305,7 @@ def test_series_take_a_one_variable_ring():
     # the recurrences read one coefficient list; no caller has a second variable
     ring = PolyRing(vars=("x", "y"), total_bound=6)
     g = TruncPoly.var(ring, "x") + TruncPoly.var(ring, "y")
-    for series in (g.series_exp, (1 + g).series_log, (1 + g).series_inverse):
+    for series in (g.series_exp, (1 + g).series_inverse):
         with pytest.raises(InvalidInputError, match="one-variable"):
             series()
 
@@ -487,8 +513,13 @@ def test_series_kernel_against_sympy():
 
         f, g = both(0, c[1])
         assert_same(f.series_exp(), rs_exp(g, s, N + 1))
-        f, g = both(1, c[1])
-        assert_same(f.series_log(), rs_log(g, s, N + 1))
+        # log on the integer Hurwitz series with b_0 = 1 and b_k the
+        # numerators of the draw, against rs_log of sum b_k s^k / k!
+        b = [1] + [x.numerator for x in c[1:]]
+        theirs = sum((QQ(x, factorial(k)) * s**k for k, x in enumerate(b)), R(0))
+        assert [Fraction(x, factorial(k)) for k, x in enumerate(Hurwitz(b).log().b)] == [
+            Fraction(int(w.numerator), int(w.denominator))
+            for w in coeffs(rs_log(theirs, s, N + 1), s, N)]
         c0 = c[0] or Fraction(2)
         f, g = both(c0, c[1])
         assert_same(f.series_inverse(), rs_series_inversion(g, s, N + 1))

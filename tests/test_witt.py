@@ -1,8 +1,9 @@
 import random
+from fractions import Fraction
 
 import pytest
 
-from wittsen.exactalg import InvalidInputError, PolyRing, PrecisionError, TruncPoly
+from wittsen.exactalg import Hurwitz, InvalidInputError, PolyRing, PrecisionError, TruncPoly
 from wittsen.witt import (
     NotAWittVectorError,
     WittContext,
@@ -422,19 +423,121 @@ def test_cartier_needs_a_component():
 
 
 def test_cartier_builds_each_artin_hasse_factor_once(monkeypatch):
-    import wittsen.witt as witt
+    # F^j(f) = exp(sum_m a_(m+j) t^(p^m)/p^m), once per level j, not 2n + 1
+    # times; t^(p^m)/p^m has Hurwitz coefficient (p^m - 1)! at t^(p^m)
+    args = []
+    real = Hurwitz.exp
 
-    starts = []
-    real = witt._artin_hasse_factor
+    def counting(self):
+        args.append(self.b)
+        return real(self)
 
-    def counting(p, a, start, n, ring):
-        starts.append(start)
-        return real(p, a, start, n, ring)
-
-    monkeypatch.setattr(witt, "_artin_hasse_factor", counting)
+    monkeypatch.setattr(Hurwitz, "exp", counting)
     rep = cartier_character(2, [1, 3, 0], [1, 2, 1], 8, xprime_scalars=[2, 0, 1])
     assert rep["additivity"] and rep["log_identity"]
-    assert sorted(starts) == [0, 1, 2]  # one factor per level, not 2n + 1
+    assert args == [[0, 1, 3, 0, 0, 0, 0, 0, 0],
+                    [0, 3, 0, 0, 0, 0, 0, 0, 0],
+                    [0] * 9]
+
+
+def test_cartier_refuses_a_nonzero_entry_past_the_components():
+    # a_2 = 5 was once dropped, giving the answer for [1, 0]
+    with pytest.raises(InvalidInputError, match="a_m at m >= len\\(x_scalars\\) = 2"):
+        cartier_character(2, [1, 0, 5], [3, 5], 8, xprime_scalars=[1, -2])
+    assert (cartier_character(2, [1, 0, 0], [3, 5], 8, xprime_scalars=[1, -2])
+            == cartier_character(2, [1, 0], [3, 5], 8, xprime_scalars=[1, -2]))
+
+
+def test_cartier_refuses_a_negative_degree_bound():
+    # it once raised "log needs constant term 1"
+    with pytest.raises(InvalidInputError, match="degree_bound must be >= 0, got -1"):
+        cartier_character(2, [1, 0], [3, 5], -1, xprime_scalars=[1, -2])
+
+
+def test_cartier_refuses_rational_entries():
+    # the Hurwitz series divide exactly only over Z; these were once accepted,
+    # and the float x'_1 = 2.0 read additivity False
+    for a, x, xp in (([Fraction(1, 3), 0], [1, 1], [1, 1]),
+                     ([1, 0], [Fraction(1, 2), 1], [1, 1]),
+                     ([1, 0], [1, 1], [1, 2.0])):
+        with pytest.raises(InvalidInputError, match="take integers"):
+            cartier_character(2, a, x, 8, xprime_scalars=xp)
+
+
+def reference_cartier(p, a, x_scalars, D, xprime_scalars):
+    """The report dict of cartier_character computed over Q[t] with
+    TruncPoly: Fraction exp, a log by n g_n = n f_n - sum k g_k f_(n-k), the
+    ghost map and its inverse written out here, and each factor at a
+    non-linear argument by substitution. An oracle for the Hurwitz series."""
+    n = len(x_scalars)
+    a = list(a) + [0] * (n - len(a))
+    ring = PolyRing(vars=("t",), bounds=(D,))
+    t = TruncPoly.var(ring, "t")
+
+    def log(f):
+        fs = [f.coeff((k,)) for k in range(D + 1)]
+        g = [0] * (D + 1)
+        for m in range(1, D + 1):
+            g[m] = fs[m] - sum(Fraction(k * g[k] * fs[m - k], m) for k in range(1, m))
+        return TruncPoly(ring, {(k,): c for k, c in enumerate(g)})
+
+    def ghost(comps):
+        return [sum((comps[i] ** (p ** (j - i)) * p**i for i in range(j + 1)),
+                    TruncPoly.zero(ring)) for j in range(len(comps))]
+
+    def ghost_inverse(entries):
+        comps = []
+        for j, g in enumerate(entries):
+            acc = g - sum((comps[i] ** (p ** (j - i)) * p**i for i in range(j)),
+                          TruncPoly.zero(ring))
+            comps.append(acc * Fraction(1, p**j))
+        return comps
+
+    factors = [TruncPoly(ring, {(p**m,): Fraction(a[m + j], p**m) for m in range(n - j)})
+               .series_exp() for j in range(n)]
+    first_bad = next(({"monomial": f"t^{mono[0]}", "coefficient": str(c)}
+                      for mono, c in sorted(factors[0].terms.items())
+                      if isinstance(c, Fraction) and c.denominator % p == 0), None)
+
+    def g_of(args):
+        out = TruncPoly.const(ring, 1)
+        for factor, arg in zip(factors, args):
+            out = out * factor.substitute({"t": arg})
+        return out
+
+    xt = [t * c for c in x_scalars]
+    gx = g_of(xt)
+    ghost_x = ghost(xt)
+    expected_log = sum((w * Fraction(a[m], p**m) for m, w in enumerate(ghost_x)),
+                       TruncPoly.zero(ring))
+    xpt = [t * c for c in xprime_scalars]
+    sums = ghost_inverse([w + w2 for w, w2 in zip(ghost_x, ghost(xpt))])
+    return {
+        "p": p,
+        "n": n,
+        "degree_bound": D,
+        "f_p_integral": first_bad is None,
+        "first_violation": first_bad,
+        "log_identity": log(gx) == expected_log,
+        "additivity": g_of(sums) == gx * g_of(xpt),
+    }
+
+
+def test_cartier_matches_the_fraction_reference():
+    rng = random.Random(71)
+    outcomes = set()
+    for draw in range(240):
+        p, n, D = rng.choice((2, 3, 5)), rng.choice((1, 2, 3)), rng.randrange(0, 13)
+        if draw % 2:
+            a = valid_ghost_tuple(rng, p, n)
+        else:
+            a = [rng.randrange(-30, 31) for _ in range(n)]
+        x = [rng.randrange(-4, 5) for _ in range(n)]
+        xp = [rng.randrange(-4, 5) for _ in range(n)]
+        rep = cartier_character(p, a, x, D, xprime_scalars=xp)
+        assert rep == reference_cartier(p, a, x, D, xp), (p, a, x, xp, D)
+        outcomes.add(rep["f_p_integral"])
+    assert outcomes == {True, False}
 
 
 # ---------------------------------------------------------------------------
