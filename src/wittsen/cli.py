@@ -2,13 +2,15 @@
 modules, emitted as deterministic text or JSON reports.
 
 Exit codes: 0 all pass (or skipped), 1 some check failed (the row carries a
-counterexample), 2 usage error.
+counterexample; a library identity found broken, an IdentityError, is its
+check's fail row too), 2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import inspect
 import itertools
 import json
 import random
@@ -18,6 +20,7 @@ from fractions import Fraction
 
 from . import __version__, targets
 from .exactalg import (
+    IdentityError,
     InvalidInputError,
     PrecisionError,
     int_valuation,
@@ -64,9 +67,9 @@ def jsonable(x):
     return repr(x)
 
 
-def check(name, ok, payload=None, counterexample=None, skipped=False):
+def check(ok, payload=None, counterexample=None, skipped=False):
     status = "skipped" if skipped else ("pass" if ok else "fail")
-    row = {"name": name, "status": status}
+    row = {"status": status}
     if payload is not None:
         row["payload"] = jsonable(payload)
     if status == "fail" and counterexample is not None:
@@ -74,10 +77,28 @@ def check(name, ok, payload=None, counterexample=None, skipped=False):
     return row
 
 
+def named(name):
+    """Name the row of the decorated check, formatted with its keyword
+    arguments, and make an IdentityError from the library that row's failure."""
+    def decorate(fn):
+        defaults = {k: v.default for k, v in inspect.signature(fn).parameters.items()}
+
+        @functools.wraps(fn)
+        def run(cfg, **kwargs):
+            try:
+                row = fn(cfg, **kwargs)
+            except IdentityError as exc:
+                row = check(False, None, {**exc.where, "error": str(exc)})
+            return {"name": name.format_map({**defaults, **kwargs}), **row}
+        return run
+    return decorate
+
+
 # ---------------------------------------------------------------------------
 # witt checks
 
 
+@named("witt.gabber")
 def check_gabber(cfg: RunConfig):
     rows = []
     for p in targets.GABBER_PRIMES:
@@ -89,18 +110,19 @@ def check_gabber(cfg: RunConfig):
     )
     bad = next((r for r in rows if not r["holds"]),
                None if small_ok else {"small_values": targets.GABBER_Y_SMALL})
-    return check("witt.gabber", bad is None,
-                 {"cases": rows, "small_values_ok": small_ok}, bad)
+    return check(bad is None, {"cases": rows, "small_values_ok": small_ok}, bad)
 
 
+@named("witt.pn-vanishing")
 def check_pn_vanishing(cfg: RunConfig):
     rows = [W.check_pn_vanishing(p, n, targets.PN_VANISHING_LENGTH)
             for p, n in targets.PN_VANISHING_GRID]
     flags = ("holds_v", "holds_vfv", "ghost_ok", "holds")
     bad = next((r for r in rows if not all(r[f] for f in flags)), None)
-    return check("witt.pn-vanishing", bad is None, {"cases": rows}, bad)
+    return check(bad is None, {"cases": rows}, bad)
 
 
+@named("witt.solve-frobenius")
 def check_solve_frobenius(cfg: RunConfig):
     payload = {}
     bad = None
@@ -131,15 +153,16 @@ def check_solve_frobenius(cfg: RunConfig):
                                     if res3.success else None}
         bad = bad or (None if good else {"p": 2, "teichmuller_power": m,
                                          **payload[f"p2_teich_{m}"]})
-    return check("witt.solve-frobenius", bad is None, payload, bad)
+    return check(bad is None, payload, bad)
 
 
+@named("witt.frobenius-of-p")
 def check_frobenius_of_p(cfg: RunConfig):
     rows = [W.frobenius_of_p_identity(p, 4) for p in (2, 3, 5)]
     bad = next((r for r in rows if not (
         r["holds_p_to_p"] and (r["holds_p_squared"] == (r["p"] == 2))
         and r["frobenius_fixes_integers"])), None)
-    return check("witt.frobenius-of-p", bad is None, {"cases": rows}, bad)
+    return check(bad is None, {"cases": rows}, bad)
 
 
 def _valid_ghost_tuple(rng, p, n):
@@ -150,6 +173,7 @@ def _valid_ghost_tuple(rng, p, n):
     return a
 
 
+@named("witt.cartier")
 def check_cartier(cfg: RunConfig):
     rng = random.Random(REPORT_SEED)
     bad = None
@@ -165,9 +189,10 @@ def check_cartier(cfg: RunConfig):
             if not good:
                 bad = bad or {"p": p, "a": a, "x": x, "xprime": xp, "report": rep}
             count += 1
-    return check("witt.cartier", bad is None, {"samples": count}, bad)
+    return check(bad is None, {"samples": count}, bad)
 
 
+@named("witt.dwork")
 def check_dwork(cfg: RunConfig):
     D = targets.DWORK_DEGREE
     cases = {
@@ -181,27 +206,24 @@ def check_dwork(cfg: RunConfig):
                 for name, rep in payload.items()
                 if not rep["reconstructs"] or rep["r"] != want_r.get(name, rep["r"])),
                None)
-    return check("witt.dwork", bad is None, payload, bad)
+    return check(bad is None, payload, bad)
 
 
 # ---------------------------------------------------------------------------
 # fgl checks
 
 
+@named("fgl.nseries")
 def check_nseries(cfg: RunConfig, kind="additive", m=2, D=40, p=3, n=1):
     if kind == "honda":
-        try:
-            F = FG.fgl_construct("honda", D, p=p, n=n)
-        except FG.InvalidFGLError as exc:
-            return check("fgl.nseries", False, {"kind": kind, "m": m},
-                         {"degree": exc.degree, "error": str(exc)})
+        F = FG.fgl_construct("honda", D, p=p, n=n)
     else:  # for m >= 0, [m](x) is a polynomial of degree at most m
         F = FG.fgl_construct(kind, D if m < 0 else min(D, m + 2),
                              lam="lam" if kind == "multiplicative" else None)
-    return check("fgl.nseries", True,
-                 {"kind": kind, "m": m, "series": repr(FG.n_series(F, m))})
+    return check(True, {"kind": kind, "m": m, "series": repr(FG.n_series(F, m))})
 
 
+@named("fgl.q-identity")
 def check_q_identity(cfg: RunConfig, n_max=targets.Q_IDENTITY_MAX):
     F = FG.fgl_construct("multiplicative", n_max + 1, lam="lam")
     bad = None
@@ -210,26 +232,20 @@ def check_q_identity(cfg: RunConfig, n_max=targets.Q_IDENTITY_MAX):
         if lhs != FG.q_integer(m, "lam", lhs.ring):
             bad = {"m": m}
             break
-    return check("fgl.q-identity", bad is None, {"n_max": n_max}, bad)
+    return check(bad is None, {"n_max": n_max}, bad)
 
 
+@named("fgl.honda")
 def check_honda(cfg: RunConfig):
-    rows = []
-    for (p, n), group in itertools.groupby(targets.HONDA_GRID, key=lambda r: r[:2]):
-        ms = [m for _, _, m in group]
-        try:
-            series = FG.honda_pm_divided_series(p, n, ms)
-        except FG.InvalidFGLError as exc:
-            rows += [{"p": p, "n": n, "m": m, "error": str(exc), "ok": False} for m in ms]
-            continue
-        rows += [{"p": p, "n": n, "m": m,
-                  "v_exponent": series[m]["v_exponent"],
-                  "h_exponent": series[m]["h_exponent"],
-                  "ok": True} for m in ms]
-    bad = next((r for r in rows if not r["ok"]), None)
-    return check("fgl.honda", bad is None, {"cases": rows}, bad)
+    # one p-series per (p, n) serves each m of the grid; a wrong one raises
+    rows = [{"p": p, "n": n, "m": m, **exponents, "ok": True}
+            for (p, n), group in itertools.groupby(targets.HONDA_GRID, key=lambda r: r[:2])
+            for m, exponents in FG.honda_pm_divided_series(
+                p, n, [m for _, _, m in group]).items()]
+    return check(True, {"cases": rows})
 
 
+@named("fgl.right-unit")
 def check_right_unit(cfg: RunConfig):
     payload = {}
     bad = None
@@ -254,9 +270,10 @@ def check_right_unit(cfg: RunConfig):
         bad = bad or {"eta_v2_p2": eta[2], "want": expected_v2}
     payload["eta_v2_p2"] = repr(eta[2])
     payload["quarter_combination"] = repr(combo)
-    return check("fgl.right-unit", bad is None, payload, bad)
+    return check(bad is None, payload, bad)
 
 
+@named("fgl.b4")
 def check_b4(cfg: RunConfig):
     b4 = FG.b4_cobar_class()
     ring = b4.ring
@@ -269,10 +286,11 @@ def check_b4(cfg: RunConfig):
     homogeneous = FG.polynomial_degree(b4) == {8}
     payload = {"polynomial": repr(b4), "exact_match": exact,
                "sign_flipped_match": sign_flipped, "homogeneous": homogeneous}
-    return check("fgl.b4", exact and homogeneous, payload,
+    return check(exact and homogeneous, payload,
                  {"polynomial": b4, "want": expected, "homogeneous": homogeneous})
 
 
+@named("fgl.fderham")
 def check_fderham(cfg: RunConfig):
     """Each weight's divided m-series against [m]_q at q = 1 + lam*h (m for the
     additive law, lam = 0; lam = 1; lam symbolic), and the Smith divisors of
@@ -319,13 +337,14 @@ def check_fderham(cfg: RunConfig):
                           "divisors": repm["weights"][m]["divisors"], "want": expected}
     payload["multiplicative_lambda_1"] = repm["weights"][2]
     payload["symbolic_identity"] = "multiplicative_symbolic" not in failed
-    return check("fgl.fderham", bad is None, payload, bad)
+    return check(bad is None, payload, bad)
 
 
 # ---------------------------------------------------------------------------
 # sen checks
 
 
+@named("sen.bokstedt.{variant}")
 def check_bokstedt(cfg: RunConfig, p=None, variant="T1", D=None):
     bad = None
     payload = {}
@@ -344,9 +363,10 @@ def check_bokstedt(cfg: RunConfig, p=None, variant="T1", D=None):
                 bad = bad or {"p": pp, "j": j, "degree": d,
                               "got": rep.entry(d)["torsion"], "want": expected}
         payload[f"p{pp}"] = {"degrees_checked": top // gen}
-    return check(f"sen.bokstedt.{variant}", bad is None, payload, bad)
+    return check(bad is None, payload, bad)
 
 
+@named("sen.cmn")
 def check_cmn(cfg: RunConfig):
     bad = None
     payload = {}
@@ -366,9 +386,10 @@ def check_cmn(cfg: RunConfig):
                 if row["free_rank"] or row["torsion"]:
                     bad = bad or {"even_degree": row}
         payload[f"p{p}_n{n}"] = {"k_max": targets.CMN_K_MAX}
-    return check("sen.cmn", bad is None, payload, bad)
+    return check(bad is None, payload, bad)
 
 
+@named("sen.perfectoid")
 def check_perfectoid(cfg: RunConfig):
     bad = None
     payload = {}
@@ -388,7 +409,7 @@ def check_perfectoid(cfg: RunConfig):
             bad = bad or {"p": p, "valuation_identity": False}
         payload[f"p{p}"] = {"bound": bound,
                             "kernel_degrees": sorted(out["kernel_ranks"])}
-    return check("sen.perfectoid", bad is None, payload, bad)
+    return check(bad is None, payload, bad)
 
 
 def _zpn_torsion(p, k):
@@ -396,10 +417,10 @@ def _zpn_torsion(p, k):
                   if int_valuation(p, j) > 0)
 
 
+@named("sen.zpn")
 def check_zpn(cfg: RunConfig, p=targets.ZPN_P):
     if p == 2:
-        return check("sen.zpn", True,
-                     {"reason": "operator defined for odd primes only"},
+        return check(True, {"reason": "operator defined for odd primes only"},
                      skipped=True)
     bound = 2 * targets.ZPN_K_MAX
     reps = {}
@@ -420,10 +441,10 @@ def check_zpn(cfg: RunConfig, p=targets.ZPN_P):
     if rows[0] != rows[1]:
         d = next(d for d, (a, b) in enumerate(zip(*rows)) if a != b)
         bad = bad or {"n_dependent_degree": d, "rows": [reps[n].entry(d) for n in pair]}
-    return check("sen.zpn", bad is None,
-                 {"p": p, "ns": pair, "n_independent": rows[0] == rows[1]}, bad)
+    return check(bad is None, {"p": p, "ns": pair, "n_independent": rows[0] == rows[1]}, bad)
 
 
+@named("sen.omega2yn")
 def check_omega2yn(cfg: RunConfig):
     p = targets.ZPN_P
     bound = 2 * targets.ZPN_K_MAX
@@ -438,9 +459,10 @@ def check_omega2yn(cfg: RunConfig):
                 bad = bad or {"n": n, "k": k, "row": row, "want": expected}
             if row["torsion"] != hom.entry(2 * k - 1)["torsion"]:
                 bad = bad or {"uct_mismatch_at": k, "n": n}
-    return check("sen.omega2yn", bad is None, {"p": p, "k_max": targets.ZPN_K_MAX}, bad)
+    return check(bad is None, {"p": p, "k_max": targets.ZPN_K_MAX}, bad)
 
 
+@named("sen.dvr")
 def check_dvr(cfg: RunConfig, E=None, p=3):
     """The DVR square over R = Z_(p)[u]/E(u) against its closed form.
 
@@ -478,7 +500,7 @@ def check_dvr(cfg: RunConfig, E=None, p=3):
         bad = bad or case_bad
         payload[f"p{q}_E{case['E']}"] = {"Eprime_valuation": vE,
                                          "consistent": case_bad is None}
-    return check("sen.dvr", bad is None, payload, bad)
+    return check(bad is None, payload, bad)
 
 
 # ---------------------------------------------------------------------------
@@ -495,11 +517,12 @@ def _psi_prints(p, n, m):
     return P * (abs(m).bit_length() - 1) < bound.bit_length() and abs(m) ** P < bound
 
 
+@named("cartier.psi")
 def check_psi(cfg: RunConfig, m=None, p=3, n=3):
     if m is not None:
         if not _psi_prints(p, n, m):
             raise InvalidInputError(_too_long(("cartier", "psi")))
-        return check("cartier.psi", True, {"psi": list(DP.psi_eigenvalues(p, n, m))})
+        return check(True, {"psi": list(DP.psi_eigenvalues(p, n, m))})
     bad = None
     for pp in targets.PSI_PRIMES:
         for mm in range(0, targets.PSI_M_MAX + 1):
@@ -515,10 +538,10 @@ def check_psi(cfg: RunConfig, m=None, p=3, n=3):
                 j = next((j for j, w in enumerate(ghost) if w != mm), None)
                 if j is not None:
                     bad = bad or {"p": pp, "m": mm, "ghost_component": j}
-    return check("cartier.psi", bad is None,
-                 {"m_max": targets.PSI_M_MAX, "j_max": targets.PSI_J_MAX}, bad)
+    return check(bad is None, {"m_max": targets.PSI_M_MAX, "j_max": targets.PSI_J_MAX}, bad)
 
 
+@named("cartier.psi-tensor")
 def check_psi_tensor(cfg: RunConfig):
     rng = random.Random(REPORT_SEED + 1)
     bad = None
@@ -527,10 +550,10 @@ def check_psi_tensor(cfg: RunConfig):
             a, b = rng.randrange(-60, 61), rng.randrange(-60, 61)
             if not DP.psi_tensor_check(pp, 3, a, b):
                 bad = bad or {"p": pp, "a": a, "b": b}
-    return check("cartier.psi-tensor", bad is None,
-                 {"samples": targets.PSI_TENSOR_SAMPLES}, bad)
+    return check(bad is None, {"samples": targets.PSI_TENSOR_SAMPLES}, bad)
 
 
+@named("cartier.weyl")
 def check_weyl(cfg: RunConfig, M=None):
     bad = None
     payload = {} if M is None else {"M": M}  # the rows are booleans only
@@ -542,9 +565,10 @@ def check_weyl(cfg: RunConfig, M=None):
                 bad = bad or {"p": p, f"{test}_at": k}
         payload[f"p{p}"] = {"commutators": rep["commutators"],
                             "unit_multiple": rep["unit_multiple"]}
-    return check("cartier.weyl", bad is None, payload, bad)
+    return check(bad is None, payload, bad)
 
 
+@named("cartier.delta")
 def check_delta(cfg: RunConfig, B=targets.DELTA_RING["B"]):
     t = targets.DELTA_RING
     rep = DP.delta_ring_check(t["p"], t["n"], B, K=cfg.K)
@@ -552,7 +576,7 @@ def check_delta(cfg: RunConfig, B=targets.DELTA_RING["B"]):
     bad = next((row for row in rep["rows"] if not all(row[f] for f in flags)), None)
     if bad is None and (not rep["all_ok"] or len(rep["rows"]) != B + 1):
         bad = {"all_ok": rep["all_ok"], "rows": len(rep["rows"]), "want_rows": B + 1}
-    return check("cartier.delta", bad is None, rep, bad)
+    return check(bad is None, rep, bad)
 
 
 ALL_CHECKS = [

@@ -25,6 +25,14 @@ class PrecisionError(ValueError):
     pass
 
 
+class IdentityError(ArithmeticError):
+    """An identity the library checks does not hold; `where` locates it."""
+
+    def __init__(self, message, where):
+        super().__init__(message)
+        self.where = where
+
+
 def is_prime(n: int) -> bool:
     if n < 2:
         return False

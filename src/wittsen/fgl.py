@@ -8,17 +8,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactalg import (
+    IdentityError,
     InvalidInputError,
     PolyRing,
     TruncPoly,
     require_prime,
 )
-
-
-class InvalidFGLError(ValueError):
-    def __init__(self, degree, message):
-        self.degree = degree
-        super().__init__(message)
 
 
 @dataclass
@@ -135,7 +130,7 @@ def _honda_log_exp(p: int, n: int, bound: int):
 
 def _unscale(series: TruncPoly, p: int, n: int, ring: PolyRing) -> TruncPoly:
     """A Honda result over Z[w] in `ring` (over F_p[v]): c w^k -> (c/p^k) v^k.
-    Raises InvalidFGLError unless each term x^d w^k has degree 1 for x of
+    Raises IdentityError unless each term x^d w^k has degree 1 for x of
     degree 1 and v of degree 1 - p^n, and p^k divides c."""
     iv = series.ring.index("v")
     out = {}
@@ -143,10 +138,12 @@ def _unscale(series: TruncPoly, p: int, n: int, ring: PolyRing) -> TruncPoly:
         k = mono[iv]
         d = sum(mono) - k
         if d - 1 != k * (p**n - 1):
-            raise InvalidFGLError(d, f"honda term of degree {d} carries v^{k}")
+            raise IdentityError(f"honda term of degree {d} carries v^{k}",
+                                {"p": p, "n": n, "degree": d})
         c, r = divmod(c, p**k)
         if r:
-            raise InvalidFGLError(d, f"honda coefficient of degree {d} is not p-integral")
+            raise IdentityError(f"honda coefficient of degree {d} is not p-integral",
+                                {"p": p, "n": n, "degree": d})
         out[mono] = c
     return TruncPoly(ring, out)
 
@@ -179,7 +176,8 @@ def fgl_construct(kind: str, D: int, lam=None, p: int = None,
                      _law_ring(("X", "Y"), ("v",), D, p))
         bad = _axiom_failure_degree(F, min(D, 12))
         if bad is not None:
-            raise InvalidFGLError(bad, f"honda law fails axioms at degree {bad}")
+            raise IdentityError(f"honda law fails axioms at degree {bad}",
+                                {"p": p, "n": n, "degree": bad})
         return FormalGroupLaw(D, F)
 
     raise InvalidInputError(f"unknown kind {kind!r}")
@@ -201,8 +199,9 @@ def formal_inverse(F: FormalGroupLaw, bound: int) -> TruncPoly:
     FY = F.F.derivative("Y")
     at = lambda poly, g: poly.substitute({"X": TruncPoly.var(g.ring, "x"), "Y": g})
     iota = _newton(-x, "x", bound, lambda g: at(F.F, g), lambda g: at(FY, g))
-    if not at(F.F, iota).is_zero():
-        raise ArithmeticError("F(x, iota(x)) is not 0")
+    residual = at(F.F, iota)
+    if not residual.is_zero():
+        raise IdentityError("F(x, iota(x)) is not 0", {"degree": min(residual.terms)[0]})
     return iota
 
 
@@ -232,7 +231,7 @@ def divided_n_series(F: FormalGroupLaw, m: int, bound: int = None) -> TruncPoly:
     out = {}
     for mono, c in series.terms.items():
         if mono[ix] < 1:
-            raise ArithmeticError("[m](h) has a term without h")
+            raise IdentityError("[m](h) has a term without h", {"m": m})
         new = list(mono)
         new[ix] -= 1
         out[tuple(new)] = c
@@ -262,13 +261,13 @@ def honda_p_series(p: int, n: int, bound: int) -> TruncPoly:
     pseries = _unscale(expw.substitute({"x": logw * p}), p, n, mod_ring)
     expected = TruncPoly(mod_ring, {(p**n, 1): 1})
     if pseries != expected:
-        raise InvalidFGLError(None, "honda p-series is not v*x^(p^n)")
+        raise IdentityError("honda p-series is not v*x^(p^n)", {"p": p, "n": n})
     return pseries
 
 
 def honda_pm_divided_series(p: int, n: int, ms) -> dict:
     """<p^m>(h) for the height-n law, keyed by each m in ms: honda_p_series
-    raises InvalidFGLError unless [p](x) = v x^(p^n) exactly, and one
+    raises IdentityError unless [p](x) = v x^(p^n) exactly, and one
     p-series at the largest bound any m needs covers them all. Composing
     x -> v x^(p^n) m times gives v^(e_m) x^(p^(nm)) with
     e_m = sum_(i<m) p^(ni) = (p^(nm) - 1)/(p^n - 1)."""
@@ -304,7 +303,7 @@ def bp_right_unit(p: int, N: int) -> dict:
 
     Computed through the logarithm coefficients: eta_R(l_n) = sum l_i t_{n-i}^(p^i),
     the generator recursion applied on the image side, then l_i eliminated.
-    Integrality of the result is asserted, not assumed.
+    A non-p-integral eta_R(v_n) raises IdentityError.
     """
     require_prime(p)
     ring = _bp_ring(p, N)
@@ -328,9 +327,8 @@ def bp_right_unit(p: int, N: int) -> dict:
         eta_v[nn] = acc
         bad = acc.min_p_valuation(p)
         if bad is not None and bad < 0:
-            raise ArithmeticError(
-                f"right unit of v_{nn} is not p-integral (valuation {bad})"
-            )
+            raise IdentityError(f"right unit of v_{nn} is not p-integral (valuation {bad})",
+                                {"p": p, "n": nn})
     return eta_v
 
 
@@ -354,7 +352,7 @@ def b4_cobar_class() -> TruncPoly:
     out = (first - second).map_coeffs(lambda c: Fraction(c, 2))
     bad = out.min_p_valuation(p)
     if bad is not None and bad < 0:
-        raise ArithmeticError("degree-8 cobar representative is not 2-integral")
+        raise IdentityError("degree-8 cobar representative is not 2-integral", {"p": p})
     return out
 
 

@@ -15,6 +15,7 @@ from math import factorial
 
 from .exactalg import (
     Hurwitz,
+    IdentityError,
     InvalidInputError,
     PolyRing,
     PrecisionError,
@@ -25,12 +26,6 @@ from .exactalg import (
     require_prime,
     split_p,
 )
-
-
-class NotAWittVectorError(ValueError):
-    def __init__(self, index, message):
-        self.index = index
-        super().__init__(message)
 
 
 @dataclass(frozen=True)
@@ -103,7 +98,8 @@ def _ghost_inverse_components(p, entries):
             acc = acc - comps[i] ** (p ** (j - i)) * p**i
         q = acc // p**j
         if q * p**j != acc:
-            raise NotAWittVectorError(j, f"ghost entry {j}: {p}^{j} does not divide {acc}")
+            raise IdentityError(f"ghost entry {j}: {p}^{j} does not divide {acc}",
+                                {"index": j})
         comps.append(q)
     return comps
 
@@ -292,8 +288,9 @@ def solve_frobenius(y: WittVector) -> SolveFrobeniusResult:
         "ghost_all_one_mod_p": all(g % p == 1 for g in ghost_x),
     }
     # verify F(x) = y at the working precision
-    if any((ghost_x[n] - gy[n - 1]) % p ** (N - n) for n in range(1, L + 1)):
-        raise ArithmeticError("F(x) = y fails at the working precision")
+    bad = next((n for n in range(1, L + 1) if (ghost_x[n] - gy[n - 1]) % p ** (N - n)), None)
+    if bad is not None:
+        raise IdentityError("F(x) = y fails at the working precision", {"p": p, "index": bad})
     return SolveFrobeniusResult(
         success=True, x_digits=x, precision=N, side_conditions=side
     )
@@ -407,7 +404,7 @@ def dwork_factorization(x_seq: list, degree_bound: int) -> dict:
                 acc += j * r[j] ** (nn // j)
         q, rem = divmod(-acc, nn)
         if rem:
-            raise ArithmeticError(f"r_{nn} = {Fraction(-acc, nn)} is not integral")
+            raise IdentityError(f"r_{nn} = {Fraction(-acc, nn)} is not integral", {"n": nn})
         r[nn] = q
 
     ring = PolyRing(vars=("t",), bounds=(degree_bound,))

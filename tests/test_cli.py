@@ -7,13 +7,14 @@ import random
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 
 import pytest
 
 import wittsen.cli as cli
 import wittsen.targets as targets
 from wittsen.cli import main
-from wittsen.exactalg import TruncPoly
+from wittsen.exactalg import IdentityError, TruncPoly
 
 
 def run_main(argv, capsys):
@@ -214,17 +215,15 @@ def test_honda_raising_p_series_is_a_fail_row(capsys, monkeypatch):
     import wittsen.fgl as fgl
 
     def raising(p, n, bound):
-        raise fgl.InvalidFGLError(None, "honda p-series is not v*x^(p^n)")
+        raise IdentityError("honda p-series is not v*x^(p^n)", where={"p": 2, "n": 1})
 
     monkeypatch.setattr(fgl, "honda_p_series", raising)
     code, out = run_main(["fgl", "honda", "--json"], capsys)
     assert code == 1
     row = json.loads(out)["checks"][0]
     assert row["name"] == "fgl.honda" and row["status"] == "fail"
-    p, n, m = targets.HONDA_GRID[0]
     assert row["counterexample"] == {
-        "p": p, "n": n, "m": m, "ok": False,
-        "error": "honda p-series is not v*x^(p^n)"}
+        "p": 2, "n": 1, "error": "honda p-series is not v*x^(p^n)"}
 
 
 @pytest.mark.parametrize("term, error", [((3, 0), "carries v^"), ((3, 2), "not p-integral")],
@@ -265,7 +264,7 @@ def test_wrong_honda_law_is_an_nseries_fail_row(capsys, monkeypatch):
     assert code == 1
     (row,) = json.loads(out)["checks"]
     assert row["name"] == "fgl.nseries" and row["status"] == "fail"
-    assert row["counterexample"] == {"degree": 3,
+    assert row["counterexample"] == {"p": 3, "n": 1, "degree": 3,
                                      "error": "honda term of degree 3 carries v^0"}
 
 
@@ -518,6 +517,131 @@ def test_fderham_symbolic_fail_row_reports_no_symbolic_identity(capsys, monkeypa
     (row,) = json.loads(out)["checks"]
     assert code == 1 and row["status"] == "fail"
     assert row["payload"]["symbolic_identity"] is False
+
+
+# ---------------------------------------------------------------------------
+# a broken library identity: each site that raises IdentityError, forced by a
+# fault planted just upstream of it, is its check's fail row
+
+
+def _log_plus(term):
+    """The Z[w] Honda logarithm with the term x^d w^k added."""
+    def change(log_exp, *args):
+        logw, expw = log_exp
+        return logw + TruncPoly(logw.ring, {term: 1}), expw
+    return change
+
+
+def _exp_plus_p_w_x_pn(log_exp, p, n, bound):
+    # graded and p-integral, so it reaches the law: F gains v (X + Y)^(p^n)
+    logw, expw = log_exp
+    return logw, expw + TruncPoly(expw.ring, {(p**n, 1): p})
+
+
+def _l1_over_p_at_3(l, p, N, ring):
+    # at p = 3 only: fgl b4 reads the right unit at p = 2
+    return {**l, 1: l[1].map_coeffs(lambda c: Fraction(c, p))} if p == 3 else l
+
+
+def _last_ghost_off(when):
+    """The ghost entries with the last one more, for the calls where
+    when(components, modulus)."""
+    def change(ghost, p, comps, modulus=0):
+        return ghost[:-1] + [ghost[-1] + 1] if when(comps, modulus) else ghost
+    return change
+
+
+def _unguarded_dwork(monkeypatch):
+    # the congruence guard off, and x_2 = x_1 mod 2 broken
+    import wittsen.witt as witt
+
+    real = witt.dwork_factorization
+    monkeypatch.setattr(witt, "is_prime", lambda q: False)
+    monkeypatch.setattr(witt, "dwork_factorization",
+                        lambda xs, D: real([xs[0], xs[1] + 1, *xs[2:]], D))
+
+
+IDENTITY_SITES = {
+    "fgl._unscale grading": (
+        ["fgl", "nseries", "--kind", "honda", "-D", "10"],
+        _tamper("fgl", "_honda_log_exp", _log_plus((3, 0))),
+        {"p": 3, "n": 1, "degree": 3}, "carries v^0"),
+    "fgl._unscale integrality": (  # x^3 w^2 at p = 2 gives [p](x) v^2 x^3 / 2
+        ["fgl", "honda"], _tamper("fgl", "_honda_log_exp", _log_plus((3, 2))),
+        {"p": 2, "n": 1, "degree": 3}, "not p-integral"),
+    "fgl.fgl_construct axioms": (
+        ["fgl", "nseries", "--kind", "honda", "-D", "4"],
+        _tamper("fgl", "_honda_log_exp", _exp_plus_p_w_x_pn),
+        {"p": 3, "n": 1, "degree": 3}, "fails axioms"),
+    "fgl.honda_p_series": (
+        ["fgl", "honda"], _tamper("fgl", "_unscale", lambda series, *a: 2 * series),
+        {"p": 2, "n": 1}, "p-series is not"),
+    "fgl.formal_inverse": (
+        ["fgl", "nseries", "-m", "-2"],
+        _tamper("fgl", "_newton", lambda g, *a: g + TruncPoly.var(g.ring, "x") ** 2),
+        {"degree": 2}, "F(x, iota(x))"),
+    "fgl.divided_n_series": (
+        ["fgl", "q-identity", "--n-max", "2"],
+        _tamper("fgl", "n_series", lambda series, *a: series + 1), {"m": 1},
+        "without h"),
+    "fgl.bp_right_unit": (
+        ["fgl", "right-unit"], _tamper("fgl", "_l_in_terms_of_v", _l1_over_p_at_3),
+        {"p": 3, "n": 1}, "right unit of v_1"),
+    "fgl.b4_cobar_class": (
+        ["fgl", "b4"],
+        _tamper("fgl", "bp_right_unit",
+                lambda eta, *a: {**eta, 2: eta[2] + TruncPoly.var(eta[2].ring, "t1")}),
+        {"p": 2}, "cobar"),
+    "witt._ghost_inverse_components": (  # a Witt sum's entry off by 2, not 0 mod 2^2
+        ["witt", "gabber", "-L", "3"],
+        _tamper("witt", "_ghost_entries", _last_ghost_off(lambda comps, mod: not mod)),
+        {"index": 2}, "does not divide"),
+    "witt.solve_frobenius": (  # the preimage x of y at -L 2 has 3 digits
+        ["witt", "solve-frobenius", "-L", "2"],
+        _tamper("witt", "_ghost_entries",
+                _last_ghost_off(lambda comps, mod: mod and len(comps) == 3)),
+        {"p": 3, "index": 2}, "F(x) = y"),
+    "witt.dwork_factorization": (["witt", "dwork"], _unguarded_dwork, {"n": 2},
+                                 "not integral"),
+}
+
+
+@pytest.mark.parametrize("argv, plant, where, error", IDENTITY_SITES.values(),
+                         ids=IDENTITY_SITES)
+def test_broken_identity_is_its_checks_fail_row(argv, plant, where, error, monkeypatch):
+    plant(monkeypatch)
+    code, out, err = _run(argv + ["--json"])
+    assert code == 1 and "Traceback" not in err
+    (row,) = json.loads(out)["checks"]
+    assert row["name"] == ".".join(argv[:2]) and row["status"] == "fail"
+    assert row.get("payload") is None
+    assert error in row["counterexample"].pop("error")
+    assert row["counterexample"] == where
+
+
+def test_a_bug_is_not_a_fail_row(monkeypatch):
+    # only IdentityError becomes a row; another ArithmeticError is a bug
+    import wittsen.witt as witt
+
+    monkeypatch.setattr(witt, "dwork_factorization", lambda xs, D: 1 // 0)
+    with pytest.raises(ZeroDivisionError):
+        main(["witt", "dwork", "--json"])
+
+
+def test_broken_identity_leaves_the_other_report_rows(monkeypatch):
+    # the right unit at p = 3 alone: every other check, b4 included, runs as before
+    _tamper("fgl", "_l_in_terms_of_v", _l1_over_p_at_3)(monkeypatch)
+    code, out, err = _run(["report", "--json"])
+    assert code == 1 and "Traceback" not in err
+    with open(os.path.join(os.path.dirname(__file__), "data", "golden_report.json")) as fh:
+        golden = json.load(fh)
+    rows = json.loads(out)["checks"]
+    assert len(rows) == len(golden["checks"]) == 22
+    for row, want in zip(rows, golden["checks"]):
+        if row["name"] == "fgl.right-unit":
+            assert row["status"] == "fail" and row["counterexample"]["p"] == 3
+        else:
+            assert row == want
 
 
 @pytest.mark.parametrize("patch, named", [

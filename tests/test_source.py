@@ -18,6 +18,26 @@ def test_library_has_no_assert_statements():
     assert SOURCES and not found, found
 
 
+def test_every_raise_is_a_library_error():
+    # main() maps InvalidInputError and PrecisionError to exit 2 and a check
+    # maps IdentityError to its fail row; anything else would be a traceback.
+    # cli.py's flag types raise argparse's own error, which argparse reports.
+    allowed = {"InvalidInputError", "PrecisionError", "IdentityError"}
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        flag_types = {id(node) for cls in tree.body if isinstance(cls, ast.ClassDef)
+                      and path.name == "cli.py" for node in ast.walk(cls)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise):
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                name = ast.unparse(exc) if exc else "a bare raise"
+                if not (name in allowed or name == "argparse.ArgumentTypeError"
+                        and id(node) in flag_types):
+                    found.append(f"{path.name}:{node.lineno} {name}")
+    assert SOURCES and not found, found
+
+
 def test_senhom_eliminates_only_in_chain_homology():
     # one elimination path: every other homology in senhom goes through it
     path = Path(wittsen.__file__).parent / "senhom.py"

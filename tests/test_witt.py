@@ -3,9 +3,15 @@ from fractions import Fraction
 
 import pytest
 
-from wittsen.exactalg import Hurwitz, InvalidInputError, PolyRing, PrecisionError, TruncPoly
+from wittsen.exactalg import (
+    Hurwitz,
+    IdentityError,
+    InvalidInputError,
+    PolyRing,
+    PrecisionError,
+    TruncPoly,
+)
 from wittsen.witt import (
-    NotAWittVectorError,
     WittContext,
     WittVector,
     _ghost_entries,
@@ -150,9 +156,9 @@ def test_ghost_inverse_examples():
     x = _ghost_inverse_components(3, [-8, -6560])
     assert x == [-8, -2016]       # -512 + 3*(-2016) = -6560
     assert _ghost_inverse_components(5, [7, 7**5, 7**25]) == [7, 0, 0]
-    with pytest.raises(NotAWittVectorError) as e:
+    with pytest.raises(IdentityError) as e:
         _ghost_inverse_components(2, [1, 0])
-    assert e.value.index == 1
+    assert e.value.where["index"] == 1
 
 
 # ---------------------------------------------------------------------------
