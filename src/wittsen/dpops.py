@@ -10,6 +10,7 @@ from fractions import Fraction
 from math import comb, factorial, gcd, perm
 
 from .exactalg import (
+    IdentityError,
     InvalidInputError,
     PolyRing,
     PrecisionError,
@@ -104,7 +105,8 @@ def _operator(p: int, bound: int, gamma_values: dict) -> GradedLinearMap:
                                      for k, m in enumerate(base_p_digits(a // p, p), 1)),
                                  p ** int_valuation(p, perm(a, p)))
                     if g.denominator != 1:
-                        raise InvalidInputError(f"gamma_{a} has a non-integral image {g}")
+                        raise IdentityError(f"gamma_{a} has a non-integral image {g}",
+                                            {"p": p, "a": a})
                     gamma[a] = (g.numerator,)
                 mat[module.index[d - 1][a - p, b, 1]][j] = gamma[a]
             if b:
@@ -300,13 +302,16 @@ def _coeff_vector(poly: TruncPoly, K: int):
 
 
 def _integer_vector(p: int, poly: TruncPoly, K: int):
-    """Coefficients of poly at u^0..u^(K-1) as (N, s): integers N over p^s."""
+    """Coefficients of poly at u^0..u^(K-1) as (N, s): integers N over p^s.
+    The delta iterates lie in Z[1/p][u], so a coefficient with another
+    denominator raises IdentityError."""
     coeffs = _coeff_vector(poly, K)
     s = 0
-    for c in coeffs:
+    for j, c in enumerate(coeffs):
         e, rest = split_p(p, c.denominator)
         if rest != 1:
-            raise InvalidInputError(f"coefficient {c} is not over a power of {p}")
+            raise IdentityError(f"coefficient {c} is not over a power of {p}",
+                                {"p": p, "u_degree": j})
         s = max(s, e)
     return [c.numerator * p**s // c.denominator for c in coeffs], s
 
@@ -318,8 +323,10 @@ class ZpLattice:
 
     `generators` is a list of pairs (N, s): a list of K integers N over p^s,
     the coefficients at u^0..u^(K-1). A constant term outside Z_(p) would
-    give L unbounded denominators and raises InvalidInputError; otherwise
-    every generator is in Z_(p) plus a nilpotent, and L is a lattice.
+    give L unbounded denominators and raises IdentityError (the library's
+    generators, the delta iterates of a multiple of u, have constant term
+    0); otherwise every generator is in Z_(p) plus a nilpotent, and L is a
+    lattice.
 
     Modulus: the constructor finds the least A with M = p^A*L inside
     Z_(p)^K and keeps `scale` = A. Since p^A*Z_(p)^K <= M <= Z_(p)^K, M is
@@ -352,10 +359,11 @@ class ZpLattice:
     def __init__(self, p: int, K: int, generators):
         self.p = p
         self.K = K
-        for N, s in generators:
+        for i, (N, s) in enumerate(generators):
             if N[0] % p**s:
-                raise InvalidInputError(
-                    f"generator constant term {N[0]}/{p}^{s} is not in Z_({p})")
+                raise IdentityError(
+                    f"generator constant term {N[0]}/{p}^{s} is not in Z_({p})",
+                    {"p": p, "generator": i})
         self.scale = a = max((s for _, s in generators), default=0)
         self.modulus = q = p**a
         self.valuations = [a] * K

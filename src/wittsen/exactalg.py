@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import compress
-from math import comb, gcd
+from math import comb, gcd, inf
 from operator import add, itemgetter, mul, sub
 
 
@@ -268,26 +268,23 @@ class TruncPoly:
         The result lives in the ring of the first polynomial value, else in
         this ring. Unassigned variables keep their exponents (and must exist
         in the result ring); assigned names missing from this ring are
-        ignored. Each assigned variable's powers are built once, one product
-        per power, stopping where truncation makes a power zero.
+        ignored. Each assigned variable's value is raised, by `_powers`, only
+        to the exponents this polynomial's monomials give it.
         """
         ring = next((v.ring for v in assignment.values() if isinstance(v, TruncPoly)),
                     self.ring)
-        # per source variable: a list of powers of its value, or the index of
-        # the result-ring variable that carries its exponent
+        # per source variable: an {exponent: power} dict of its value, or the
+        # index of the result-ring variable that carries its exponent
         tables = []
         for i, name in enumerate(self.ring.vars):
-            top = max((m[i] for m in self.terms), default=0)
+            used = {m[i] for m in self.terms} - {0}
             if name not in assignment:
-                tables.append(ring.index(name) if top else None)
+                tables.append(ring.index(name) if used else None)
                 continue
             val = assignment[name]
             if not isinstance(val, TruncPoly):
                 val = TruncPoly.const(ring, val)
-            powers = [TruncPoly.const(ring, 1)]
-            while len(powers) <= top and powers[-1].terms:
-                powers.append(powers[-1] * val)
-            tables.append(powers)
+            tables.append(_powers(val, used))
         out = {}
         for mono, c in self.terms.items():
             shift = [0] * len(ring.vars)
@@ -298,9 +295,7 @@ class TruncPoly:
                 if isinstance(table, int):
                     shift[table] += e
                     continue
-                # a table cut short ends in the zero power, which stands for
-                # every higher power as well
-                power = table[min(e, len(table) - 1)]
+                power = table[e]
                 term = power if term is None else term * power
             items = term.terms.items() if term is not None else [((0,) * len(shift), 1)]
             for m, a in items:
@@ -375,6 +370,40 @@ class TruncPoly:
             )
             bits.append(f"{c}" if not vs else (f"{c}*{vs}" if c != 1 else vs))
         return " + ".join(bits)
+
+
+def _powers(val: TruncPoly, exponents) -> dict:
+    """{e: val^e} for the exponents e >= 1 asked for, by products only and
+    along an addition chain (Knuth, TAOCP Vol. 2, section 4.6.3): e comes
+    from e - 1 when that is built, else from the square of e // 2, which
+    for odd e is kept as e - 1 and multiplied by val once more. A power
+    that truncates to zero stands for every higher one (truncation is a
+    ring quotient), so no product is made past it."""
+    table = {1: val}
+    zero = 1 if val.is_zero() else inf  # the least exponent found to give 0
+
+    def power(e):
+        nonlocal zero
+        if e >= zero:
+            return table[zero]
+        if e not in table:
+            if e - 1 in table:
+                table[e] = table[e - 1] * val
+            else:
+                half = power(e // 2)
+                if e >= zero:
+                    return table[zero]
+                table[e & ~1] = half * half
+                if e & 1:
+                    if table[e - 1].is_zero():
+                        zero = e - 1
+                        return table[zero]
+                    table[e] = table[e - 1] * val
+            if table[e].is_zero():
+                zero = e
+        return table[e]
+
+    return {e: power(e) for e in sorted(exponents)}
 
 
 def truncated_exp_log(f: TruncPoly, mode: str) -> TruncPoly:

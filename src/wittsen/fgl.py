@@ -99,22 +99,26 @@ def _newton(g: TruncPoly, var: str, bound: int, residual, slope) -> TruncPoly:
     return TruncPoly(ring, g.terms)
 
 
-def _compositional_inverse(f: TruncPoly, var: str, bound: int) -> TruncPoly:
-    """g with f(g(x)) = x + O(x^(bound+1)); f = x + higher."""
+def _compositional_inverse(f: TruncPoly, var: str, bound: int,
+                           target: TruncPoly) -> TruncPoly:
+    """g = f^(-1)(target), the root of f(g) = target + O(var^(bound+1)), for
+    f = var + higher and a target with no constant term: _newton from g =
+    target to degree 1, with slope f'(g). The reversion of f is the case
+    target = var."""
     df = f.derivative(var)
     at = lambda poly, g: TruncPoly(g.ring, poly.terms).substitute({var: g})
-    return _newton(TruncPoly.var(f.ring, var), var, bound,
-                   lambda g: at(f, g) - TruncPoly.var(g.ring, var),
+    return _newton(target, var, bound,
+                   lambda g: at(f, g) - TruncPoly(g.ring, target.terms),
                    lambda g: at(df, g))
 
 
-def _honda_log_exp(p: int, n: int, bound: int):
-    """(log, exp) of the height-n Honda law over Z[w], v = p w, in x up to
-    x^bound, with int coefficients in the ring ("x", "v") whose "v" holds w.
+def _honda_log(p: int, n: int, bound: int) -> TruncPoly:
+    """The height-n Honda logarithm over Z[w], v = p w, in x up to x^bound,
+    with int coefficients in the ring ("x", "v") whose "v" holds w.
     log(x) = sum_i v^(e_i) x^(p^(ni)) / p^i with e_i = (p^(ni)-1)/(p^n-1) >= i
     is x + sum_(i>0) p^(e_i - i) w^(e_i) x^(p^(ni)), so _newton's ring
-    operations keep its reversion integral (Hazewinkel, Formal Groups and
-    Applications, sections 2-5)."""
+    operations keep every series solved from it integral (Hazewinkel,
+    Formal Groups and Applications, sections 2-5)."""
     require_prime(p)
     if n < 1:
         raise InvalidInputError("height n must be >= 1")
@@ -124,8 +128,14 @@ def _honda_log_exp(p: int, n: int, bound: int):
         e = (p ** (n * i) - 1) // (p**n - 1)
         terms[(p ** (n * i), e)] = p ** (e - i)
         i += 1
-    logw = TruncPoly(PolyRing(vars=("x", "v"), bounds=(bound, None)), terms)
-    return logw, _compositional_inverse(logw, "x", bound)
+    return TruncPoly(PolyRing(vars=("x", "v"), bounds=(bound, None)), terms)
+
+
+def _honda_log_exp(p: int, n: int, bound: int):
+    """(log, exp) of the height-n Honda law over Z[w], as in _honda_log; exp
+    is the reversion of log."""
+    logw = _honda_log(p, n, bound)
+    return logw, _compositional_inverse(logw, "x", bound, TruncPoly.var(logw.ring, "x"))
 
 
 def _unscale(series: TruncPoly, p: int, n: int, ring: PolyRing) -> TruncPoly:
@@ -252,13 +262,13 @@ def q_integer(nval: int, lam, ring: PolyRing) -> TruncPoly:
 
 
 def honda_p_series(p: int, n: int, bound: int) -> TruncPoly:
-    """[p](x) = exp(p log x) over F_p[v], computed over Z[w] and verified to
-    be exactly v x^(p^n)."""
+    """[p](x) over F_p[v], computed over Z[w] as the Newton root g of
+    log(g) = p log(x) from g = p x, and verified to be exactly v x^(p^n)."""
     if bound < p**n:
         raise InvalidInputError(f"bound {bound} is below p^n = {p**n}")
-    logw, expw = _honda_log_exp(p, n, bound)
+    logw = _honda_log(p, n, bound)
     mod_ring = PolyRing(vars=("x", "v"), bounds=(bound, None), modulus=p)
-    pseries = _unscale(expw.substitute({"x": logw * p}), p, n, mod_ring)
+    pseries = _unscale(_compositional_inverse(logw, "x", bound, logw * p), p, n, mod_ring)
     expected = TruncPoly(mod_ring, {(p**n, 1): 1})
     if pseries != expected:
         raise IdentityError("honda p-series is not v*x^(p^n)", {"p": p, "n": n})

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from math import gcd
 
 from .exactalg import (
+    IdentityError,
     IntMatrix,
     InvalidInputError,
     TruncPoly,
@@ -179,7 +180,9 @@ def chain_homology(dims: dict, mats: dict, bound: int, ops) -> tuple:
     complex given by dimensions and matrices m_d: C_d -> C_(d-1), each a
     list of {column: nonzero entry} rows with dims[d] columns. A missing
     m_d, or one with no columns, is the zero map and is not eliminated; every
-    other m_d is eliminated once, after checking that m_(d-1)*m_d = 0.
+    other m_d is eliminated once, after checking that m_(d-1)*m_d = 0. Every
+    complex the library builds is square zero, so a nonzero product raises
+    IdentityError.
 
     Returns (report, eliminations): the report has a row for each nonzero
     H_d, and the eliminations map each degree d <= bound + 1 of the complex
@@ -191,7 +194,7 @@ def chain_homology(dims: dict, mats: dict, bound: int, ops) -> tuple:
             break
         m, below = mats.get(d, []), mats.get(d - 1, [])
         if m and below and any(matrix_product(ops, below, m)):
-            raise InvalidInputError("maps do not compose to zero")
+            raise IdentityError("maps do not compose to zero", {"p": ops.p, "degree": d})
         exps = local_snf(ops, m, dims[d]) if m and dims[d] else []
         elim[d] = len(exps), [e for e in exps if e > 0]
     rep = HomologyReport()
@@ -210,7 +213,7 @@ def cube_total_fiber(operators, bound: int, ops) -> HomologyReport:
     exact chain homology. A degree in which no operator has a matrix gets no
     total matrix, so it is not eliminated. A total complex that is not square
     zero (operators that do not commute in a degree the homology up to bound
-    reads) raises InvalidInputError.
+    reads) raises IdentityError.
     """
     n = len(operators)
     bases = operators[0].bases

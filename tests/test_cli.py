@@ -232,15 +232,16 @@ def test_wrong_honda_coefficient_is_a_fail_row(capsys, monkeypatch, term, error)
     # a term x^3 added to the Z[w] logarithm breaks the grading (x of degree
     # 1, v of degree 1 - p^n), and x^3 w^2 at p = 2 gives [p](x) the term
     # 2 x^3 w^2 = v^2 x^3 / 2: each is a failed check, not a usage error
+    # (planted in the logarithm the p-series is solved from)
     import wittsen.fgl as fgl
 
-    real = fgl._honda_log_exp
+    real = fgl._honda_log
 
     def perturbed(p, n, bound):
-        logw, expw = real(p, n, bound)
-        return logw + TruncPoly(logw.ring, {term: 1}), expw
+        logw = real(p, n, bound)
+        return logw + TruncPoly(logw.ring, {term: 1})
 
-    monkeypatch.setattr(fgl, "_honda_log_exp", perturbed)
+    monkeypatch.setattr(fgl, "_honda_log", perturbed)
     code, out = run_main(["fgl", "honda", "--json"], capsys)
     assert code == 1
     row = json.loads(out)["checks"][0]
@@ -524,11 +525,16 @@ def test_fderham_symbolic_fail_row_reports_no_symbolic_identity(capsys, monkeypa
 # fault planted just upstream of it, is its check's fail row
 
 
+def _plus(term):
+    """The polynomial with the term x^d w^k added."""
+    return lambda poly, *args: poly + TruncPoly(poly.ring, {term: 1})
+
+
 def _log_plus(term):
-    """The Z[w] Honda logarithm with the term x^d w^k added."""
+    """The Z[w] Honda (log, exp) with the term x^d w^k added to the log."""
     def change(log_exp, *args):
         logw, expw = log_exp
-        return logw + TruncPoly(logw.ring, {term: 1}), expw
+        return _plus(term)(logw), expw
     return change
 
 
@@ -561,13 +567,24 @@ def _unguarded_dwork(monkeypatch):
                         lambda xs, D: real([xs[0], xs[1] + 1, *xs[2:]], D))
 
 
+def _ramified_products_nonzero(monkeypatch):
+    # m_(d-1) * m_d reads 1 in one entry over every ramified ring: only
+    # sen.dvr builds complexes over those
+    import wittsen.senhom as senhom
+
+    real = senhom.matrix_product
+    monkeypatch.setattr(senhom, "matrix_product",
+                        lambda ops, P, Q: iter([{0: ops.scalar(1)}]) if ops.e > 1
+                        else real(ops, P, Q))
+
+
 IDENTITY_SITES = {
     "fgl._unscale grading": (
         ["fgl", "nseries", "--kind", "honda", "-D", "10"],
         _tamper("fgl", "_honda_log_exp", _log_plus((3, 0))),
         {"p": 3, "n": 1, "degree": 3}, "carries v^0"),
     "fgl._unscale integrality": (  # x^3 w^2 at p = 2 gives [p](x) v^2 x^3 / 2
-        ["fgl", "honda"], _tamper("fgl", "_honda_log_exp", _log_plus((3, 2))),
+        ["fgl", "honda"], _tamper("fgl", "_honda_log", _plus((3, 2))),
         {"p": 2, "n": 1, "degree": 3}, "not p-integral"),
     "fgl.fgl_construct axioms": (
         ["fgl", "nseries", "--kind", "honda", "-D", "4"],
@@ -603,6 +620,24 @@ IDENTITY_SITES = {
         {"p": 3, "index": 2}, "F(x) = y"),
     "witt.dwork_factorization": (["witt", "dwork"], _unguarded_dwork, {"n": 2},
                                  "not integral"),
+    "senhom.chain_homology": (  # first at u^2 - 3, the first ramified case
+        ["sen", "dvr"], _ramified_products_nonzero, {"p": 3, "degree": 3},
+        "maps do not compose to zero"),
+    "dpops._operator": (  # g_1 + 1/p puts 3/2 at gamma'_2 -> eps for p = 2
+        ["sen", "perfectoid"],
+        _tamper("dpops", "perfectoid_gamma_values",
+                lambda values, p, bound: {**values, 1: values[1] + Fraction(1, p)}),
+        {"p": 2, "a": 2}, "non-integral image"),
+    "dpops._integer_vector": (
+        ["cartier", "delta"],
+        _tamper("dpops", "_coeff_vector",
+                lambda coeffs, poly, K: [coeffs[0] + Fraction(1, 2), *coeffs[1:]]),
+        {"p": 3, "u_degree": 0}, "not over a power of 3"),
+    "dpops.ZpLattice": (  # t's constant term 0 becomes 1/3^s
+        ["cartier", "delta"],
+        _tamper("dpops", "_integer_vector",
+                lambda vec, p, poly, K: ([vec[0][0] + 1, *vec[0][1:]], max(vec[1], 1))),
+        {"p": 3, "generator": 0}, "constant term"),
 }
 
 
@@ -628,9 +663,9 @@ def test_a_bug_is_not_a_fail_row(monkeypatch):
         main(["witt", "dwork", "--json"])
 
 
-def test_broken_identity_leaves_the_other_report_rows(monkeypatch):
-    # the right unit at p = 3 alone: every other check, b4 included, runs as before
-    _tamper("fgl", "_l_in_terms_of_v", _l1_over_p_at_3)(monkeypatch)
+def _failed_report_row(name):
+    """The `name` row of a report that exits 1, after checking that every
+    other row equals the golden file's."""
     code, out, err = _run(["report", "--json"])
     assert code == 1 and "Traceback" not in err
     with open(os.path.join(os.path.dirname(__file__), "data", "golden_report.json")) as fh:
@@ -638,10 +673,26 @@ def test_broken_identity_leaves_the_other_report_rows(monkeypatch):
     rows = json.loads(out)["checks"]
     assert len(rows) == len(golden["checks"]) == 22
     for row, want in zip(rows, golden["checks"]):
-        if row["name"] == "fgl.right-unit":
-            assert row["status"] == "fail" and row["counterexample"]["p"] == 3
-        else:
+        if row["name"] != name:
             assert row == want
+    (row,) = [row for row in rows if row["name"] == name]
+    assert row["status"] == "fail"
+    return row
+
+
+def test_broken_identity_leaves_the_other_report_rows(monkeypatch):
+    # the right unit at p = 3 alone: every other check, b4 included, runs as before
+    _tamper("fgl", "_l_in_terms_of_v", _l1_over_p_at_3)(monkeypatch)
+    assert _failed_report_row("fgl.right-unit")["counterexample"]["p"] == 3
+
+
+def test_broken_composition_is_the_dvr_fail_row_and_leaves_the_other_report_rows(
+        monkeypatch):
+    # a square that does not compose to zero is a failed check, not a usage
+    # error that would end the report with exit 2
+    _ramified_products_nonzero(monkeypatch)
+    assert _failed_report_row("sen.dvr")["counterexample"] == {
+        "p": 3, "degree": 3, "error": "maps do not compose to zero"}
 
 
 @pytest.mark.parametrize("patch, named", [

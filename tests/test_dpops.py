@@ -9,6 +9,7 @@ import pytest
 
 from conftest import sparse
 from wittsen.exactalg import (
+    IdentityError,
     InvalidInputError,
     PolyRing,
     PrecisionError,
@@ -369,8 +370,9 @@ def test_theta_zpn_rejects_two():
 
 def test_operator_rejects_a_non_integral_gamma_entry():
     # g_1 = 1/3 puts (1/3) 3!/3 = 2/3 at gamma'_3 -> eps
-    with pytest.raises(InvalidInputError, match="non-integral"):
+    with pytest.raises(IdentityError, match="non-integral") as exc:
         dpops._operator(3, 12, {1: Fraction(1, 3)})
+    assert exc.value.where == {"p": 3, "a": 3}
 
 
 # ---------------------------------------------------------------------------
@@ -662,8 +664,9 @@ def test_zp_lattice_is_closed_under_its_generators():
 
 def test_zp_lattice_rejects_fractional_constant_term():
     # (1 + u)/3 has powers (1 + k*u)/3^k: no scale puts L inside Z_(3)^K
-    with pytest.raises(InvalidInputError, match="constant term"):
+    with pytest.raises(IdentityError, match="constant term") as exc:
         ZpLattice(3, 2, [([1, 1], 1)])
+    assert exc.value.where == {"p": 3, "generator": 0}
     # an integral constant term is fine: 1 + u/3 generates the same L as u/3
     assert ZpLattice(3, 2, [([3, 1], 1)]).valuations == [1, 0]
 

@@ -524,7 +524,8 @@ def test_series_kernel_against_sympy():
         f, g = both(c0, c[1])
         assert_same(f.series_inverse(), rs_series_inversion(g, s, N + 1))
         f, g = both(0, Fraction(1))
-        assert_same(_compositional_inverse(f, "t", N), rs_series_reversion(g, s, N + 1, y), y)
+        assert_same(_compositional_inverse(f, "t", N, TruncPoly.var(f.ring, "t")),
+                    rs_series_reversion(g, s, N + 1, y), y)
 
     # x + integer terms, the shape of the Honda logarithm over Z[w]: Newton's
     # ring operations keep the reversion's coefficients ints
@@ -532,7 +533,7 @@ def test_series_kernel_against_sympy():
         c = [0, 1] + [draw.randrange(-9, 10) for _ in range(N - 1)]
         f = TruncPoly(PolyRing(vars=("t",), bounds=(N,)), {(k,): x for k, x in enumerate(c)})
         g = sum((x * s**k for k, x in enumerate(c)), R(0))
-        rev = _compositional_inverse(f, "t", N)
+        rev = _compositional_inverse(f, "t", N, TruncPoly.var(f.ring, "t"))
         assert all(type(x) is int for x in rev.terms.values())
         assert_same(rev, rs_series_reversion(g, s, N + 1, y), y)
 
@@ -598,6 +599,24 @@ def test_substitute_matches_naive_expansion():
         ]
         for assignment in cases:
             assert f.substitute(assignment) == naive_substitute(f, assignment), assignment
+    # sparse exponents, whose powers come by squaring: x^(3^i) and y^(2^i)
+    # and their products, into rings where a power truncates to zero
+    # partway through the chain: s + s^2 v cut at s^20 keeps its 13th power
+    # but not the square of that, and (X + Y)^8 is the square of the last
+    # nonzero power (X + Y)^4 in degree 6
+    capped = PolyRing(vars=("s", "v"), bounds=(20, None))
+    s, v = TruncPoly.var(capped, "s"), TruncPoly.var(capped, "v")
+    for _ in range(8):
+        f = TruncPoly(src, {(rng.choice((0, 1, 3, 9, 27)), rng.choice((0, 1, 2, 4, 8)),
+                             rng.randrange(0, 2)): rng.randrange(-5, 6) for _ in range(6)})
+        cases = [
+            {"x": rand_poly(capped, 3, 1), "y": rand_poly(capped, 2, 1)},
+            {"x": s + s**2 * v, "y": 1 + rand_poly(capped, 2, 2)},
+            {"x": X * Y + X**2, "y": X + Y},
+            {"x": rand_poly(graded, 2, 1), "y": X + Y, "v": Y},
+        ]
+        for assignment in cases:
+            assert f.substitute(assignment) == naive_substitute(f, assignment), assignment
 
 
 def test_pow_squares_only_while_bits_remain(monkeypatch):
@@ -624,6 +643,22 @@ def test_pow_squares_only_while_bits_remain(monkeypatch):
         assert f**e == powers[e], e
         assert len(degrees) <= max(e.bit_length() - 1, 0) + bin(e).count("1"), e
         assert max(degrees, default=0) <= 2 * e, e
+
+
+def test_substitute_builds_only_the_powers_it_uses(monkeypatch):
+    # x^(3^i) up to 27: 2 products for the cube (the square kept as x^2),
+    # 3 for x^9 (x^4 from x^3, x^8 its square) and 5 for x^27 (x^6, x^12,
+    # x^13, x^26, x^27), against 26 for every power up to x^27
+    ring = PolyRing(vars=("x",))
+    x = TruncPoly.var(ring, "x")
+    f = x + x**3 + x**9 + x**27
+    t = TruncPoly.var(PolyRing(vars=("t",)), "t")
+    products = []
+    mul = TruncPoly.__mul__
+    monkeypatch.setattr(TruncPoly, "__mul__",
+                        lambda a, b: products.append(1) or mul(a, b))
+    assert f.substitute({"x": 1 + t}) == naive_substitute(f, {"x": 1 + t})
+    assert len(products) == 10
 
 
 def test_substitute_builds_powers_without_pow(monkeypatch):

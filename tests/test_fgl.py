@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from wittsen.cli import RunConfig, check_honda
 from wittsen.exactalg import InvalidInputError, PolyRing, TruncPoly
 from wittsen.fgl import (
     _bp_ring,
@@ -167,6 +168,14 @@ def test_newton_runs_at_the_precisions_the_bound_needs(monkeypatch):
 
     assert _newton(TruncPoly.var(logw.ring, "x"), "x", 64, residual, slope) == expw
     assert caps == {"residual": [1, 2, 4, 8, 16, 32, 64], "slope": [0, 1, 2, 4, 8, 16, 32]}
+    # 331 with precisions doubled from 2 and the slope at full precision, 206
+    # with every power of g up to the precision built, 62 with only the
+    # powers 2^i (residual) and 2^i - 1 (slope) the logarithm uses
+    assert count_products(monkeypatch, _honda_log_exp, 2, 1, 64) <= 80
+
+
+def count_products(monkeypatch, fn, *args, **kwargs):
+    """The number of TruncPoly-by-TruncPoly products fn(*args, **kwargs) makes."""
     products = []
     mul = TruncPoly.__mul__
 
@@ -175,10 +184,24 @@ def test_newton_runs_at_the_precisions_the_bound_needs(monkeypatch):
             products.append(1)
         return mul(a, b)
 
-    monkeypatch.setattr(TruncPoly, "__mul__", counting_mul)
-    _honda_log_exp(2, 1, 64)
-    # 331 with precisions doubled from 2 and the slope at full precision
-    assert len(products) <= 220, len(products)
+    with monkeypatch.context() as m:
+        m.setattr(TruncPoly, "__mul__", counting_mul)
+        fn(*args, **kwargs)
+    return len(products)
+
+
+@pytest.mark.parametrize("fn, args, kwargs, most", [
+    # one Newton solve of log g = p log x: 270 by reverting log to exp and
+    # substituting exp(p log x), 125 with only the powers it uses, 62 now
+    (honda_p_series, (2, 1, 64), {}, 80),
+    # the 27 (p, n) groups of the report's Honda grid: 5,009 before
+    (check_honda, (RunConfig(),), {}, 1200),
+    # the law still reverts the logarithm; no substitute builds more
+    # products than with every power up to the highest exponent
+    (fgl_construct, ("honda", 40), {"p": 3, "n": 1}, 1359),
+], ids=["p-series", "check_honda", "honda-law"])
+def test_honda_products_stay_within_their_counts(monkeypatch, fn, args, kwargs, most):
+    assert count_products(monkeypatch, fn, *args, **kwargs) <= most
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +252,7 @@ def test_honda_series_over_zw_match_the_fraction_reversion(p, n, bound):
     logw, expw = _honda_log_exp(p, n, bound)
     assert all(type(c) is int for c in [*logw.terms.values(), *expw.terms.values()])
     logq = honda_log_over_q(p, n, bound)
-    expq = _compositional_inverse(logq, "x", bound)
+    expq = _compositional_inverse(logq, "x", bound, TruncPoly.var(logq.ring, "x"))
     assert over_q(logw, p) == logq
     assert over_q(expw, p) == expq
     pseries_q = expq.substitute({"x": logq * p})
@@ -242,7 +265,7 @@ def test_honda_series_over_zw_match_the_fraction_reversion(p, n, bound):
 def test_honda_law_over_zw_matches_the_fraction_construction(p, n):
     D = 12
     logq = honda_log_over_q(p, n, D)
-    expq = _compositional_inverse(logq, "x", D)
+    expq = _compositional_inverse(logq, "x", D, TruncPoly.var(logq.ring, "x"))
     ring = PolyRing(vars=("X", "Y", "v"), total_bound=D, counted=(True, True, False))
     lx, ly = (logq.substitute({"x": poly_of(ring, nm)}) for nm in ("X", "Y"))
     law_q = expq.substitute({"x": lx + ly})
@@ -308,7 +331,7 @@ def test_log_multiplicative_series():
     ring = PolyRing(vars=("x", "lam"), bounds=(7, None))
     x = poly_of(ring, "x")
     logf = multiplicative_log(x, poly_of(ring, "lam"), 7)
-    expf = _compositional_inverse(logf, "x", 7)
+    expf = _compositional_inverse(logf, "x", 7, TruncPoly.var(logf.ring, "x"))
     want, fact = {}, 1
     for k in range(1, 8):
         fact *= k

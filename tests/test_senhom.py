@@ -6,7 +6,7 @@ import pytest
 
 from conftest import sparse, zp_rows
 from wittsen.dpops import GradedLinearMap, psi_eigenvalues
-from wittsen.exactalg import InvalidInputError, int_valuation, matrix_product
+from wittsen.exactalg import IdentityError, InvalidInputError, int_valuation, matrix_product
 from wittsen.fgl import f_derham_complex, fgl_construct, q_integer
 from wittsen.senhom import (
     Eisenstein,
@@ -174,7 +174,7 @@ def test_cube_commutation_required():
     gm = {0: ["a", "b"]}
     M1 = GradedLinearMap(gm, 0, {0: zp_rows([[0, 1], [0, 0]])})
     M2 = GradedLinearMap(gm, 0, {0: zp_rows([[0, 0], [1, 0]])})
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(IdentityError, match="compose to zero"):
         cube_total_fiber([M1, M2], 2, Eisenstein(2, [-2, 1]))
 
 
@@ -985,7 +985,7 @@ def test_eliminate_entries_stay_small_on_the_zp_builders(monkeypatch):
 
 def test_chain_homology_requires_square_zero():
     ops = Eisenstein(3, [-3, 1])
-    with pytest.raises(InvalidInputError, match="compose to zero"):
+    with pytest.raises(IdentityError, match="compose to zero"):
         chain_homology({0: 1, 1: 1, 2: 1}, {1: zp_rows([[1]]), 2: zp_rows([[3]])}, 2, ops)
     # a square-zero pair, then one entry of m_2 perturbed
     dims = {0: 2, 1: 2, 2: 2}
@@ -994,5 +994,6 @@ def test_chain_homology_requires_square_zero():
     assert rows(chain_homology(dims, {1: m1, 2: m2}, 2, ops)[0]) == {
         0: (1, [1]), 1: (0, [2]), 2: (1, [])}
     m2[0][1] = (1,)
-    with pytest.raises(InvalidInputError, match="compose to zero"):
+    with pytest.raises(IdentityError, match="compose to zero") as exc:
         chain_homology(dims, {1: m1, 2: m2}, 2, ops)
+    assert exc.value.where == {"p": 3, "degree": 2}
