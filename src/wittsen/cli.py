@@ -262,9 +262,10 @@ def check_right_unit(cfg: RunConfig):
     ring = eta[1].ring
     v1, v2 = FG.TruncPoly.var(ring, "v1"), FG.TruncPoly.var(ring, "v2")
     t1, t2 = FG.TruncPoly.var(ring, "t1"), FG.TruncPoly.var(ring, "t2")
-    combo = (eta[1] ** 2 - v1**2).map_coeffs(lambda c: Fraction(c, 4))
-    if combo != t1**2 + v1 * t1:
-        bad = bad or {"quarter_combination": combo, "want": t1**2 + v1 * t1}
+    combo, rem = divmod(eta[1] ** 2 - v1**2, 4)
+    if not rem.is_zero() or combo != t1**2 + v1 * t1:
+        bad = bad or {"quarter_combination": combo, "remainder": rem,
+                      "want": t1**2 + v1 * t1}
     expected_v2 = v2 - 5 * v1 * t1**2 - 3 * v1**2 * t1 + 2 * t2 - 4 * t1**3
     if eta[2] != expected_v2:
         bad = bad or {"eta_v2_p2": eta[2], "want": expected_v2}

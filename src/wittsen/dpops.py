@@ -260,60 +260,93 @@ def dp_weyl_operators(p: int, n: int, M: int) -> dict:
 # delta-ring divisibility in Z_p[q]/(q-1)^K
 
 
+def _p_q_inverse(p: int, d: list, K: int) -> tuple:
+    """1/[p]_q in Q[u]/u^K, from the coefficients d of [p]_q, as integers D
+    over p^s: D_0 = p^(s-1) and D_n = -(sum_(k>=1) d_k D_(n-k))/p, an exact
+    division. Since d_0 = p, p | d_k for 0 < k < p-1 and d_(p-1) = 1, the
+    coefficient at u^n has valuation at least -1 - floor(n/(p-1)), so
+    s = 1 + floor((K-1)/(p-1)) makes every D_n an integer; a remainder
+    raises IdentityError."""
+    s = 1 + (K - 1) // (p - 1)
+    D, tail = [p ** (s - 1)], list(enumerate(d[1:], 1))
+    for n in range(1, K):
+        q, r = divmod(-sum(c * D[n - k] for k, c in tail if k <= n), p)
+        if r:
+            raise IdentityError(f"1/[{p}]_q at u^{n} is not over {p}^{s}",
+                                {"p": p, "u_degree": n})
+        D.append(q)
+    return D, s
+
+
 @dataclass
 class DeltaRingContext:
-    """Truncated ring Z_p[q]/(q-1)^K with phi(q) = q^p, realized over exact
-    rationals in u = q-1; d = [p]_q is the distinguished element."""
+    """Truncated ring Z_p[q]/(q-1)^K with phi(q) = q^p, in u = q-1; d = [p]_q
+    is the distinguished element.
+
+    An element of the p-inverted ring is a pair (N, s), the int-coefficient
+    series N over p^s (Hazewinkel's integral form, Formal Groups and
+    Applications, sections 2-5). `pair` makes it canonical: s is the least
+    exponent that leaves N integral, and zero is (0, 0), so equal elements
+    are equal pairs."""
 
     p: int
     K: int
 
     def __post_init__(self):
-        require_prime(self.p)
+        p = self.p
+        require_prime(p)
         self.ring = PolyRing(vars=("u",), bounds=(self.K - 1,))
-        u = TruncPoly.var(self.ring, "u")
-        self.u = u
-        # phi(u) = (1+u)^p - 1
-        self.phi_u = (1 + u) ** self.p - 1
-        # [p]_q = ((1+u)^p - 1)/u
-        terms = {}
-        for mono, c in self.phi_u.terms.items():
-            terms[(mono[0] - 1,)] = c
-        self.d = TruncPoly(self.ring, terms)
-        self.d_inv = self.d.series_inverse()
-        # phi is Z_(p)-linear: its matrix is the coefficients of phi(u)^j, j < K
+        self.u = u = TruncPoly.var(self.ring, "u")
+        # phi(u) = (1+u)^p - 1, and [p]_q = phi(u)/u = sum_k C(p, k+1) u^k
+        self.phi_u = (1 + u) ** p - 1
+        D, s = _p_q_inverse(p, [comb(p, k + 1) for k in range(p)], self.K)
+        self.d_inv = self.pair(TruncPoly(self.ring, {(n,): c for n, c in enumerate(D)}), s)
+        # phi is Z-linear: its matrix is the coefficients of phi(u)^j, j < K
         self._phi_columns = [TruncPoly.const(self.ring, 1)]
         while len(self._phi_columns) < self.K:
             self._phi_columns.append(self._phi_columns[-1] * self.phi_u)
 
-    def phi(self, f: TruncPoly) -> TruncPoly:
+    def pair(self, N: TruncPoly, s: int) -> tuple:
+        """N/p^s with the p-power its coefficients share, up to p^s, divided
+        out."""
+        p, g, e = self.p, gcd(*N.terms.values()), 0
+        while e < s and g % p == 0:  # g = 0 for N = 0, which takes e to s
+            g //= p
+            e += 1
+        if e:
+            f = p**e
+            N = N.map_coeffs(lambda c: c // f)
+        return N, s - e
+
+    def mul(self, f: tuple, g: tuple) -> tuple:
+        return self.pair(f[0] * g[0], f[1] + g[1])
+
+    def add(self, f: tuple, g: tuple) -> tuple:
+        (A, s), (B, t), m = f, g, max(f[1], g[1])
+        return self.pair(A * self.p ** (m - s) + B * self.p ** (m - t), m)
+
+    def phi(self, f: tuple) -> tuple:
+        N, s = f
         out = {}
-        for (j,), c in f.terms.items():
+        for (j,), c in N.terms.items():
             for mono, a in self._phi_columns[j].terms.items():
                 out[mono] = out.get(mono, 0) + c * a
-        return TruncPoly(self.ring, out)
+        return self.pair(TruncPoly(self.ring, out), s)
 
-    def delta(self, f: TruncPoly) -> TruncPoly:
-        return (self.phi(f) - f**self.p).map_coeffs(lambda c: Fraction(c, self.p))
+    def delta(self, f: tuple) -> tuple:
+        """delta(N/p^s) = (phi(N/p^s) - (N/p^s)^p)/p
+        = (p^(s(p-1)) phi(N) - N^p)/p^(sp+1)."""
+        N, s = f
+        p = self.p
+        phi_N, _ = self.phi((N, 0))
+        return self.pair(phi_N * p ** (s * (p - 1)) - N**p, s * p + 1)
 
 
-def _coeff_vector(poly: TruncPoly, K: int):
-    return [Fraction(poly.coeff((j,))) for j in range(K)]
-
-
-def _integer_vector(p: int, poly: TruncPoly, K: int):
-    """Coefficients of poly at u^0..u^(K-1) as (N, s): integers N over p^s.
-    The delta iterates lie in Z[1/p][u], so a coefficient with another
-    denominator raises IdentityError."""
-    coeffs = _coeff_vector(poly, K)
-    s = 0
-    for j, c in enumerate(coeffs):
-        e, rest = split_p(p, c.denominator)
-        if rest != 1:
-            raise IdentityError(f"coefficient {c} is not over a power of {p}",
-                                {"p": p, "u_degree": j})
-        s = max(s, e)
-    return [c.numerator * p**s // c.denominator for c in coeffs], s
+def _integer_vector(f: tuple, K: int) -> tuple:
+    """A pair (N, s) as ZpLattice reads it: N's coefficients at u^0..u^(K-1),
+    over p^s."""
+    N, s = f
+    return [N.terms.get((j,), 0) for j in range(K)], s
 
 
 class ZpLattice:
@@ -414,14 +447,17 @@ class ZpLattice:
             basis[r], vals[r] = new, w
 
     def contains(self, vector) -> bool:
+        """Whether N/p^s lies in L, for a pair (N, s) of K integers over p^s.
+        L lies in p^(-A)*Z_(p)^K, so a coefficient that p^(s-A) does not
+        divide puts it outside."""
+        N, s = vector
         p, q, a = self.p, self.modulus, self.scale
-        y = []
-        for x in vector:
-            x = Fraction(x)
-            e, unit = split_p(p, x.denominator)
-            if e > a:
+        if s > a:
+            f = p ** (s - a)
+            if any(x % f for x in N):
                 return False
-            y.append(x.numerator * p ** (a - e) * pow(unit, -1, q) % q)
+            N, s = [x // f for x in N], a
+        y = [x * p ** (a - s) % q for x in N]
         for r, row in enumerate(self.basis):
             x = y[r]
             if x:
@@ -458,22 +494,19 @@ def delta_ring_check(p: int, n: int, B: int, K: int = 18) -> dict:
     ctx = DeltaRingContext(p, K)
     if n * (p - 1) >= K:
         raise PrecisionError(f"truncation K={K} kills x = u^{n*(p-1)}")
-    x = ctx.u ** (n * (p - 1))
-    t = x * ctx.d_inv
+    t = ctx.mul((ctx.u ** (n * (p - 1)), 0), ctx.d_inv)
     iters = [t]
     for _ in range(B + 3):
         iters.append(ctx.delta(iters[-1]))
-    lattice = ZpLattice(p, K, [_integer_vector(p, f, K) for f in iters])
+    lattice = ZpLattice(p, K, [_integer_vector(f, K) for f in iters])
     rows = []
     all_ok = True
     for k in range(B + 1):
-        dk = iters[k]
-        phi_dk = ctx.phi(dk)
-        q1 = phi_dk * ctx.d_inv
-        ok1 = lattice.contains(_coeff_vector(q1, K))
-        lhs = dk**p + p * iters[k + 1]
-        q2 = lhs * ctx.d_inv
-        ok2 = lattice.contains(_coeff_vector(q2, K))
+        (N, s), (N1, s1) = iters[k], iters[k + 1]
+        phi_dk = ctx.phi(iters[k])
+        ok1 = lattice.contains(_integer_vector(ctx.mul(phi_dk, ctx.d_inv), K))
+        lhs = ctx.add((N**p, s * p), (N1 * p, s1))
+        ok2 = lattice.contains(_integer_vector(ctx.mul(lhs, ctx.d_inv), K))
         frob = phi_dk == lhs
         rows.append({
             "k": k,

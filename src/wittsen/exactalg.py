@@ -262,6 +262,13 @@ class TruncPoly:
     def map_coeffs(self, f):
         return TruncPoly(self.ring, {m: f(c) for m, c in self.terms.items()})
 
+    def __divmod__(self, d: int):
+        """(q, r) with self = d*q + r, coefficient by coefficient, 0 <= r < d:
+        an exact division by d is one whose remainder r is zero."""
+        qr = {m: divmod(c, d) for m, c in self.terms.items()}
+        return (TruncPoly(self.ring, {m: q for m, (q, _) in qr.items()}),
+                TruncPoly(self.ring, {m: r for m, (_, r) in qr.items()}))
+
     def substitute(self, assignment: dict):
         """Replace variables by polynomials or scalars.
 
@@ -314,7 +321,7 @@ class TruncPoly:
                 out[tuple(m2)] = c * m[i]
         return TruncPoly(self.ring, out)
 
-    # -- one-variable series by coefficient recurrences (Knuth, TAOCP
+    # -- the one-variable exp by a coefficient recurrence (Knuth, TAOCP
     # Vol. 2, section 4.7): O(D^2) coefficient operations, no products
 
     def _series_coeffs(self):
@@ -324,7 +331,7 @@ class TruncPoly:
         if any(ring.weight(m) == 0 and any(m) for m in self.terms):
             raise InvalidInputError("series argument has a term of weight 0")
         if len(ring.vars) != 1:
-            raise InvalidInputError("series exp and inverse take a one-variable ring")
+            raise InvalidInputError("series exp takes a one-variable ring")
         a = [0] * (ring.cap + 1)
         for (e,), c in self.terms.items():
             a[e] = c
@@ -341,22 +348,6 @@ class TruncPoly:
         for n in range(1, len(g)):
             f.append(reduce_coeff(Fraction(sum(x * f[n - k] for k, x in kg if k <= n), n)))
         return TruncPoly(self.ring, {(n,): c for n, c in enumerate(f)})
-
-    def series_inverse(self):
-        """1/f = h by h_0 = 1/f_0 and h_n = -h_0 sum_(k=1..n) f_k h_(n-k)."""
-        if self.constant_term() == 0:
-            raise InvalidInputError("no series inverse: constant term 0")
-        reduce_coeff, f = self.ring.reduce_coeff, self._series_coeffs()
-        tail = [(k, c) for k, c in enumerate(f) if c and k]
-        h = [reduce_coeff(1 / Fraction(f[0]))]
-        for n in range(1, len(f)):
-            h.append(reduce_coeff(-h[0] * sum(c * h[n - k] for k, c in tail if k <= n)))
-        return TruncPoly(self.ring, {(n,): c for n, c in enumerate(h)})
-
-    def min_p_valuation(self, p: int):
-        """Minimum v_p over coefficients; None for the zero polynomial."""
-        vals = [fraction_valuation(p, c) for c in self.terms.values()]
-        return min(vals) if vals else None
 
     def __repr__(self):
         if not self.terms:

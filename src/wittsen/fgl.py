@@ -5,7 +5,6 @@ polynomial generators of the Brown-Peterson coefficient ring."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .exactalg import (
     IdentityError,
@@ -95,7 +94,9 @@ def _newton(g: TruncPoly, var: str, bound: int, residual, slope) -> TruncPoly:
             break
         h = cut(h, low)
         h = h * (2 - slope(cut(g, low)) * h)
-        g, low = g - err * cut(h, prec), prec
+        if not err.is_zero():  # g is already right modulo var^prec
+            g = g - err * cut(h, prec)
+        low = prec
     return TruncPoly(ring, g.terms)
 
 
@@ -297,48 +298,53 @@ def _bp_ring(p: int, N: int) -> PolyRing:
 
 
 def _l_in_terms_of_v(p: int, N: int, ring: PolyRing) -> dict:
-    """Invert the Hazewinkel recursion: l_n = (v_n + sum l_i v_{n-i}^(p^i))/p."""
+    """L_n = p^n l_n for the logarithm coefficients of the Hazewinkel
+    recursion l_n = (v_n + sum_(0<i<n) l_i v_(n-i)^(p^i))/p, in integers:
+    L_n = p^(n-1) v_n + sum_(0<i<n) p^(n-1-i) L_i v_(n-i)^(p^i)."""
     v = {i: TruncPoly.var(ring, f"v{i}") for i in range(1, N + 1)}
-    l = {}
+    L = {}
     for nn in range(1, N + 1):
-        acc = v[nn]
+        acc = v[nn] * p ** (nn - 1)
         for i in range(1, nn):
-            acc = acc + l[i] * v[nn - i] ** (p**i)
-        l[nn] = acc.map_coeffs(lambda c: Fraction(c, p))
-    return l
+            acc = acc + L[i] * v[nn - i] ** (p**i) * p ** (nn - 1 - i)
+        L[nn] = acc
+    return L
 
 
 def bp_right_unit(p: int, N: int) -> dict:
     """eta_R(v_n) in Z_(p)[v_1..v_n, t_1..t_n].
 
-    Computed through the logarithm coefficients: eta_R(l_n) = sum l_i t_{n-i}^(p^i),
-    the generator recursion applied on the image side, then l_i eliminated.
-    A non-p-integral eta_R(v_n) raises IdentityError.
+    Computed in integers through the logarithm coefficients (Hazewinkel,
+    Formal Groups and Applications, sections 2-5): with L_i = p^i l_i and
+    L_0 = t_0 = 1, eta_R(l_n) = sum_i l_i t_(n-i)^(p^i) gives
+    E_n = p^n eta_R(l_n) = sum_i p^(n-i) L_i t_(n-i)^(p^i), and the
+    generator recursion on the image side gives
+        p^(n-1) eta_R(v_n) = E_n - sum_(0<i<n) p^(n-1-i) E_i eta_R(v_(n-i))^(p^i),
+    divided exactly by p^(n-1). A remainder, a non-p-integral eta_R(v_n),
+    raises IdentityError.
     """
     require_prime(p)
     ring = _bp_ring(p, N)
-    l = _l_in_terms_of_v(p, N, ring)
-    l[0] = TruncPoly.const(ring, 1)
+    L = _l_in_terms_of_v(p, N, ring)
+    L[0] = TruncPoly.const(ring, 1)
     t = {i: TruncPoly.var(ring, f"t{i}") for i in range(1, N + 1)}
     t[0] = TruncPoly.const(ring, 1)
 
-    eta_l = {0: TruncPoly.const(ring, 1)}
+    E = {}
     for nn in range(1, N + 1):
         acc = TruncPoly.zero(ring)
         for i in range(0, nn + 1):
-            acc = acc + l[i] * t[nn - i] ** (p**i)
-        eta_l[nn] = acc
+            acc = acc + L[i] * t[nn - i] ** (p**i) * p ** (nn - i)
+        E[nn] = acc
 
     eta_v = {}
     for nn in range(1, N + 1):
-        acc = eta_l[nn] * p
+        acc = E[nn]
         for i in range(1, nn):
-            acc = acc - eta_l[i] * eta_v[nn - i] ** (p**i)
-        eta_v[nn] = acc
-        bad = acc.min_p_valuation(p)
-        if bad is not None and bad < 0:
-            raise IdentityError(f"right unit of v_{nn} is not p-integral (valuation {bad})",
-                                {"p": p, "n": nn})
+            acc = acc - E[i] * eta_v[nn - i] ** (p**i) * p ** (nn - 1 - i)
+        eta_v[nn], rem = divmod(acc, p ** (nn - 1))
+        if not rem.is_zero():
+            raise IdentityError(f"right unit of v_{nn} is not p-integral", {"p": p, "n": nn})
     return eta_v
 
 
@@ -351,18 +357,16 @@ def polynomial_degree(poly: TruncPoly) -> set:
 
 
 def b4_cobar_class() -> TruncPoly:
-    """(1/2)((eta_R(v_1^4) - v_1^4)/8 - (eta_R(v_1 v_2) - v_1 v_2)) at p = 2."""
-    p = 2
-    eta = bp_right_unit(p, 2)
+    """(1/2)((eta_R(v_1^4) - v_1^4)/8 - (eta_R(v_1 v_2) - v_1 v_2)) at p = 2,
+    as (X - 8Y)/16 for X = eta_R(v_1)^4 - v_1^4 and Y = eta_R(v_1) eta_R(v_2)
+    - v_1 v_2: one exact division, whose remainder raises IdentityError."""
+    eta = bp_right_unit(2, 2)
     ring = eta[1].ring
     v1 = TruncPoly.var(ring, "v1")
     v2 = TruncPoly.var(ring, "v2")
-    first = (eta[1] ** 4 - v1**4).map_coeffs(lambda c: Fraction(c, 8))
-    second = eta[1] * eta[2] - v1 * v2
-    out = (first - second).map_coeffs(lambda c: Fraction(c, 2))
-    bad = out.min_p_valuation(p)
-    if bad is not None and bad < 0:
-        raise IdentityError("degree-8 cobar representative is not 2-integral", {"p": p})
+    out, rem = divmod(eta[1] ** 4 - v1**4 - 8 * (eta[1] * eta[2] - v1 * v2), 16)
+    if not rem.is_zero():
+        raise IdentityError("degree-8 cobar representative is not 2-integral", {"p": 2})
     return out
 
 

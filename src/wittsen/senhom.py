@@ -334,7 +334,11 @@ def build_dvr_square(p: int, E: list, bound: int) -> dict:
     pi the class of u, on the module with basis gamma_m x^i in degree
     2(m + i): the fiber of the derivation nabla: gamma_m -> E'(pi)
     gamma_(m-1) alone ("nabla"), the total fiber of the commuting square of
-    nabla with theta: x^i -> i x^(i-1) ("total"), and v(E'(pi))."""
+    nabla with theta: x^i -> i x^(i-1) ("total"), and v(E'(pi)).
+
+    "nabla" runs to bound. "total" runs to bound when E'(pi) is a unit and
+    to min(bound, 2p - 1) otherwise: past degree 2p - 1 the chain square no
+    longer computes the closed form, and sen.dvr compares none of it."""
     R = Eisenstein(p, E)
     Eprime = R.from_poly([i * c for i, c in enumerate(R.E)][1:])
     top = bound + 4
@@ -358,9 +362,11 @@ def build_dvr_square(p: int, E: list, bound: int) -> dict:
 
     nabla = lowering(0, lambda m: Eprime)
     theta = lowering(1, R.scalar)
+    vE = R.val(Eprime)
     return {"nabla": two_term_homology(nabla, bound, R),
-            "total": cube_total_fiber([nabla, theta], bound, R),
-            "Eprime_valuation": R.val(Eprime)}
+            "total": cube_total_fiber([nabla, theta], bound if vE == 0
+                                      else min(bound, 2 * p - 1), R),
+            "Eprime_valuation": vE}
 
 
 def multiplication_matrix(series: TruncPoly, K: int) -> list:

@@ -439,6 +439,16 @@ def _zpn(rep, p, n, bound):  # only n = 3 differs, and only where no per-n check
     return _set_row(0, torsion=[p])(rep) if n == targets.ZPN_NS[1] else rep
 
 
+def _inexact_quarter(monkeypatch):
+    # every division by 4 leaves 1 over: only the quarter combination divides by 4
+    real = TruncPoly.__divmod__
+
+    def divmod_(poly, d):
+        q, r = real(poly, d)
+        return (q, r + 1) if d == 4 else (q, r)
+    monkeypatch.setattr(TruncPoly, "__divmod__", divmod_)
+
+
 @pytest.mark.parametrize("argv, patch, key", [
     (["witt", "solve-frobenius"],
      lambda mp: mp.setitem(targets.FROBENIUS_PREIMAGE_FAIL_WITNESS, "rhs_balanced", 17),
@@ -499,6 +509,8 @@ def _zpn(rep, p, n, bound):  # only n = 3 differs, and only where no per-n check
      _tamper("dpops", "psi_eigenvalues", _psi_component(1, lambda m: m < 0)), "a"),
     (["fgl", "fderham"], _tamper("fgl", "f_derham_complex", _symbolic_times_unit),
      {"law": "multiplicative_symbolic"}),
+    # the quarter combination's exact division by 4 leaves a remainder
+    (["fgl", "right-unit"], _inexact_quarter, {"remainder": "1"}),
 ])
 def test_failure_names_its_counterexample(argv, patch, key, capsys, monkeypatch):
     patch(monkeypatch)
@@ -547,6 +559,20 @@ def _exp_plus_p_w_x_pn(log_exp, p, n, bound):
 def _l1_over_p_at_3(l, p, N, ring):
     # at p = 3 only: fgl b4 reads the right unit at p = 2
     return {**l, 1: l[1].map_coeffs(lambda c: Fraction(c, p))} if p == 3 else l
+
+
+def _v1_cubed_in_L2(L, p, N, ring):
+    return {**L, 2: L[2] + TruncPoly.var(ring, "v1") ** 3} if N > 1 else L
+
+
+def _p_q_off_at_u(monkeypatch):
+    # [p]_q with its u-coefficient one more: 1/[3]_q then has valuation
+    # -(n+1) at u^n, past the exponent the recurrence starts from
+    import wittsen.dpops as dpops
+
+    real = dpops._p_q_inverse
+    monkeypatch.setattr(dpops, "_p_q_inverse",
+                        lambda p, d, K: real(p, [d[0], d[1] + 1, *d[2:]], K))
 
 
 def _last_ghost_off(when):
@@ -604,10 +630,18 @@ IDENTITY_SITES = {
     "fgl.bp_right_unit": (
         ["fgl", "right-unit"], _tamper("fgl", "_l_in_terms_of_v", _l1_over_p_at_3),
         {"p": 3, "n": 1}, "right unit of v_1"),
-    "fgl.b4_cobar_class": (
+    "fgl.bp_right_unit exact division": (  # 2 eta_R(v_2) gains the odd v_1^3
+        ["fgl", "right-unit"], _tamper("fgl", "_l_in_terms_of_v", _v1_cubed_in_L2),
+        {"p": 2, "n": 2}, "right unit of v_2"),
+    "fgl.b4_cobar_class": (  # X - 8Y loses 8 eta_R(v_1) t_1, not 0 mod 16
         ["fgl", "b4"],
         _tamper("fgl", "bp_right_unit",
                 lambda eta, *a: {**eta, 2: eta[2] + TruncPoly.var(eta[2].ring, "t1")}),
+        {"p": 2}, "cobar"),
+    "fgl.b4_cobar_class eta_v1": (  # X = eta_R(v_1)^4 - v_1^4 gains 4 v_1^3 t_1
+        ["fgl", "b4"],
+        _tamper("fgl", "bp_right_unit",
+                lambda eta, *a: {**eta, 1: eta[1] + TruncPoly.var(eta[1].ring, "t1")}),
         {"p": 2}, "cobar"),
     "witt._ghost_inverse_components": (  # a Witt sum's entry off by 2, not 0 mod 2^2
         ["witt", "gabber", "-L", "3"],
@@ -628,15 +662,12 @@ IDENTITY_SITES = {
         _tamper("dpops", "perfectoid_gamma_values",
                 lambda values, p, bound: {**values, 1: values[1] + Fraction(1, p)}),
         {"p": 2, "a": 2}, "non-integral image"),
-    "dpops._integer_vector": (
-        ["cartier", "delta"],
-        _tamper("dpops", "_coeff_vector",
-                lambda coeffs, poly, K: [coeffs[0] + Fraction(1, 2), *coeffs[1:]]),
-        {"p": 3, "u_degree": 0}, "not over a power of 3"),
+    "dpops._p_q_inverse": (  # [3]_q = 3 + 4u + u^2 needs 3^10 at u^9; K = 18 gives 3^9
+        ["cartier", "delta"], _p_q_off_at_u, {"p": 3, "u_degree": 9}, "not over 3^9"),
     "dpops.ZpLattice": (  # t's constant term 0 becomes 1/3^s
         ["cartier", "delta"],
         _tamper("dpops", "_integer_vector",
-                lambda vec, p, poly, K: ([vec[0][0] + 1, *vec[0][1:]], max(vec[1], 1))),
+                lambda vec, f, K: ([vec[0][0] + 1, *vec[0][1:]], max(vec[1], 1))),
         {"p": 3, "generator": 0}, "constant term"),
 }
 

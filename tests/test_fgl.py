@@ -170,8 +170,9 @@ def test_newton_runs_at_the_precisions_the_bound_needs(monkeypatch):
     assert caps == {"residual": [1, 2, 4, 8, 16, 32, 64], "slope": [0, 1, 2, 4, 8, 16, 32]}
     # 331 with precisions doubled from 2 and the slope at full precision, 206
     # with every power of g up to the precision built, 62 with only the
-    # powers 2^i (residual) and 2^i - 1 (slope) the logarithm uses
-    assert count_products(monkeypatch, _honda_log_exp, 2, 1, 64) <= 80
+    # powers 2^i (residual) and 2^i - 1 (slope) the logarithm uses, 61 with
+    # no correction product for a residual that is already zero
+    assert count_products(monkeypatch, _honda_log_exp, 2, 1, 64) <= 61
 
 
 def count_products(monkeypatch, fn, *args, **kwargs):
@@ -192,13 +193,15 @@ def count_products(monkeypatch, fn, *args, **kwargs):
 
 @pytest.mark.parametrize("fn, args, kwargs, most", [
     # one Newton solve of log g = p log x: 270 by reverting log to exp and
-    # substituting exp(p log x), 125 with only the powers it uses, 62 now
-    (honda_p_series, (2, 1, 64), {}, 80),
-    # the 27 (p, n) groups of the report's Honda grid: 5,009 before
-    (check_honda, (RunConfig(),), {}, 1200),
-    # the law still reverts the logarithm; no substitute builds more
-    # products than with every power up to the highest exponent
-    (fgl_construct, ("honda", 40), {"p": 3, "n": 1}, 1359),
+    # substituting exp(p log x), 125 with only the powers it uses, 62 with
+    # one solve, 61 with no product by a zero residual
+    (honda_p_series, (2, 1, 64), {}, 61),
+    # the 27 (p, n) groups of the report's Honda grid: 5,009 before the
+    # one solve, 1,089 before skipping the zero residuals' products
+    (check_honda, (RunConfig(),), {}, 985),
+    # the law still reverts the logarithm: 1,359 with every power up to the
+    # highest exponent, 1,270 with only the powers used
+    (fgl_construct, ("honda", 40), {"p": 3, "n": 1}, 1268),
 ], ids=["p-series", "check_honda", "honda-law"])
 def test_honda_products_stay_within_their_counts(monkeypatch, fn, args, kwargs, most):
     assert count_products(monkeypatch, fn, *args, **kwargs) <= most
@@ -369,27 +372,30 @@ def test_log_additivity():
 # Hazewinkel generators and right unit
 
 def test_hazewinkel_small():
-    # p = 2: v1 = 2 l1 and v2 = 2 l2 - l1 v1^2, solved for l1 and l2
+    # p = 2: v1 = 2 l1 and v2 = 2 l2 - l1 v1^2 give l1 = v1/2 and
+    # l2 = v2/2 + v1^3/4, so L1 = 2 l1 = v1 and L2 = 4 l2 = 2 v2 + v1^3
     ring = _bp_ring(2, 2)
-    l = _l_in_terms_of_v(2, 2, ring)
+    L = _l_in_terms_of_v(2, 2, ring)
     v1, v2 = poly_of(ring, "v1"), poly_of(ring, "v2")
-    assert l[1] == v1 * Fraction(1, 2)
-    assert l[2] == v2 * Fraction(1, 2) + v1**3 * Fraction(1, 4)
+    assert L[1] == v1
+    assert L[2] == 2 * v2 + v1**3
 
 
 def test_hazewinkel_grading():
-    # the logarithm coefficients l_n are homogeneous of degree 2p^n - 2 and
-    # satisfy Hazewinkel's recursion v_n = p l_n - sum_(0<i<n) l_i v_(n-i)^(p^i)
+    # L_n = p^n l_n is an integer polynomial, homogeneous of degree
+    # 2p^n - 2, and Hazewinkel's recursion v_n = p l_n - sum_(0<i<n) l_i
+    # v_(n-i)^(p^i) reads p^(n-1) v_n = L_n - sum p^(n-1-i) L_i v_(n-i)^(p^i)
     for p in (2, 3):
         ring = _bp_ring(p, 3)
-        l = _l_in_terms_of_v(p, 3, ring)
+        L = _l_in_terms_of_v(p, 3, ring)
         v = {nn: poly_of(ring, f"v{nn}") for nn in range(1, 4)}
         for nn in range(1, 4):
-            assert polynomial_degree(l[nn]) == {2 * p**nn - 2}
-            rhs = l[nn] * p
+            assert polynomial_degree(L[nn]) == {2 * p**nn - 2}
+            assert all(type(c) is int for c in L[nn].terms.values())
+            rhs = L[nn]
             for i in range(1, nn):
-                rhs = rhs - l[i] * v[nn - i] ** (p**i)
-            assert rhs == v[nn]
+                rhs = rhs - L[i] * v[nn - i] ** (p**i) * p ** (nn - 1 - i)
+            assert rhs == v[nn] * p ** (nn - 1)
 
 
 def test_right_unit_v1():
@@ -424,7 +430,7 @@ def test_right_unit_reduces_to_vn():
         for nn in (1, 2):
             reduced = eta[nn].substitute({"t1": 0, "t2": 0})
             diff = reduced - poly_of(ring, f"v{nn}")
-            assert diff.is_zero() or diff.min_p_valuation(p) >= 1
+            assert all(c % p == 0 for c in diff.terms.values())
 
 
 def test_right_unit_is_graded():
@@ -443,6 +449,51 @@ def test_right_unit_multiplicativity_sample():
     v1, v2 = poly_of(ring, "v1"), poly_of(ring, "v2")
     direct = (v1**2 + v2).substitute({"v1": eta[1], "v2": eta[2]})
     assert combo == direct
+
+
+def reference_right_unit(p, N):
+    """Reference: eta_R(v_n) as the library ran it on Fraction coefficients
+    before its integer form, l_n = (v_n + sum_(0<i<n) l_i v_(n-i)^(p^i))/p,
+    eta_R(l_n) = sum_i l_i t_(n-i)^(p^i) and eta_R(v_n) = p eta_R(l_n) -
+    sum_(0<i<n) eta_R(l_i) eta_R(v_(n-i))^(p^i), or None for a non-p-integral
+    eta_R(v_n)."""
+    ring = _bp_ring(p, N)
+    v = {i: poly_of(ring, f"v{i}") for i in range(1, N + 1)}
+    t = {i: poly_of(ring, f"t{i}") for i in range(1, N + 1)}
+    l, t[0] = {0: TruncPoly.const(ring, 1)}, TruncPoly.const(ring, 1)
+    for nn in range(1, N + 1):
+        acc = v[nn]
+        for i in range(1, nn):
+            acc = acc + l[i] * v[nn - i] ** (p**i)
+        l[nn] = acc.map_coeffs(lambda c: Fraction(c, p))
+    eta_l = {nn: sum((l[i] * t[nn - i] ** (p**i) for i in range(nn + 1)),
+                     TruncPoly.zero(ring)) for nn in range(1, N + 1)}
+    eta_v = {}
+    for nn in range(1, N + 1):
+        acc = eta_l[nn] * p
+        for i in range(1, nn):
+            acc = acc - eta_l[i] * eta_v[nn - i] ** (p**i)
+        if any(Fraction(c).denominator % p == 0 for c in acc.terms.values()):
+            return None
+        eta_v[nn] = acc
+    return eta_v
+
+
+@pytest.mark.parametrize("p, N", [(p, N) for p in (2, 3, 5) for N in (1, 2, 3)] + [(3, 4)])
+def test_right_unit_matches_fraction_reference(p, N):
+    eta = bp_right_unit(p, N)
+    assert eta == reference_right_unit(p, N)
+    assert all(type(c) is int for e in eta.values() for c in e.terms.values())
+
+
+def test_b4_matches_fraction_reference():
+    # (1/2)((eta_R(v_1^4) - v_1^4)/8 - (eta_R(v_1 v_2) - v_1 v_2)) over Q
+    eta = reference_right_unit(2, 2)
+    ring = eta[1].ring
+    v1, v2 = poly_of(ring, "v1"), poly_of(ring, "v2")
+    first = (eta[1] ** 4 - v1**4).map_coeffs(lambda c: Fraction(c, 8))
+    want = (first - (eta[1] * eta[2] - v1 * v2)).map_coeffs(lambda c: Fraction(c, 2))
+    assert b4_cobar_class() == want
 
 
 def test_b4_display():

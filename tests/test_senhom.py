@@ -374,6 +374,17 @@ def test_dvr_ramified_total():
     assert out["total"].entry(5)["torsion"] == [3, 9]
 
 
+def test_dvr_total_stops_at_the_compared_degree():
+    # sen.dvr compares the total square in every degree when E'(pi) is a
+    # unit and only up to 2p - 1 otherwise; nabla is compared in every degree.
+    # Only nonzero homology has a row: for u - 3 the last is degree 17 (j = 9)
+    for p, E, top in [(3, [-3, 1], 17), (3, [-3, 0, 1], 5), (2, [-2, 0, 1], 3),
+                      (5, [5, 0, 0, 1], 9)]:
+        out = build_dvr_square(p, E, 19)
+        assert max(row["degree"] for row in out["total"].degrees) == top, E
+        assert max(row["degree"] for row in out["nabla"].degrees) >= 18, E
+
+
 def test_dvr_cubic_total():
     E = [-3, 0, 0, 1]  # u^3 - 3, E' = 3u^2: valuation e + 2 = 5
     out = build_dvr_square(3, E, 9)
@@ -686,7 +697,8 @@ def test_early_exit_picks_the_full_scan_pivots():
 
 def test_engine_reads_only_nonzero_entries(monkeypatch):
     # the DVR square's matrices are mostly zeros (3,263 of the 3,518 entries
-    # eliminated in this call): the engine tests a product entry for zero
+    # eliminated in the first call, where E'(pi) = 1 is a unit and the total
+    # square runs to degree 19): the engine tests a product entry for zero
     # about once per row update, and never asks for the valuation of a zero
     calls, zeros_valued = {"is_zero": 0, "val": 0}, []
     real_is_zero, real_val = Eisenstein.is_zero, Eisenstein.val
@@ -703,11 +715,15 @@ def test_engine_reads_only_nonzero_entries(monkeypatch):
 
     monkeypatch.setattr(Eisenstein, "is_zero", is_zero)
     monkeypatch.setattr(Eisenstein, "val", val)
-    out = build_dvr_square(3, [6, 3, 1], 19)
+    unit = build_dvr_square(3, [6, 1], 19)  # u + 6
+    # u^2 + 3u + 6: E'(pi) = 2 pi + 3 is not a unit, so the total square
+    # stops at degree 2p - 1 = 5 and nabla alone runs to 19
+    ramified = build_dvr_square(3, [6, 3, 1], 19)
     assert calls["is_zero"] < 200 and calls["val"] > 0, calls
     assert not zeros_valued
-    assert total_rows(out, (1, 5, 17)) == {1: (0, [1]), 5: (0, [1, 2]),
-                                           17: (0, [1, 1, 1, 4])}
+    assert total_rows(unit, (1, 5, 17)) == {1: (0, []), 5: (0, [1]), 17: (0, [2])}
+    assert total_rows(ramified, (1, 3, 5)) == {1: (0, [1]), 3: (0, [1]), 5: (0, [1, 2])}
+    assert ramified["nabla"].entry(17)["exponents"] == [1] * 9
 
 
 def test_double_entry_bookkeeping():
