@@ -428,6 +428,9 @@ class ZpLattice:
                 done.add(tuple(row))
 
     def _insert(self, v):
+        """Insert v, a new list of K residues mod p^A, reducing it in place;
+        row r and v both vanish before column r, so each reduction at r runs
+        from column r on."""
         p, q = self.p, self.modulus
         basis, vals = self.basis, self.valuations
         for r in range(self.K):
@@ -437,13 +440,13 @@ class ZpLattice:
             pv = p ** vals[r]
             if x % pv == 0:
                 f = x // pv
-                v = [(a - f * b) % q for a, b in zip(v, basis[r])]
+                v[r:] = [(a - f * b) % q for a, b in zip(v[r:], basis[r][r:])]
                 continue
             w, unit = split_p(p, x)
             inv = pow(unit, -1, q)
-            new = [a * inv % q for a in v]
+            new = v[:r] + [a * inv % q for a in v[r:]]
             f = p ** (vals[r] - w)
-            v = [(a - f * b) % q for a, b in zip(basis[r], new)]
+            v[r:] = [(a - f * b) % q for a, b in zip(basis[r][r:], new[r:])]
             basis[r], vals[r] = new, w
 
     def contains(self, vector) -> bool:
@@ -465,7 +468,7 @@ class ZpLattice:
                 if x % pv:
                     return False
                 f = x // pv
-                y = [(t - f * b) % q for t, b in zip(y, row)]
+                y[r:] = [(t - f * b) % q for t, b in zip(y[r:], row[r:])]
         return True
 
 

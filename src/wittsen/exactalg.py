@@ -12,7 +12,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import compress
+from itertools import chain, compress
 from math import comb, gcd, inf
 from operator import add, itemgetter, mul, sub
 
@@ -234,30 +234,42 @@ class TruncPoly:
             return TruncPoly(self.ring, {m: c * other for m, c in self.terms.items()})
         ring = self.ring
         weight, cap = ring.weight, ring.cap
+        # each monomial is keyed by the integer sum m_i B^i; with B above the
+        # largest exponent a product can reach no digit carries, so the key
+        # of a product monomial is the sum of its factors' keys
+        base = (1 + max(chain.from_iterable(self.terms), default=0)
+                + max(chain.from_iterable(other.terms), default=0))
+        scale = [base**i for i in range(len(ring.vars))]
         # weights add under multiplication, so with the right operand sorted
         # by weight each left term's partners end where the cap is passed
-        right = sorted((weight(m), m, c) for m, c in other.terms.items())
-        weights = [w for w, _, _ in right]
-        out = {}
+        right = sorted((weight(m), sum(map(mul, m, scale)), m, c)
+                       for m, c in other.terms.items())
+        weights = [w for w, _, _, _ in right]
+        out, monos = {}, []
         get = out.get
         for m1, c1 in self.terms.items():
-            for _, m2, c2 in right[:bisect_right(weights, cap - weight(m1))]:
-                m = tuple(map(add, m1, m2))
-                out[m] = get(m, 0) + c1 * c2
-        return TruncPoly(ring, out)
+            k1 = sum(map(mul, m1, scale))
+            for _, k2, m2, c2 in right[:bisect_right(weights, cap - weight(m1))]:
+                k = k1 + k2
+                c = get(k)
+                if c is None:
+                    monos.append(tuple(map(add, m1, m2)))
+                    out[k] = c1 * c2
+                else:
+                    out[k] = c + c1 * c2
+        return TruncPoly(ring, dict(zip(monos, out.values())))
 
     __rmul__ = __mul__
 
     def __pow__(self, e: int):
-        result = TruncPoly.const(self.ring, 1)
-        base = self
+        result, base = None, self
         while e:
-            if e & 1:
-                result = result * base
+            if e & 1:  # the lowest set bit takes base itself, not 1 * base
+                result = base if result is None else result * base
             e >>= 1
             if e:  # the square after the top bit would be discarded
                 base = base * base
-        return result
+        return TruncPoly.const(self.ring, 1) if result is None else result
 
     def map_coeffs(self, f):
         return TruncPoly(self.ring, {m: f(c) for m, c in self.terms.items()})

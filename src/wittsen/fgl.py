@@ -5,6 +5,7 @@ polynomial generators of the Brown-Peterson coefficient ring."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 
 from .exactalg import (
     IdentityError,
@@ -250,16 +251,18 @@ def divided_n_series(F: FormalGroupLaw, m: int, bound: int = None) -> TruncPoly:
 
 
 def q_integer(nval: int, lam, ring: PolyRing) -> TruncPoly:
-    """[n]_q = sum_{i<n} q^i at q = 1 + lam*h, as a polynomial in h."""
-    h = TruncPoly.var(ring, "h")
-    lam_poly = TruncPoly.var(ring, "lam") if lam == "lam" else TruncPoly.const(ring, lam)
-    q = 1 + lam_poly * h
-    out = TruncPoly.zero(ring)
-    power = TruncPoly.const(ring, 1)
-    for _ in range(nval):
-        out = out + power
-        power = power * q
-    return out
+    """[n]_q = sum_{i<n} q^i at q = 1 + lam*h, as a polynomial in h, for lam
+    the symbol 'lam' or a scalar. By the binomial theorem and the
+    hockey-stick identity sum_{k<=i<n} C(i, k) = C(n, k+1),
+    sum_{i<n} (1 + lam*h)^i = sum_k C(n, k+1) lam^k h^k, so each term is
+    written down directly and no series product is made."""
+    scalar = 1 if lam == "lam" else lam
+    step = [0] * len(ring.vars)
+    step[ring.index("h")] = 1
+    if lam == "lam":
+        step[ring.index("lam")] = 1
+    return TruncPoly(ring, {tuple(k * s for s in step): comb(nval, k + 1) * scalar**k
+                            for k in range(nval)})
 
 
 def honda_p_series(p: int, n: int, bound: int) -> TruncPoly:
@@ -326,14 +329,13 @@ def bp_right_unit(p: int, N: int) -> dict:
     require_prime(p)
     ring = _bp_ring(p, N)
     L = _l_in_terms_of_v(p, N, ring)
-    L[0] = TruncPoly.const(ring, 1)
     t = {i: TruncPoly.var(ring, f"t{i}") for i in range(1, N + 1)}
-    t[0] = TruncPoly.const(ring, 1)
 
     E = {}
     for nn in range(1, N + 1):
-        acc = TruncPoly.zero(ring)
-        for i in range(0, nn + 1):
+        # the terms i = 0 and i = n are p^n t_n and L_n
+        acc = t[nn] * p**nn + L[nn]
+        for i in range(1, nn):
             acc = acc + L[i] * t[nn - i] ** (p**i) * p ** (nn - i)
         E[nn] = acc
 

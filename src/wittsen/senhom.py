@@ -106,6 +106,8 @@ class Eisenstein:
     def val(self, x):
         if not any(x):
             raise InvalidInputError("valuation of 0")
+        if self.e == 1:
+            return int_valuation(self.p, x[0])
         return min(self.e * int_valuation(self.p, c) + i for i, c in enumerate(x) if c)
 
     def _over_pi(self, x, k):

@@ -328,33 +328,47 @@ def weight_of(ring, mono):
     return sum(e for e, c in zip(mono, ring.counted) if c)
 
 
-@pytest.mark.parametrize("ring", [
-    PolyRing(vars=("l1", "v1", "t1"), degrees=(2, 2, 2)),
-    PolyRing(vars=("x", "v"), bounds=(6, None)),
-    PolyRing(vars=("v", "x", "w"), bounds=(None, 6, None)),
-    PolyRing(vars=("X", "Y", "v"), total_bound=6, counted=(True, True, False)),
-    PolyRing(vars=("x", "v"), bounds=(6, None), modulus=3),
-    PolyRing(vars=("x", "y", "v"), total_bound=6, counted=(True, False, False)),
-    PolyRing(vars=("x", "y"), total_bound=6, modulus=5),
+@pytest.mark.parametrize("ring, top", [
+    (PolyRing(vars=("l1", "v1", "t1"), degrees=(2, 2, 2)), 6),
+    (PolyRing(vars=("x", "v"), bounds=(6, None)), 6),
+    (PolyRing(vars=("v", "x", "w"), bounds=(None, 6, None)), 6),
+    (PolyRing(vars=("X", "Y", "v"), total_bound=6, counted=(True, True, False)), 6),
+    (PolyRing(vars=("x", "v"), bounds=(6, None), modulus=3), 6),
+    (PolyRing(vars=("x", "y", "v"), total_bound=6, counted=(True, False, False)), 6),
+    (PolyRing(vars=("x", "y"), total_bound=6, modulus=5), 6),
+    # exponents up to 150 in 8 variables: packed keys span 8 digits in base 301
+    (PolyRing(vars=tuple("abcdefgh")), 150),
 ], ids=["no-cap", "first-capped", "second-capped", "total-uncounted", "modulus",
-        "one-counted", "total-modulus"])
-def test_mul_matches_naive_product(ring):
+        "one-counted", "total-modulus", "eight-vars"])
+def test_mul_matches_naive_product(ring, top):
     # oracle: expand every pair of terms, then drop what the bounds exclude
     rng = random.Random(29)
     n = len(ring.vars)
 
-    def rand_poly():
+    def rand_poly(size, top=top):
         terms = {}
-        for _ in range(rng.randrange(1, 9)):
-            m = tuple(rng.randrange(0, 7) for _ in range(n))
+        for _ in range(size):
+            m = tuple(rng.randrange(0, top + 1) for _ in range(n))
             assert ring.weight(m) == weight_of(ring, m)
             c = rng.randrange(-9, 10)
             terms[m] = rng.choice((c, Fraction(c, rng.choice((2, 4)))))
         return TruncPoly(ring, terms)
 
-    pairs = on_cap = 0
-    for _ in range(60):
-        a, b = rand_poly(), rand_poly()
+    draws = [(rand_poly(rng.randrange(1, 9)), rand_poly(rng.randrange(1, 9)))
+             for _ in range(60)]
+    # empty and one-term operands, on either side
+    draws += [(rand_poly(size), rand_poly(rng.randrange(0, 9)))[::side]
+              for size in (0, 1) for side in (1, -1) for _ in range(5)]
+    # (P + Q)(P - Q): the cross terms cancel to zero coefficients
+    for _ in range(10):
+        P, Q = rand_poly(1, top // 3), rand_poly(1, top // 3)
+        draws.append((P + Q, P - Q))
+    # x0^top + x1 times x0^top + 1: a key base of 2 top, one too small,
+    # would carry x0^(2 top) into the x1 digit
+    x0, x1 = (top,) + (0,) * (n - 1), (0, 1) + (0,) * (n - 2)
+    draws.append((TruncPoly(ring, {x0: 1, x1: 1}), TruncPoly(ring, {x0: 1, (0,) * n: 1})))
+    pairs = on_cap = cancelled = 0
+    for a, b in draws:
         out = {}
         for m1, c1 in a.terms.items():
             for m2, c2 in b.terms.items():
@@ -365,9 +379,12 @@ def test_mul_matches_naive_product(ring):
                 if within(ring, m):
                     out[m] = out.get(m, 0) + c1 * c2
                     on_cap += ring.cap > 0 and ring.weight(m) == ring.cap
+        cancelled += sum(ring.reduce_coeff(c) == 0 for c in out.values())
         assert a * b == TruncPoly(ring, out)
+        if not a.terms or not b.terms:
+            assert (a * b).is_zero()
     # the cut must keep products that land exactly on the cap
-    assert pairs and (on_cap or ring.cap == 0)
+    assert pairs and (on_cap or ring.cap == 0) and cancelled
 
 
 @pytest.mark.parametrize("bounds, total_bound", [((5, 4), None), ((6, None), 8)],

@@ -225,6 +225,37 @@ def test_q_identity_through_twenty():
         assert lhs == q_integer(m, "lam", lhs.ring)
 
 
+@pytest.mark.parametrize("lam, ring", [
+    ("lam", PolyRing(vars=("h", "lam"), bounds=(40, None))),
+    (0, PolyRing(vars=("h",), bounds=(40,))),
+    (-3, PolyRing(vars=("h",), bounds=(40,))),
+    (5, PolyRing(vars=("h",), bounds=(40,))),
+    ("lam", PolyRing(vars=("h", "lam"), bounds=(40, None), modulus=5)),
+    (-3, PolyRing(vars=("h",), bounds=(40,), modulus=5)),
+    ("lam", PolyRing(vars=("h", "lam"), bounds=(7, None))),
+], ids=["symbolic", "lam0", "lam-3", "lam5", "symbolic-mod5", "lam-3-mod5", "h-cap-7"])
+def test_q_integer_matches_kernel_products(lam, ring, monkeypatch):
+    # reference: sum_(i<n) q^i with one kernel product per step, for n = 1..40
+    h = TruncPoly.var(ring, "h")
+    q = 1 + (TruncPoly.var(ring, "lam") if lam == "lam" else lam) * h
+    want, total, power = {}, TruncPoly.zero(ring), TruncPoly.const(ring, 1)
+    for n in range(1, 41):
+        total, power = total + power, power * q
+        want[n] = total
+    products = []
+    mul = TruncPoly.__mul__
+
+    def counted(a, b):
+        products.append((a, b))
+        return mul(a, b)
+
+    monkeypatch.setattr(TruncPoly, "__mul__", counted)
+    monkeypatch.setattr(TruncPoly, "__rmul__", counted)
+    got = {n: q_integer(n, lam, ring) for n in range(1, 41)}
+    assert not products
+    assert got == want
+
+
 def test_honda_p_series_exact():
     s = honda_p_series(2, 1, 12)
     assert s.terms == {(2, 1): 1}
@@ -449,6 +480,25 @@ def test_right_unit_multiplicativity_sample():
     v1, v2 = poly_of(ring, "v1"), poly_of(ring, "v2")
     direct = (v1**2 + v2).substitute({"v1": eta[1], "v2": eta[2]})
     assert combo == direct
+
+
+@pytest.mark.parametrize("p, N", [(2, 4), (3, 4)])
+def test_right_unit_makes_no_product_with_a_constant(p, N, monkeypatch):
+    # L_0 = t_0 = 1 enter E_n as the terms p^n t_n and L_n, and a power
+    # starts from its base, not from 1 * base
+    constants = []
+    mul = TruncPoly.__mul__
+
+    def counted(a, b):
+        if isinstance(b, TruncPoly):
+            one = (0,) * len(a.ring.vars)
+            constants.extend(x for x in (a, b) if list(x.terms) == [one])
+        return mul(a, b)
+
+    monkeypatch.setattr(TruncPoly, "__mul__", counted)
+    monkeypatch.setattr(TruncPoly, "__rmul__", counted)
+    bp_right_unit(p, N)
+    assert not constants
 
 
 def reference_right_unit(p, N):
